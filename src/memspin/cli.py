@@ -8,10 +8,11 @@ Usage::
 ``<config>`` is a JSON file (human units: MHz and us) or the name of a
 bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
 ./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
-``heatmap_spin.csv`` and ``transfer.csv`` when requested.
+``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``--jobs`` is
+accepted and ignored.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-divergence.
+Exit codes: 0 success, 2 configuration/validation error (``validate`` also
+exits 2 when a validity margin fails), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analytic, compiler, core, fock, pde
+from . import compiler, core, fock, pde
 from .core import MemspinError, ValidationError, angular_from_mhz
 
 EXIT_OK = 0
@@ -80,10 +81,14 @@ def _get(cfg: dict, path: str, typ, required=True, default=None):
                 raise ConfigError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
             return default
         node = node[part]
-    if typ is float and isinstance(node, int):
+    types = typ if isinstance(typ, tuple) else (typ,)
+    name = "/".join(t.__name__ for t in types)
+    # bool subclasses int, so JSON true/false would otherwise pass as a number
+    if isinstance(node, bool) and bool not in types:
+        raise ConfigError(f"config entry '{path}' must be {name}, not a boolean")
+    if float in types and isinstance(node, int):
         node = float(node)
-    if not isinstance(node, typ):
-        name = typ.__name__ if isinstance(typ, type) else "/".join(t.__name__ for t in typ)
+    if not isinstance(node, types):
         raise ConfigError(f"config entry '{path}' must be {name}")
     return node
 
@@ -178,12 +183,14 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
 
 
 def build_options(cfg: dict, heatmap: bool) -> pde.SimOptions:
-    oc = cfg.get("options", {})
+    def switch(name):
+        return _get(cfg, f"options.{name}", bool, required=False, default=True)
     return pde.SimOptions(
-        power_broadening=bool(oc.get("power_broadening", True)),
-        compensate_dispersion=bool(oc.get("compensate_dispersion", True)),
-        auto_two_photon=bool(oc.get("auto_two_photon", True)),
-        margin_threshold=float(cfg.get("margin_threshold", core.MARGIN_THRESHOLD)),
+        power_broadening=switch("power_broadening"),
+        compensate_dispersion=switch("compensate_dispersion"),
+        auto_two_photon=switch("auto_two_photon"),
+        margin_threshold=_get(cfg, "margin_threshold", float, required=False,
+                              default=core.MARGIN_THRESHOLD),
         record_heatmap=heatmap,
     )
 
@@ -276,10 +283,10 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
                      sort_keys=True))
-    status = "pass" if (rep.pass7 and rep.pass9) else "FAIL"
+    passed = rep.pass7 and rep.pass9
     print(f"validity margins: margin7={rep.margin7:.4g} margin9={rep.margin9:.4g} "
-          f"threshold={rep.threshold:g} -> {status}")
-    return EXIT_OK
+          f"threshold={rep.threshold:g} -> {'pass' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_CONFIG
 
 
 def cmd_run(cfg: dict, out_dir: str, args) -> int:
@@ -289,7 +296,7 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     if kind == "fock":
         return cmd_fock_verify(cfg, out_dir, args)
     t0 = time.time()
-    heatmap = bool(cfg.get("outputs", {}).get("heatmap", False))
+    heatmap = _get(cfg, "outputs.heatmap", bool, required=False, default=False)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
     margins = setup.margin_report()
 
@@ -304,10 +311,10 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
                                   setup.grid, setup.spectrum, setup.options, ideal=ideal)
 
     transfer = None
-    if bool(cfg.get("outputs", {}).get("transfer", False)):
+    if _get(cfg, "outputs.transfer", bool, required=False, default=False):
         transfer = pde.extract_transfer_matrix(
             setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
-            setup.options, temporal_mode=psi, jobs=args.jobs)
+            setup.options, temporal_mode=psi)
 
     os.makedirs(out_dir, exist_ok=True)
     report = {
@@ -497,7 +504,7 @@ def cmd_extract_transfer(cfg: dict, out_dir: str, args) -> int:
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
     matrix = pde.extract_transfer_matrix(
         setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
-        setup.options, jobs=args.jobs)
+        setup.options)
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "label": cfg.get("label", ""),
@@ -527,7 +534,9 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="config JSON path or bundled scenario name")
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: $MEMSPIN_OUT or ./memspin_out)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel basis probes")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="ignored: accepted for compatibility; basis probes "
+                             "run one after another")
     parser.add_argument("--grid-scale", type=float, default=1.0, dest="grid_scale",
                         help="refine (>1) or coarsen (<1) the grid")
     args = parser.parse_args(argv)
@@ -539,9 +548,8 @@ def main(argv=None) -> int:
             pde.ScheduleError, fock.PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (pde.StepSizeError, pde.DivergenceError, analytic.StepSizeError,
-            fock.ConditioningError, fock.DerivationError,
-            pde.UndefinedOverlapError) as exc:
+    except (core.StepSizeError, pde.DivergenceError, pde.UndefinedOverlapError,
+            fock.ConditioningError, fock.DerivationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemspinError as exc:

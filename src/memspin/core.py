@@ -8,6 +8,10 @@ so that a single convention holds everywhere downstream.
 The light-atom coupling constant is fixed to g = 1 and the effective linear
 atomic density to N = beta * Gamma / L (with L = 1), so the resonant optical
 depth ``beta`` is the single depth parameter of the model.
+
+The time integrators of :mod:`memspin.pde` and :mod:`memspin.analytic` share
+the RK4 stepper :func:`rk4`, the error :class:`StepSizeError` and the beat
+guard :func:`check_beat_resolution` defined here.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ class DimensionMismatchError(ValidationError):
 
 class DegenerateCouplingError(MemspinError):
     """Operation undefined because the total coupling weight vanishes."""
+
+
+class StepSizeError(MemspinError):
+    """The requested time step cannot resolve the fastest dynamics."""
 
 
 def angular_from_mhz(f_mhz):
@@ -333,3 +341,38 @@ def margin_report(spectrum: ModeSpectrum, coupling: CouplingVector, atoms: Atomi
         margin9=check_inequality_9(spectrum, rates),
         threshold=threshold,
     )
+
+
+def check_beat_resolution(spectrum: ModeSpectrum, step: float) -> None:
+    """Reject a time step that samples the fastest mode beat too coarsely.
+
+    Single-excited-state dynamics oscillate at the pairwise mode spacings,
+    so the step must give the widest spacing at least 20 points per period.
+    """
+    if spectrum.n_modes < 2:
+        return
+    fastest = float(np.max(spectrum.detunings) - np.min(spectrum.detunings))
+    limit = TWO_PI / (20.0 * fastest)
+    if step > limit:
+        raise StepSizeError(
+            f"time step {step:.4g} does not resolve the fastest beat (need <= {limit:.4g})")
+
+
+def rk4(rhs, y, times):
+    """Classical RK4 over the grid ``times``.
+
+    ``rhs(y, t)`` returns ``(dy/dt, observable)``.  Yields ``(y, observable)``
+    at every grid time, the observable taken from the first-stage evaluation
+    at that time; the last grid time costs one extra evaluation.
+    """
+    times = np.asarray(times, dtype=float)
+    for i in range(times.size - 1):
+        t = times.item(i)
+        h = times.item(i + 1) - t
+        k1, observable = rhs(y, t)
+        yield y, observable
+        k2, _ = rhs(y + 0.5 * h * k1, t + 0.5 * h)
+        k3, _ = rhs(y + 0.5 * h * k2, t + 0.5 * h)
+        k4, _ = rhs(y + h * k3, t + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    yield y, rhs(y, times.item(-1))[1]

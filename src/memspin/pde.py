@@ -25,9 +25,20 @@ sign is flipped to trigger re-emission.  Cells are chained in series; in the
 moving frame the outflow of one cell is the inflow of the next within the
 same time step.
 
-Numerical scheme: method of lines.  Within each time step the envelopes are
-slaved to the spin grid by trapezoidal accumulation along z, and the spin
-grid is advanced with classical RK4.  The scheme is linear in the state, so
+Numerical scheme: method of lines, classical RK4 in t on the spin grids
+(the stepper :func:`memspin.core.rk4`), with the envelopes slaved to the
+spin along z.  A coupled cell absorbs light only through its bright mode
+r = W / D, so inside it
+
+    E_k(z) = e_k + i * N * r_k * S(z),   S(z) = integral_0^z s(z') dz'
+
+with e the cell's inflow and S the cumulative trapezoid of its spin.  One
+(n_cells, nz) cumulative sum per evaluation therefore serves every cell,
+and the chain enters only through small matrices built once per window:
+the inflow projected onto each cell's bright mode (B), the strictly lower
+cell-to-cell coupling through the end values S(1) (G), and the maps from
+inflow and S(1) to the outflow (C, H), with the uncompensated dispersion
+phases folded into all four.  The scheme is linear in the state, so
 superposition holds to rounding error.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
@@ -42,7 +53,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,16 +62,15 @@ from .core import (
     CouplingVector,
     MemspinError,
     ModeSpectrum,
+    StepSizeError,
     ValidationError,
     MARGIN_THRESHOLD,
+    check_beat_resolution,
     dispersion_phase,
     light_shift,
     margin_report,
+    rk4,
 )
-
-
-class StepSizeError(MemspinError):
-    """The requested time step cannot resolve the fastest dynamics."""
 
 
 class DivergenceError(MemspinError):
@@ -301,102 +310,88 @@ class NetworkResult:
     heatmap_z: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class _CellWindowCtx:
-    """Precomputed per-(cell, window) quantities."""
-
-    on: bool
-    ratios: np.ndarray | None
-    ratios_conj: np.ndarray | None
-    ncal: float
-    gamma_eff: float
-    delta_z: np.ndarray
-    disp_phase: np.ndarray | None
+def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
+    """Cumulative trapezoid of ``s`` along its last axis, zero at z = 0."""
+    acc = np.empty_like(s)
+    acc[..., 0] = 0.0
+    (half_dz * (s[..., 1:] + s[..., :-1])).cumsum(axis=-1, out=acc[..., 1:])
+    return acc
 
 
-def _window_contexts(cells, schedule, window, spectrum, grid, options):
-    z = grid.z
-    ctxs = []
-    for cell, row in zip(cells, schedule.entries):
-        entry = row[window]
-        if entry.event in ("store", "recall") and cell.gradient_eta == 0.0:
-            raise ScheduleError(f"cell '{cell.id}' needs a nonzero gradient to {entry.event}")
-        grad = entry.gradient_sign * cell.gradient_eta * (z - 0.5)
-        disp = None
-        if not options.compensate_dispersion:
-            disp = np.exp(1j * dispersion_phase(cell.atoms, spectrum, 1.0))
-        coupling_on = entry.coupling is not None and bool(np.any(entry.coupling.amplitudes))
-        if coupling_on:
-            ratios = entry.coupling.amplitudes / spectrum.detunings
-            shift = light_shift(entry.coupling, spectrum)
-            pb = cell.atoms.Gamma * float(np.sum(np.abs(ratios) ** 2))
-            gamma_eff = cell.atoms.gamma + (pb if options.power_broadening else 0.0)
-            delta_uniform = cell.atoms.delta + (0.0 if options.auto_two_photon else shift)
-            ctxs.append(_CellWindowCtx(
-                on=True,
-                ratios=ratios,
-                ratios_conj=np.conj(ratios),
-                ncal=cell.atoms.coupling_density,
-                gamma_eff=gamma_eff,
-                delta_z=delta_uniform + grad,
-                disp_phase=disp,
-            ))
-        else:
-            ctxs.append(_CellWindowCtx(
-                on=False,
-                ratios=None,
-                ratios_conj=None,
-                ncal=cell.atoms.coupling_density,
-                gamma_eff=cell.atoms.gamma,
-                delta_z=cell.atoms.delta + grad,
-                disp_phase=disp,
-            ))
-    return ctxs
+class _ChainOperator:
+    """The cell chain during one window, in bright-mode form.
 
+    With e the chain inflow and S(1) the end values of every cell's
+    cumulative spin trapezoid S (see the module docstring):
 
-def _guard_step_size(ctxs, grid, gradient_etas):
-    rate = 0.0
-    for ctx, eta in zip(ctxs, gradient_etas):
-        r = ctx.gamma_eff + abs(eta) / 2.0
-        if ctx.on:
-            r += ctx.ncal * float(np.sum(np.abs(ctx.ratios) ** 2))
-        rate = max(rate, r)
-    if grid.dt * rate > 0.5:
-        raise StepSizeError(
-            f"dt = {grid.dt} too large for dynamics rate {rate:.3g} rad/us "
-            f"(dt * rate = {grid.dt * rate:.2f} > 0.5)"
-        )
+        dsig/dt = -(gamma' + i delta(z)) sig + i (B e + G S(1)) - N |r|^2 S
+        outflow = C e + H S(1)
 
-
-def _chain_rhs(sig, t, inflow_fn, ctxs, dz, want_profiles=False):
-    """Time derivative of all spin grids plus the chain outflow at time t.
-
-    ``sig`` has shape (n_cells, nz).  Returns (dsig, outflow, profiles)
-    where profiles, when requested, lists one (n_modes, nz) envelope array
-    per cell.
+    An uncoupled cell has r = 0, so it only decays and passes its inflow
+    on.  Checks the step size against the fastest rate on construction.
     """
-    e = np.asarray(inflow_fn(t), dtype=complex)
-    dsig = np.empty_like(sig)
-    profiles = [] if want_profiles else None
-    for c, ctx in enumerate(ctxs):
-        s = sig[c]
-        if ctx.on:
-            incr = 1j * ctx.ncal * ctx.ratios[:, None] * s[None, :]
-            ek = np.empty((e.size, s.size), dtype=complex)
-            ek[:, 0] = e
-            ek[:, 1:] = e[:, None] + np.cumsum(
-                0.5 * dz * (incr[:, 1:] + incr[:, :-1]), axis=1)
-            dsig[c] = -(ctx.gamma_eff + 1j * ctx.delta_z) * s + 1j * (ctx.ratios_conj @ ek)
-            e = ek[:, -1].copy()
-            if want_profiles:
-                profiles.append(ek)
-        else:
-            dsig[c] = -(ctx.gamma_eff + 1j * ctx.delta_z) * s
-            if want_profiles:
-                profiles.append(np.repeat(e[:, None], s.size, axis=1))
-        if ctx.disp_phase is not None:
-            e = e * ctx.disp_phase
-    return dsig, e, profiles
+
+    def __init__(self, cells, schedule: Schedule, window: int, spectrum: ModeSpectrum,
+                 grid: Grid, options: SimOptions):
+        n_cells, n_modes = len(cells), spectrum.n_modes
+        z = grid.z
+        self.half_dz = 0.5 / (grid.nz - 1)
+        ratios = np.zeros((n_cells, n_modes), dtype=complex)
+        ncal = np.array([cell.atoms.coupling_density for cell in cells])
+        gamma_eff = np.array([cell.atoms.gamma for cell in cells])
+        delta_z = np.empty((n_cells, z.size))
+        # inflow of cell c (row n_cells: the chain outflow) = phase[c] * e + upstream[c] @ S(1)
+        phase = np.ones((n_cells + 1, n_modes), dtype=complex)
+        upstream = np.zeros((n_cells + 1, n_modes, n_cells), dtype=complex)
+        for c, (cell, row) in enumerate(zip(cells, schedule.entries)):
+            entry = row[window]
+            if entry.event in ("store", "recall") and cell.gradient_eta == 0.0:
+                raise ScheduleError(f"cell '{cell.id}' needs a nonzero gradient to {entry.event}")
+            grad = entry.gradient_sign * cell.gradient_eta * (z - 0.5)
+            delta_z[c] = cell.atoms.delta + grad
+            if entry.coupling is not None and np.any(entry.coupling.amplitudes):
+                ratios[c] = entry.coupling.amplitudes / spectrum.detunings
+                if options.power_broadening:
+                    gamma_eff[c] += cell.atoms.Gamma * float(np.sum(np.abs(ratios[c]) ** 2))
+                if not options.auto_two_photon:
+                    delta_z[c] = cell.atoms.delta + light_shift(entry.coupling, spectrum) + grad
+            phase[c + 1] = phase[c]
+            upstream[c + 1] = upstream[c]
+            upstream[c + 1, :, c] = 1j * ncal[c] * ratios[c]
+            if not options.compensate_dispersion:
+                disp = np.exp(1j * dispersion_phase(cell.atoms, spectrum, 1.0))
+                phase[c + 1] *= disp
+                upstream[c + 1] *= disp[:, None]
+        absorb = ncal * np.sum(np.abs(ratios) ** 2, axis=1)
+        rate = float(np.max(gamma_eff + np.abs([cell.gradient_eta for cell in cells]) / 2.0
+                            + absorb))
+        if grid.dt * rate > 0.5:
+            raise StepSizeError(
+                f"dt = {grid.dt} too large for dynamics rate {rate:.3g} rad/us "
+                f"(dt * rate = {grid.dt * rate:.2f} > 0.5)"
+            )
+        self.absorb = absorb[:, None]
+        self.decay = -(gamma_eff[:, None] + 1j * delta_z)
+        self.emit = 1j * ncal[:, None] * ratios
+        self.phase, self.upstream = phase[:-1], upstream[:-1]
+        self.B = np.conj(ratios) * self.phase
+        self.G = np.einsum("ck,ckd->cd", np.conj(ratios), self.upstream)
+        self.C, self.H = phase[-1], upstream[-1]
+
+    def derivative(self, sig: np.ndarray, e: np.ndarray):
+        """(dsig/dt, S) for spin grids ``sig`` (n_cells, nz) and chain inflow ``e``."""
+        acc = _cumtrapz(sig, self.half_dz)
+        drive = 1j * (self.B @ e + self.G @ acc[:, -1])
+        return self.decay * sig + drive[:, None] - self.absorb * acc, acc
+
+    def outflow(self, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        return self.C * e + self.H @ acc[:, -1]
+
+    def field_norms(self, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """sqrt(sum_k |E_k(z)|^2) in every cell, concatenated along z."""
+        inflow = self.phase * e + self.upstream @ acc[:, -1]
+        field = inflow[:, :, None] + self.emit[:, :, None] * acc[:, None, :]
+        return np.sqrt(np.sum(np.abs(field) ** 2, axis=1)).reshape(-1)
 
 
 def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
@@ -435,7 +430,6 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
             raise ValidationError("initial_spins must have shape (n_cells, nz)")
         schedule.check_causality(preloaded={
             c for c in range(schedule.n_cells) if np.any(sig[c])})
-    dz = 1.0 / (grid.nz - 1)
     times = grid.times
     zero = np.zeros(n_modes, dtype=complex)
 
@@ -445,31 +439,23 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
     stride = options.heatmap_stride or max(1, grid.nt // 200)
 
     for w in range(schedule.n_windows):
-        ctxs = _window_contexts(cells, schedule, w, spectrum, grid, options)
-        _guard_step_size(ctxs, grid, [c.gradient_eta for c in cells])
+        op = _ChainOperator(cells, schedule, w, spectrum, grid, options)
         pulse = inputs.get(w)
-        inflow = (lambda t, p=pulse: p(t)) if pulse is not None else (lambda t: zero)
+
+        def rhs(y, t, pulse=pulse, op=op):
+            e = np.asarray(pulse(t), dtype=complex) if pulse is not None else zero
+            dy, acc = op.derivative(y, e)
+            return dy, (e, acc)
+
         out_series = np.empty((n_modes, grid.nt + 1), dtype=complex)
         in_series = np.empty((n_modes, grid.nt + 1), dtype=complex)
-        dt = grid.dt
-        for n in range(grid.nt):
-            t = times[n]
-            want = options.record_heatmap and (n % stride == 0)
-            k1, out_now, profiles = _chain_rhs(sig, t, inflow, ctxs, dz, want_profiles=want)
-            out_series[:, n] = out_now
-            in_series[:, n] = inflow(t)
-            if want:
-                heat_field.append(np.concatenate(
-                    [np.sqrt(np.sum(np.abs(p) ** 2, axis=0)) for p in profiles]))
+        for n, (sig, (e, acc)) in enumerate(rk4(rhs, sig, times)):
+            out_series[:, n] = op.outflow(e, acc)
+            in_series[:, n] = e
+            if options.record_heatmap and n < grid.nt and n % stride == 0:
+                heat_field.append(op.field_norms(e, acc))
                 heat_spin.append(np.abs(sig).reshape(-1))
-                heat_t.append(w * grid.window + t)
-            k2, _, _ = _chain_rhs(sig + 0.5 * dt * k1, t + 0.5 * dt, inflow, ctxs, dz)
-            k3, _, _ = _chain_rhs(sig + 0.5 * dt * k2, t + 0.5 * dt, inflow, ctxs, dz)
-            k4, _, _ = _chain_rhs(sig + dt * k3, t + dt, inflow, ctxs, dz)
-            sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _, out_last, _ = _chain_rhs(sig, times[-1], inflow, ctxs, dz)
-        out_series[:, -1] = out_last
-        in_series[:, -1] = inflow(times[-1])
+                heat_t.append(w * grid.window + times[n])
         if not np.all(np.isfinite(sig)):
             raise DivergenceError(f"non-finite spin state after window {w}")
         outputs.append(FieldState(envelopes=out_series, times=times.copy()))
@@ -656,17 +642,15 @@ def ideal_output(transfer_matrix: np.ndarray, input_amplitudes: np.ndarray,
     )]
 
 
-def _basis_probe(args):
-    (cells, schedule, grid, spectrum, options, pulse, indices) = args
-    n = spectrum.n_modes
-    results = []
-    for j in indices:
-        amps = np.zeros(n, dtype=complex)
-        amps[j] = 1.0
-        probe = replace(pulse, mode_amplitudes=amps)
-        res = simulate_network(cells, schedule, {0: probe}, grid, spectrum, options)
-        results.append((j, res))
-    return results
+def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,
+                 options: SimOptions, pulse: GaussianPulse) -> list[NetworkResult]:
+    """One run per input mode j, fed ``pulse`` with unit weight on mode j only."""
+    return [
+        simulate_network(cells, schedule,
+                         {0: replace(pulse, mode_amplitudes=np.eye(spectrum.n_modes)[j])},
+                         grid, spectrum, options)
+        for j in range(spectrum.n_modes)
+    ]
 
 
 def default_temporal_mode(cells, schedule: Schedule, grid: Grid,
@@ -685,8 +669,7 @@ def default_temporal_mode(cells, schedule: Schedule, grid: Grid,
 def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
                             spectrum: ModeSpectrum, pulse: GaussianPulse,
                             options: SimOptions = SimOptions(),
-                            temporal_mode: FieldState | None = None,
-                            jobs: int = 1) -> np.ndarray:
+                            temporal_mode: FieldState | None = None) -> np.ndarray:
     """Realised mode-transfer matrix from N basis-input simulations.
 
     Entry (k, j) is the complex overlap of output mode k against the ideal
@@ -705,15 +688,8 @@ def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
     probe_options = replace(options, record_heatmap=False, check_margins=False)
 
     matrix = np.zeros((n, n), dtype=complex)
-    chunks = [c.tolist() for c in np.array_split(np.arange(n), max(1, jobs)) if c.size]
-    tasks = [(cells, schedule, grid, spectrum, probe_options, pulse, chunk)
-             for chunk in chunks]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = [item for got in pool.map(_basis_probe, tasks) for item in got]
-    else:
-        outcomes = [item for task in tasks for item in _basis_probe(task)]
-    for j, res in outcomes:
+    probes = _basis_probe(cells, schedule, grid, spectrum, probe_options, pulse)
+    for j, res in enumerate(probes):
         out = res.outputs[win]
         matrix[:, j] = np.trapezoid(out.envelopes * np.conj(psi)[None, :],
                                     out.times, axis=1) / math.sqrt(e_single)
@@ -734,22 +710,13 @@ def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid,
 
     Returns (list of composite single-row FieldState per window, SpinState).
     """
-    pair_beats = [abs(a - b) for i, a in enumerate(spectrum.detunings)
-                  for b in spectrum.detunings[i + 1:]]
-    if pair_beats:
-        fastest = max(pair_beats)
-        limit = 2.0 * math.pi / (20.0 * fastest)
-        if grid.dt > limit:
-            raise StepSizeError(
-                f"dt = {grid.dt} does not resolve the fastest beat (need <= {limit:.4g})"
-            )
+    check_beat_resolution(spectrum, grid.dt)
     beats = spectrum.detunings - spectrum.mean_detuning
     atoms = cell.atoms
     dmean = spectrum.mean_detuning
     ncal = atoms.coupling_density
     z = grid.z
-    dz = 1.0 / (grid.nz - 1)
-    times = grid.times
+    half_dz = 0.5 / (grid.nz - 1)
     sig = np.zeros(grid.nz, dtype=complex)
     outputs = []
     gamma_scale = 1.0 if options.power_broadening else 0.0
@@ -769,42 +736,27 @@ def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid,
             offset = 0.0
         pulse_w = pulse if w == 0 else None
 
-        def inflow(t, p=pulse_w, t_base=t_base):
-            if p is None:
-                return 0.0j
-            return complex(np.sum(p(t) * np.exp(1j * beats * (t_base + t))))
-
         def rhs(s, t, amps=amps, grad=grad, delta_uniform=delta_uniform, offset=offset,
-                inflow=inflow, t_base=t_base):
+                pulse_w=pulse_w, t_base=t_base):
+            # the bright-mode form of the chain, with one time-dependent mode
+            phases = np.exp(1j * beats * (t_base + t))
+            e = complex((pulse_w(t) * phases).sum()) if pulse_w is not None else 0.0j
             if amps is None:
-                ds = -(atoms.gamma + 1j * (delta_uniform + grad)) * s
-                return ds, np.full(grid.nz, inflow(t), dtype=complex)
-            om = complex(np.sum(amps * np.exp(1j * beats * (t_base + t))))
+                return -(atoms.gamma + 1j * (delta_uniform + grad)) * s, e
+            om = complex((amps * phases).sum())
             ratio = om / dmean
-            incr = 1j * ncal * ratio * s
-            efield = np.empty(grid.nz, dtype=complex)
-            efield[0] = inflow(t)
-            efield[1:] = efield[0] + np.cumsum(0.5 * dz * (incr[1:] + incr[:-1]))
+            acc = _cumtrapz(s, half_dz)
             stark = (gamma_scale * atoms.Gamma + 1j * dmean) * (abs(om) ** 2 / dmean ** 2)
             decay = atoms.gamma + stark + 1j * (delta_uniform + offset + grad)
-            ds = -decay * s + 1j * np.conj(ratio) * efield
-            return ds, efield
+            ds = -decay * s + 1j * np.conj(ratio) * e - (ncal * abs(ratio) ** 2) * acc
+            return ds, e + 1j * ncal * ratio * acc[-1]
 
         out_series = np.empty(grid.nt + 1, dtype=complex)
-        dt = grid.dt
-        for n in range(grid.nt):
-            t = times[n]
-            k1, ef = rhs(sig, t)
-            out_series[n] = ef[-1]
-            k2, _ = rhs(sig + 0.5 * dt * k1, t + 0.5 * dt)
-            k3, _ = rhs(sig + 0.5 * dt * k2, t + 0.5 * dt)
-            k4, _ = rhs(sig + dt * k3, t + dt)
-            sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _, ef = rhs(sig, times[-1])
-        out_series[-1] = ef[-1]
+        for n, (sig, out_now) in enumerate(rk4(rhs, sig, grid.times)):
+            out_series[n] = out_now
         if not np.all(np.isfinite(sig)):
             raise DivergenceError(f"non-finite spin state after window {w}")
-        outputs.append(FieldState(envelopes=out_series[None, :], times=times.copy()))
+        outputs.append(FieldState(envelopes=out_series[None, :], times=grid.times))
 
     spin = SpinState(sigma=sig, z=grid.z, cell_id=cell.id)
     return outputs, spin
@@ -833,5 +785,6 @@ def write_heatmap_csv(path, matrix: np.ndarray, times: np.ndarray, z: np.ndarray
             f"nz={grid.nz},n_cells={n_cells},dt={grid.dt},window={grid.window},"
             f"n_times={len(times)},t0={times[0]},t1={times[-1]}\n"
         )
+        row_format = ",".join(["%.8e"] * matrix.shape[1]) + "\n"
         for row in matrix:
-            fh.write(",".join(f"{v:.8e}" for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))

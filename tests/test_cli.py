@@ -193,3 +193,32 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("MEMSPIN_OUT", str(tmp_path / "envout"))
     assert run_cli(["run", "identity_1mode"]) == cli.EXIT_OK
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+def test_validate_failed_margins_exits_2(tmp_path, capsys):
+    cfg = json.loads(cli.scenario_path("fifty_mhz_margins").read_text())
+    cfg["margin_threshold"] = 1e12
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["validate", path]) == cli.EXIT_CONFIG
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", ["grid.nz", "atoms.optical_depth"])
+def test_json_bool_rejected_as_number(tmp_path, capsys, path):
+    cfg = json.loads(cli.scenario_path("fifty_mhz_margins").read_text())
+    section, key = path.split(".")
+    cfg[section][key] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+    assert f"'{path}'" in capsys.readouterr().err
+
+
+def test_string_switch_rejected(tmp_path, capsys):
+    cfg = json.loads(cli.scenario_path("fifty_mhz_margins").read_text())
+    cfg["options"] = {"power_broadening": "false"}
+    bad = tmp_path / "switch.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+    assert "'options.power_broadening'" in capsys.readouterr().err

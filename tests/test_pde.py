@@ -491,3 +491,80 @@ def test_heatmap_csv(tmp_path):
     assert lines[0].startswith("nz=64,n_cells=1,")
     assert len(lines) == 4
     assert len(lines[1].split(",")) == 4
+
+
+def test_heatmap_csv_rows_match_per_value_format(tmp_path):
+    mat = np.array([[0.0, -0.0, 1.5e-300, 123456.789, np.nan],
+                    [np.pi, -2.5e-7, 1e10, 7.0, np.inf]])
+    grid = pde.Grid(nz=64, dt=0.02, window=40.0)
+    path = tmp_path / "heat.csv"
+    pde.write_heatmap_csv(path, mat, np.arange(5.0), np.linspace(0, 1, 2), grid, n_cells=1)
+    body = path.read_text().split("\n", 1)[1]
+    assert body == "".join(",".join(f"{v:.8e}" for v in row) + "\n" for row in mat)
+
+
+def reference_chain_rhs(sig, e, cells, entries, spectrum, grid):
+    """Explicit per-mode trapezoid form of one chain RHS, cell by cell, with
+    power broadening on, the light shift cancelled and dispersion uncompensated."""
+    dz = 1.0 / (grid.nz - 1)
+    dsig = np.empty_like(sig)
+    profiles = []
+    for c, (cell, entry) in enumerate(zip(cells, entries)):
+        ratios = entry.coupling.amplitudes / spectrum.detunings
+        ncal = cell.atoms.coupling_density
+        gamma_eff = cell.atoms.gamma + cell.atoms.Gamma * np.sum(np.abs(ratios) ** 2)
+        delta = cell.atoms.delta + entry.gradient_sign * cell.gradient_eta * (grid.z - 0.5)
+        incr = 1j * ncal * ratios[:, None] * sig[c][None, :]
+        ek = np.empty((e.size, grid.nz), dtype=complex)
+        ek[:, 0] = e
+        ek[:, 1:] = e[:, None] + np.cumsum(0.5 * dz * (incr[:, 1:] + incr[:, :-1]), axis=1)
+        dsig[c] = -(gamma_eff + 1j * delta) * sig[c] + 1j * (np.conj(ratios) @ ek)
+        profiles.append(ek)
+        e = ek[:, -1] * np.exp(1j * core.dispersion_phase(cell.atoms, spectrum, 1.0))
+    return dsig, e, profiles
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_chain_operator_matches_per_mode_trapezoid(window):
+    """Bright-mode RHS of a 3-cell chain with uncompensated dispersion."""
+    rng = np.random.default_rng(11)
+    sp = core.ModeSpectrum.equally_spaced(250.0, 15.0, 3)
+    u_in = compiler.haar_random_unitary(3, seed=5)
+    u_out = compiler.haar_random_unitary(3, seed=6)
+    cells = [pde.MemoryCell(atoms=core.AtomicParams(Gamma=GAMMA, gamma=mhz(1e-3), beta=beta),
+                            gradient_eta=ETA, id=f"m{c}")
+             for c, beta in enumerate((300.0, 500.0, 800.0))]
+    wp = compiler.compile_write(u_in, sp, math.sqrt(ETA / (500.0 * GAMMA)))
+    rp = compiler.compile_read(u_out, sp, math.sqrt(ETA / (500.0 * GAMMA)))
+    sched = pde.store_recall_schedule(wp, rp)
+    grid = pde.Grid(nz=64, dt=0.02, window=WINDOW)
+    opts = pde.SimOptions(check_margins=False, compensate_dispersion=False)
+    sig = rng.normal(size=(3, grid.nz)) + 1j * rng.normal(size=(3, grid.nz))
+    e = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    op = pde._ChainOperator(cells, sched, window, sp, grid, opts)
+    dsig, acc = op.derivative(sig, e)
+    entries = [row[window] for row in sched.entries]
+    ref_dsig, ref_out, ref_profiles = reference_chain_rhs(sig, e, cells, entries, sp, grid)
+
+    assert np.max(np.abs(dsig - ref_dsig)) <= 1e-12 * np.max(np.abs(ref_dsig))
+    out = op.outflow(e, acc)
+    assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+    ref_norms = np.concatenate([np.sqrt(np.sum(np.abs(p) ** 2, axis=0)) for p in ref_profiles])
+    norms = op.field_norms(e, acc)
+    assert np.max(np.abs(norms - ref_norms)) <= 1e-12 * np.max(ref_norms)
+
+
+def test_transfer_columns_match_basis_probe_runs():
+    u_in = compiler.haar_random_unitary(2, seed=41)
+    u_out = compiler.haar_random_unitary(2, seed=42)
+    sp, cells, sched, grid, pulse = two_op_network(2, u_in, u_out, nz=64)
+    m = pde.extract_transfer_matrix(cells, sched, grid, sp, pulse, OPTS)
+    psi = pde.default_temporal_mode(cells, sched, grid, sp, pulse, OPTS).envelopes[0]
+    win, _ = pde.echo_center(sched, grid, pulse.center)
+    e1 = pde.GaussianPulse(FWHM, CENTER, np.array([1.0])).energy()
+    for j in range(2):
+        probe = pde.GaussianPulse(FWHM, CENTER, np.eye(2)[j])
+        out = pde.simulate_network(cells, sched, {0: probe}, grid, sp, OPTS).outputs[win]
+        column = np.trapezoid(out.envelopes * np.conj(psi), out.times, axis=1) / math.sqrt(e1)
+        npt.assert_allclose(m[:, j], column, rtol=0, atol=1e-12)
