@@ -9,7 +9,8 @@ Usage::
 bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
 ./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
 ``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``--jobs`` is
-accepted and ignored.
+accepted and ignored.  A config key the schema of its ``type`` does not list
+is an error.
 
 Exit codes: 0 success, 2 configuration/validation error (``validate`` also
 exits 2 when a validity margin fails), 3 numerical divergence.
@@ -55,6 +56,58 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
 
 
+# Every key a config may hold, per config type: a dict is a section, a list
+# holds the schema of each of its entries, None is a value.
+_ATOMS = dict.fromkeys(("Gamma_mhz", "gamma_mhz", "delta_mhz", "optical_depth"))
+_GRID = dict.fromkeys(("nz", "dt_us", "window_us"))
+_PULSE = {"shape": None, "fwhm_us": None, "center_us": None,
+          "mode_amplitudes": dict.fromkeys(("re", "im"))}
+_OPTIONS = dict.fromkeys(("power_broadening", "compensate_dispersion", "auto_two_photon"))
+_UNITARY = dict.fromkeys(("kind", "seed", "re", "im"))
+SCHEMAS = {
+    "network": {
+        "type": None, "label": None, "margin_threshold": None,
+        "atoms": _ATOMS, "grid": _GRID, "pulse": _PULSE, "options": _OPTIONS,
+        "spectrum": dict.fromkeys(("mean_mhz", "n_modes", "spacing_mhz", "detunings_mhz",
+                                   "guard")),
+        "cells": dict.fromkeys(("count", "gradient_mhz")),
+        "coupling": {"omega_tilde": None},
+        "unitaries": {"write": _UNITARY, "read": _UNITARY},
+        "outputs": dict.fromkeys(("heatmap", "transfer")),
+    },
+    "eq5_sweep": {
+        "type": None, "label": None, "margin_threshold": None,
+        "atoms": _ATOMS, "grid": _GRID, "pulse": _PULSE, "options": _OPTIONS,
+        "spectrum": {"mean_mhz": None},
+        "cells": {"gradient_mhz": None},
+        "coupling": {"omega_tilde": None},
+        "cases": [dict.fromkeys(("label", "spacing_mhz", "dt_us"))],
+    },
+    "fock": {
+        "type": None, "label": None,
+        "fock": {
+            "photon_cap": None, "assembly": None, "herald": None, "ancilla_modes": None,
+            "inputs": None,
+            "stages": [dict.fromkeys(("label", "role", "window", "re", "im"))],
+            "export_plans": dict.fromkeys(("mean_mhz", "spacing_mhz", "guard", "omega_tilde")),
+        },
+    },
+}
+
+
+def check_keys(node, schema, path: str = "") -> None:
+    """Reject any key of ``node`` that ``schema`` does not list, by its dotted path."""
+    if isinstance(schema, list) and isinstance(node, list):
+        for i, entry in enumerate(node):
+            check_keys(entry, schema[0], f"{path}.{i}")
+    elif isinstance(schema, dict) and isinstance(node, dict):
+        for key, value in node.items():
+            where = f"{path}.{key}" if path else key
+            if key not in schema:
+                raise ConfigError(f"unknown config entry '{where}'")
+            check_keys(value, schema[key], where)
+
+
 def load_config(path_or_name: str) -> dict:
     candidate = scenario_path(path_or_name)
     if os.path.exists(path_or_name):
@@ -69,13 +122,21 @@ def load_config(path_or_name: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
+    kind = _get(cfg, "type", str, required=False, default="network")
+    if kind not in SCHEMAS:
+        raise ConfigError(f"config entry 'type' must be one of {', '.join(sorted(SCHEMAS))}")
+    check_keys(cfg, SCHEMAS[kind])
     return cfg
 
 
 def _get(cfg: dict, path: str, typ, required=True, default=None):
+    """The entry at dotted ``path`` (an integer part indexes a list), checked as ``typ``."""
     node = cfg
     parts = path.split(".")
     for i, part in enumerate(parts):
+        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+            continue
         if not isinstance(node, dict) or part not in node:
             if required:
                 raise ConfigError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
@@ -93,6 +154,15 @@ def _get(cfg: dict, path: str, typ, required=True, default=None):
     return node
 
 
+def _get_list(cfg: dict, path: str, typ, default=None) -> list:
+    """The list at ``path``, each entry read through ``_get`` as ``typ``;
+    required unless a ``default`` is given."""
+    values = _get(cfg, path, list, required=default is None)
+    if values is None:
+        return list(default)
+    return [_get(cfg, f"{path}.{i}", typ) for i in range(len(values))]
+
+
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -104,10 +174,10 @@ def config_hash(cfg: dict) -> str:
 
 def build_spectrum(cfg: dict) -> core.ModeSpectrum:
     sc = _get(cfg, "spectrum", dict)
-    guard = float(sc.get("guard", core.FAR_DETUNED_GUARD))
+    guard = _get(cfg, "spectrum.guard", float, required=False, default=core.FAR_DETUNED_GUARD)
     if "detunings_mhz" in sc:
-        det = np.asarray(sc["detunings_mhz"], dtype=float)
-        mean = float(sc.get("mean_mhz", det.mean()))
+        det = np.asarray(_get_list(cfg, "spectrum.detunings_mhz", float))
+        mean = _get(cfg, "spectrum.mean_mhz", float, required=False, default=float(det.mean()))
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(det), guard=guard)
     mean = _get(cfg, "spectrum.mean_mhz", float)
@@ -130,8 +200,11 @@ def build_atoms(cfg: dict) -> core.AtomicParams:
     )
 
 
-def build_unitary(spec: dict, n: int, label: str) -> compiler.UnitarySpec:
-    kind = spec.get("kind", "explicit")
+def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
+    """The unitary of section ``unitaries.<label>``."""
+    path = f"unitaries.{label}"
+    _get(cfg, path, dict)
+    kind = _get(cfg, f"{path}.kind", str, required=False, default="explicit")
     if kind == "identity":
         return compiler.UnitarySpec(np.eye(n), label=label)
     if kind == "dft":
@@ -141,13 +214,10 @@ def build_unitary(spec: dict, n: int, label: str) -> compiler.UnitarySpec:
             raise ConfigError(f"unitaries.{label}: hadamard2 needs exactly 2 modes")
         return compiler.UnitarySpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2), label=label)
     if kind == "haar":
-        if "seed" not in spec:
-            raise ConfigError(f"unitaries.{label}: haar requires a seed")
-        return compiler.haar_random_unitary(n, seed=int(spec["seed"]), label=label)
+        return compiler.haar_random_unitary(n, seed=_get(cfg, f"{path}.seed", int), label=label)
     if kind == "explicit":
-        if "re" not in spec or "im" not in spec:
-            raise ConfigError(f"unitaries.{label}: explicit matrix needs re and im")
-        m = np.asarray(spec["re"], dtype=float) + 1j * np.asarray(spec["im"], dtype=float)
+        m = np.asarray(_get(cfg, f"{path}.re", list), dtype=float) \
+            + 1j * np.asarray(_get(cfg, f"{path}.im", list), dtype=float)
         return compiler.UnitarySpec(m, label=label)
     raise ConfigError(f"unitaries.{label}: unknown kind '{kind}'")
 
@@ -173,8 +243,9 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
     if amps_cfg == "uniform":
         amps = np.ones(n, dtype=complex) / math.sqrt(n)
     elif isinstance(amps_cfg, dict):
-        amps = np.asarray(amps_cfg["re"], dtype=float) + 1j * np.asarray(
-            amps_cfg.get("im", np.zeros(len(amps_cfg["re"]))), dtype=float)
+        re = _get_list(cfg, "pulse.mode_amplitudes.re", float)
+        im = _get_list(cfg, "pulse.mode_amplitudes.im", float, default=[0.0] * len(re))
+        amps = np.asarray(re) + 1j * np.asarray(im)
         if amps.size != n:
             raise ConfigError("pulse.mode_amplitudes length must equal the mode count")
     else:
@@ -209,8 +280,8 @@ class NetworkSetup:
         self.cells = [pde.MemoryCell(atoms=self.atoms, gradient_eta=gradient, id=f"m{j}")
                       for j in range(n)]
         ot = _get(cfg, "coupling.omega_tilde", float)
-        self.u_in = build_unitary(_get(cfg, "unitaries.write", dict), n, "write")
-        self.u_out = build_unitary(_get(cfg, "unitaries.read", dict), n, "read")
+        self.u_in = build_unitary(cfg, n, "write")
+        self.u_out = build_unitary(cfg, n, "read")
         self.write_plan = compiler.compile_write(self.u_in, self.spectrum, ot)
         self.read_plan = compiler.compile_read(self.u_out, self.spectrum, ot)
         self.schedule = pde.store_recall_schedule(self.write_plan, self.read_plan)
@@ -352,10 +423,11 @@ def build_eq5_cases(cfg: dict):
         "pulse": _get(cfg, "pulse", dict),
         "grid": _get(cfg, "grid", dict),
     }
-    cases = _get(cfg, "cases", list)
-    for i, case in enumerate(cases):
-        if "label" not in case or "spacing_mhz" not in case:
-            raise ConfigError(f"cases[{i}] needs label and spacing_mhz")
+    cases = _get_list(cfg, "cases", dict)
+    for i in range(len(cases)):
+        _get(cfg, f"cases.{i}.label", str)
+        _get(cfg, f"cases.{i}.spacing_mhz", float)
+        _get(cfg, f"cases.{i}.dt_us", float, required=False)
     return base, cases
 
 
@@ -367,9 +439,11 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
     gradient = angular_from_mhz(_get(cfg, "cells.gradient_mhz", float))
     mean = _get(cfg, "spectrum.mean_mhz", float)
     results = []
-    for case in cases:
-        sp = core.ModeSpectrum.equally_spaced(mean, float(case["spacing_mhz"]), 2)
-        dt = float(case.get("dt_us", _get(cfg, "grid.dt_us", float)))
+    for i, case in enumerate(cases):
+        spacing = _get(cfg, f"cases.{i}.spacing_mhz", float)
+        sp = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
+        dt = _get(cfg, f"cases.{i}.dt_us", float, required=False,
+                  default=_get(cfg, "grid.dt_us", float))
         grid = build_grid({"grid": {"nz": _get(cfg, "grid.nz", int), "dt_us": dt,
                                     "window_us": _get(cfg, "grid.window_us", float)}},
                           args.grid_scale)
@@ -380,20 +454,10 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
         pulse = build_pulse(cfg, 2)
         opts = build_options(cfg, heatmap=False)
         entries = [pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)]
-        sched = pde.Schedule(entries=((entries[0], entries[1]),))
-        res = pde.simulate_network([cell], sched, {0: pulse}, grid, sp, opts)
-        eff_multi = res.efficiency
-        outs, _ = pde.simulate_eq5(cell, entries, pulse, grid, sp, opts)
-        beats = sp.detunings - sp.mean_detuning
-        tt = grid.times
-        comp_in = np.sum(pulse.mode_amplitudes[:, None] * pulse.envelope(tt)[None, :]
-                         * np.exp(1j * np.outer(beats, tt)), axis=0)
-        e_in = float(np.trapezoid(np.abs(comp_in) ** 2, tt))
-        eff_single = outs[1].energy() / e_in
-        dev = abs(eff_single - eff_multi) / eff_multi
+        eff_multi, eff_single, dev = pde.eq5_deviation(cell, entries, pulse, grid, sp, opts)
         results.append({
             "label": case["label"],
-            "spacing_mhz": float(case["spacing_mhz"]),
+            "spacing_mhz": spacing,
             "margin9": m9 if not math.isinf(m9) else None,
             "efficiency_multi_transition": eff_multi,
             "efficiency_single_excited": eff_single,
@@ -414,34 +478,36 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
 
 def build_fock_network(cfg: dict):
     fc = _get(cfg, "fock", dict)
-    cap = int(fc.get("photon_cap", fock.DEFAULT_PHOTON_CAP))
-    assembly = fc.get("assembly", "cz")
+    cap = _get(cfg, "fock.photon_cap", int, required=False, default=fock.DEFAULT_PHOTON_CAP)
+    assembly = _get(cfg, "fock.assembly", str, required=False, default="cz")
     if assembly != "cz":
         raise ConfigError(f"fock.assembly '{assembly}' unknown (only 'cz' bundled)")
     stages = fock.cz_network()
-    roles = fc.get("stages")
-    if roles is not None:
+    if "stages" in fc:
+        roles = _get_list(cfg, "fock.stages", dict)
         if len(roles) != len(stages):
             raise ConfigError("fock.stages must list one entry per assembly stage")
         rebuilt = []
         for i, (entry, stage) in enumerate(zip(roles, stages)):
-            if entry.get("role") != stage.role:
+            where = f"fock.stages.{i}"
+            role = _get(cfg, f"{where}.role", str, required=False)
+            if role != stage.role:
                 raise ConfigError(
-                    f"fock.stages[{i}].role '{entry.get('role')}' does not match "
-                    f"assembly role '{stage.role}'")
+                    f"{where}.role '{role}' does not match assembly role '{stage.role}'")
             if "re" in entry or "im" in entry:
                 # explicit override of one stage's unitary (validated here)
-                m = np.asarray(entry["re"], dtype=float) \
-                    + 1j * np.asarray(entry.get("im", np.zeros_like(entry["re"])),
-                                      dtype=float)
+                re = np.asarray(_get(cfg, f"{where}.re", list), dtype=float)
+                im = _get(cfg, f"{where}.im", list, required=False)
+                m = re + 1j * (np.zeros_like(re) if im is None else np.asarray(im, dtype=float))
                 stage = fock.GateStage(
                     unitary=compiler.UnitarySpec(m, label=stage.label.lower()),
                     modes=stage.modes, label=stage.label, role=stage.role)
             rebuilt.append(stage)
         stages = rebuilt
-    herald = tuple(fc.get("herald", fock.CZ_HERALD_PATTERN))
+    herald = tuple(_get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN))
     policy = fock.FeedforwardPolicy(
-        measure_modes=tuple(fc.get("ancilla_modes", fock.CZ_ANCILLA_MODES)),
+        measure_modes=tuple(_get_list(cfg, "fock.ancilla_modes", int,
+                                      default=fock.CZ_ANCILLA_MODES)),
         branches={herald: (tuple(stages[2:]), True)},
         default=((), False),
     )
@@ -462,7 +528,7 @@ def _parse_qubit_label(label: str):
 def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
     t0 = time.time()
     stages, (policy, cap, fc) = build_fock_network(cfg)
-    labels = fc.get("inputs", ["00", "01", "10", "11", "++"])
+    labels = _get_list(cfg, "fock.inputs", str, default=["00", "01", "10", "11", "++"])
     rows = []
     for label in labels:
         q1, q2 = _parse_qubit_label(label)
@@ -490,11 +556,12 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
         "wall_time_s": time.time() - t0,
     }
     if "export_plans" in fc:
-        ep = fc["export_plans"]
+        def plan(key, **kw):
+            return _get(cfg, f"fock.export_plans.{key}", float, **kw)
         sp = core.ModeSpectrum.equally_spaced(
-            float(ep["mean_mhz"]), float(ep["spacing_mhz"]), fock.CZ_MODES,
-            guard=float(ep.get("guard", core.FAR_DETUNED_GUARD)))
-        report["stage_plans"] = fock.stage_plans(stages, sp, float(ep["omega_tilde"]))
+            plan("mean_mhz"), plan("spacing_mhz"), fock.CZ_MODES,
+            guard=plan("guard", required=False, default=core.FAR_DETUNED_GUARD))
+        report["stage_plans"] = fock.stage_plans(stages, sp, plan("omega_tilde"))
     write_report(out_dir, report)
     return EXIT_OK
 
@@ -535,8 +602,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: $MEMSPIN_OUT or ./memspin_out)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored: accepted for compatibility; basis probes "
-                             "run one after another")
+                        help="ignored: accepted for compatibility; the basis probes "
+                             "run as one batched integration")
     parser.add_argument("--grid-scale", type=float, default=1.0, dest="grid_scale",
                         help="refine (>1) or coarsen (<1) the grid")
     args = parser.parse_args(argv)

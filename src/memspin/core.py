@@ -371,8 +371,9 @@ def rk4(rhs, y, times):
         h = times.item(i + 1) - t
         k1, observable = rhs(y, t)
         yield y, observable
-        k2, _ = rhs(y + 0.5 * h * k1, t + 0.5 * h)
-        k3, _ = rhs(y + 0.5 * h * k2, t + 0.5 * h)
-        k4, _ = rhs(y + h * k3, t + h)
+        # later-stage observables are dropped at once, not kept through the next stage
+        k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)[0]
+        k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)[0]
+        k4 = rhs(y + h * k3, t + h)[0]
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     yield y, rhs(y, times.item(-1))[1]

@@ -41,6 +41,13 @@ inflow and S(1) to the outflow (C, H), with the uncompensated dispersion
 phases folded into all four.  The scheme is linear in the state, so
 superposition holds to rounding error.
 
+The state may carry leading batch axes, (P, n_cells, nz) for P runs that
+share cells, schedule and grid: the operator acts on the last two axes,
+and each RHS evaluation takes the inflows of all runs, (P, n_modes), from
+one pulse call.  The N basis probes of a transfer extraction run this way
+as one integration; :func:`simulate_network` is the same window loop with
+no batch axis.
+
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
 
@@ -213,7 +220,8 @@ class GaussianPulse:
     """Gaussian input pulse shared by all modes, |envelope|^2 FWHM = fwhm.
 
     ``center`` is window-local time in us; ``mode_amplitudes`` are the
-    complex per-mode weights.
+    complex per-mode weights, (n_modes,), or (P, n_modes) for a batch of P
+    pulses that share the envelope (the basis probes).
     """
 
     fwhm: float
@@ -228,7 +236,7 @@ class GaussianPulse:
 
     @property
     def n_modes(self) -> int:
-        return int(self.mode_amplitudes.size)
+        return int(self.mode_amplitudes.shape[-1])
 
     def envelope(self, t) -> np.ndarray:
         return np.exp(-2.0 * math.log(2.0) * ((np.asarray(t) - self.center) / self.fwhm) ** 2)
@@ -239,7 +247,7 @@ class GaussianPulse:
         )
 
     def energy(self) -> float:
-        """Closed-form integral of sum_k |amp_k|^2 |env(t)|^2 dt."""
+        """Closed-form integral of sum_k |amp_k|^2 |env(t)|^2 dt (summed over a batch)."""
         norm = self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
         return float(np.sum(np.abs(self.mode_amplitudes) ** 2)) * norm
 
@@ -379,19 +387,24 @@ class _ChainOperator:
         self.C, self.H = phase[-1], upstream[-1]
 
     def derivative(self, sig: np.ndarray, e: np.ndarray):
-        """(dsig/dt, S) for spin grids ``sig`` (n_cells, nz) and chain inflow ``e``."""
+        """(dsig/dt, S) for spin grids ``sig`` (..., n_cells, nz) and chain
+        inflow ``e`` (..., n_modes); the leading axes are a batch of runs."""
         acc = _cumtrapz(sig, self.half_dz)
-        drive = 1j * (self.B @ e + self.G @ acc[:, -1])
-        return self.decay * sig + drive[:, None] - self.absorb * acc, acc
+        drive = 1j * (e @ self.B.T + acc[..., -1] @ self.G.T)
+        dsig = self.decay * sig
+        dsig += drive[..., None]
+        dsig -= self.absorb * acc
+        return dsig, acc
 
     def outflow(self, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        return self.C * e + self.H @ acc[:, -1]
+        return self.C * e + acc[..., -1] @ self.H.T
 
     def field_norms(self, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """sqrt(sum_k |E_k(z)|^2) in every cell, concatenated along z."""
-        inflow = self.phase * e + self.upstream @ acc[:, -1]
-        field = inflow[:, :, None] + self.emit[:, :, None] * acc[:, None, :]
-        return np.sqrt(np.sum(np.abs(field) ** 2, axis=1)).reshape(-1)
+        # upstream (n_cells, n_modes, n_cells) times each run's S(1) column
+        inflow = self.phase * e[..., None, :] + (self.upstream @ acc[..., None, :, -1:])[..., 0]
+        field = inflow[..., None] + self.emit[..., None] * acc[..., None, :]
+        return np.sqrt(np.sum(np.abs(field) ** 2, axis=-2)).reshape(*acc.shape[:-2], -1)
 
 
 def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
@@ -413,28 +426,40 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
     initial_spins:
         Optional (n_cells, nz) starting spin grids (default all zero).
     """
-    if len(cells) != schedule.n_cells:
-        raise ScheduleError(
-            f"{len(cells)} cells supplied for a schedule with {schedule.n_cells} rows"
-        )
-    n_modes = spectrum.n_modes
-    if options.check_margins:
-        _warn_on_margins(cells, schedule, spectrum, options)
-
     if initial_spins is None:
         sig = np.zeros((schedule.n_cells, grid.nz), dtype=complex)
-        schedule.check_causality()
     else:
         sig = np.array(initial_spins, dtype=complex)
         if sig.shape != (schedule.n_cells, grid.nz):
             raise ValidationError("initial_spins must have shape (n_cells, nz)")
-        schedule.check_causality(preloaded={
-            c for c in range(schedule.n_cells) if np.any(sig[c])})
+    return _simulate_batch(cells, schedule, inputs, grid, spectrum, options, sig, ideal)[0]
+
+
+def _simulate_batch(cells, schedule: Schedule, inputs, grid: Grid, spectrum: ModeSpectrum,
+                    options: SimOptions, sig: np.ndarray,
+                    ideal: list[FieldState] | None = None) -> list[NetworkResult]:
+    """Run a schedule for a batch of runs in one integration.
+
+    ``sig`` holds the starting spin grids, (P, n_cells, nz) for P runs or
+    (n_cells, nz) for a single run, which then carries no batch axis.  A
+    pulse in ``inputs`` returns the inflows of all runs, (P, n_modes) or
+    (n_modes,), from one call per RHS evaluation.  Returns one
+    :class:`NetworkResult` per run.
+    """
+    if len(cells) != schedule.n_cells:
+        raise ScheduleError(
+            f"{len(cells)} cells supplied for a schedule with {schedule.n_cells} rows"
+        )
+    batch, n_modes = sig.shape[:-2], spectrum.n_modes
+    if options.check_margins:
+        _warn_on_margins(cells, schedule, spectrum, options)
+    schedule.check_causality(preloaded={
+        c for c in range(schedule.n_cells) if np.any(sig[..., c, :])})
     times = grid.times
     zero = np.zeros(n_modes, dtype=complex)
 
-    outputs: list[FieldState] = []
-    window_energies: list[dict] = []
+    outputs: list[np.ndarray] = []  # (*batch, n_modes, nt + 1) per window
+    energy_in, energy_out = [], []  # (*batch,) per window
     heat_field, heat_spin, heat_t = [], [], []
     stride = options.heatmap_stride or max(1, grid.nt // 200)
 
@@ -447,55 +472,69 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
             dy, acc = op.derivative(y, e)
             return dy, (e, acc)
 
-        out_series = np.empty((n_modes, grid.nt + 1), dtype=complex)
-        in_series = np.empty((n_modes, grid.nt + 1), dtype=complex)
+        out_series = np.empty(batch + (n_modes, grid.nt + 1), dtype=complex)
+        in_power = np.empty(batch + (grid.nt + 1,))
         for n, (sig, (e, acc)) in enumerate(rk4(rhs, sig, times)):
-            out_series[:, n] = op.outflow(e, acc)
-            in_series[:, n] = e
+            out_series[..., n] = op.outflow(e, acc)
+            in_power[..., n] = (np.abs(e) ** 2).sum(axis=-1)
             if options.record_heatmap and n < grid.nt and n % stride == 0:
                 heat_field.append(op.field_norms(e, acc))
-                heat_spin.append(np.abs(sig).reshape(-1))
+                heat_spin.append(np.abs(sig).reshape(*batch, -1))
                 heat_t.append(w * grid.window + times[n])
         if not np.all(np.isfinite(sig)):
             raise DivergenceError(f"non-finite spin state after window {w}")
-        outputs.append(FieldState(envelopes=out_series, times=times.copy()))
-        window_energies.append({
-            "window": w,
-            "input": float(np.trapezoid(np.sum(np.abs(in_series) ** 2, axis=0), times)),
-            "output": float(np.trapezoid(np.sum(np.abs(out_series) ** 2, axis=0), times)),
-        })
+        outputs.append(out_series)
+        energy_in.append(np.trapezoid(in_power, times, axis=-1))
+        energy_out.append(np.trapezoid(np.sum(np.abs(out_series) ** 2, axis=-2), times,
+                                       axis=-1))
 
-    out_windows = schedule.output_windows()
-    input_energy = sum(we["input"] for we in window_energies)
-    output_energy = sum(window_energies[w]["output"] for w in out_windows)
-    efficiency = output_energy / input_energy if input_energy > 0 else 0.0
-    if efficiency > 1.0 + 1e-3:
-        raise DivergenceError(f"efficiency {efficiency:.4f} exceeds unity beyond tolerance")
-
-    overlap = None
-    if ideal is not None:
-        efficiency, overlap = _efficiency_overlap(
-            [outputs[w] for w in out_windows], ideal, input_energy)
-
-    residual = [
-        SpinState(sigma=sig[c].copy(), z=grid.z, cell_id=cells[c].id)
-        for c in range(schedule.n_cells)
-    ]
-    result = NetworkResult(
-        outputs=outputs,
-        residual_spins=residual,
-        efficiency=float(efficiency),
-        overlap=overlap,
-        input_energy=float(input_energy),
-        window_energies=window_energies,
-        output_windows=out_windows,
-    )
+    # one leading run axis, of length 1 for an unbatched run
+    n_runs = math.prod(batch)
+    outputs = [out.reshape(n_runs, n_modes, -1) for out in outputs]
+    energy_in = [energy.reshape(n_runs) for energy in energy_in]
+    energy_out = [energy.reshape(n_runs) for energy in energy_out]
+    sig = sig.reshape(n_runs, schedule.n_cells, grid.nz)
     if options.record_heatmap and heat_t:
-        result.heatmap_field = np.asarray(heat_field).T
-        result.heatmap_spin = np.asarray(heat_spin).T
-        result.heatmap_times = np.asarray(heat_t)
-        result.heatmap_z = np.concatenate([grid.z + i for i in range(schedule.n_cells)])
-    return result
+        heat_field = np.asarray(heat_field).reshape(len(heat_t), n_runs, -1)
+        heat_spin = np.asarray(heat_spin).reshape(len(heat_t), n_runs, -1)
+    out_windows = schedule.output_windows()
+    results = []
+    for p in range(n_runs):
+        window_energies = [
+            {"window": w, "input": float(energy_in[w][p]), "output": float(energy_out[w][p])}
+            for w in range(schedule.n_windows)
+        ]
+        input_energy = sum(we["input"] for we in window_energies)
+        output_energy = sum(window_energies[w]["output"] for w in out_windows)
+        efficiency = output_energy / input_energy if input_energy > 0 else 0.0
+        if efficiency > 1.0 + 1e-3:
+            raise DivergenceError(f"efficiency {efficiency:.4f} exceeds unity beyond tolerance")
+        run_outputs = [FieldState(envelopes=out[p], times=times.copy()) for out in outputs]
+
+        overlap = None
+        if ideal is not None:
+            efficiency, overlap = _efficiency_overlap(
+                [run_outputs[w] for w in out_windows], ideal, input_energy)
+
+        result = NetworkResult(
+            outputs=run_outputs,
+            residual_spins=[
+                SpinState(sigma=sig[p, c].copy(), z=grid.z, cell_id=cells[c].id)
+                for c in range(schedule.n_cells)
+            ],
+            efficiency=float(efficiency),
+            overlap=overlap,
+            input_energy=float(input_energy),
+            window_energies=window_energies,
+            output_windows=out_windows,
+        )
+        if options.record_heatmap and heat_t:
+            result.heatmap_field = heat_field[:, p].T
+            result.heatmap_spin = heat_spin[:, p].T
+            result.heatmap_times = np.asarray(heat_t)
+            result.heatmap_z = np.concatenate([grid.z + i for i in range(schedule.n_cells)])
+        results.append(result)
+    return results
 
 
 def _warn_on_margins(cells, schedule, spectrum, options):
@@ -512,7 +551,7 @@ def _warn_on_margins(cells, schedule, spectrum, options):
                     f"cell '{cell.id}': validity margins below threshold "
                     f"(margin7 = {report.margin7:.3g}, margin9 = {report.margin9:.3g})",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
                 return
 
@@ -644,13 +683,17 @@ def ideal_output(transfer_matrix: np.ndarray, input_amplitudes: np.ndarray,
 
 def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,
                  options: SimOptions, pulse: GaussianPulse) -> list[NetworkResult]:
-    """One run per input mode j, fed ``pulse`` with unit weight on mode j only."""
-    return [
-        simulate_network(cells, schedule,
-                         {0: replace(pulse, mode_amplitudes=np.eye(spectrum.n_modes)[j])},
-                         grid, spectrum, options)
-        for j in range(spectrum.n_modes)
-    ]
+    """The N basis probes, probe j fed ``pulse`` with unit weight on mode j only.
+
+    The probes share the schedule and the scheme is linear, so they run as
+    one integration whose state carries a leading axis of N probes; the
+    inflow of all probes comes from one (N, n_modes) pulse evaluation.
+    Returns one :class:`NetworkResult` per probe, in mode order.
+    """
+    n = spectrum.n_modes
+    probes = replace(pulse, mode_amplitudes=np.eye(n))
+    sig = np.zeros((n, schedule.n_cells, grid.nz), dtype=complex)
+    return _simulate_batch(cells, schedule, {0: probes}, grid, spectrum, options, sig)
 
 
 def default_temporal_mode(cells, schedule: Schedule, grid: Grid,
@@ -670,7 +713,7 @@ def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
                             spectrum: ModeSpectrum, pulse: GaussianPulse,
                             options: SimOptions = SimOptions(),
                             temporal_mode: FieldState | None = None) -> np.ndarray:
-    """Realised mode-transfer matrix from N basis-input simulations.
+    """Realised mode-transfer matrix from the N basis probes (one integration).
 
     Entry (k, j) is the complex overlap of output mode k against the ideal
     recalled temporal mode when only input mode j is fed, normalised so
@@ -760,6 +803,30 @@ def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid,
 
     spin = SpinState(sigma=sig, z=grid.z, cell_id=cell.id)
     return outputs, spin
+
+
+def eq5_deviation(cell: MemoryCell, entries, pulse: GaussianPulse, grid: Grid,
+                  spectrum: ModeSpectrum, options: SimOptions = SimOptions()):
+    """Single-excited-state model against the multi-transition model.
+
+    Runs one cell through ``entries`` (its store and recall windows) in both
+    models.  The multi-transition efficiency is the network efficiency; the
+    single-excited-state efficiency is the recalled energy over the energy
+    of the composite input sum_k E_k(t) exp(i (D_k - D) t), which carries
+    the beats.  Returns (eff_multi, eff_single, relative deviation
+    |eff_single - eff_multi| / eff_multi).
+    """
+    schedule = Schedule(entries=(tuple(entries),))
+    eff_multi = simulate_network([cell], schedule, {0: pulse}, grid, spectrum,
+                                 options).efficiency
+    outs, _ = simulate_eq5(cell, entries, pulse, grid, spectrum, options)
+    beats = spectrum.detunings - spectrum.mean_detuning
+    times = grid.times
+    composite_in = np.sum(pulse.mode_amplitudes[:, None] * pulse.envelope(times)[None, :]
+                          * np.exp(1j * np.outer(beats, times)), axis=0)
+    e_in = float(np.trapezoid(np.abs(composite_in) ** 2, times))
+    eff_single = sum(outs[w].energy() for w in schedule.output_windows()) / e_in
+    return eff_multi, eff_single, abs(eff_single - eff_multi) / eff_multi
 
 
 def composite_output(result: NetworkResult, spectrum: ModeSpectrum,

@@ -204,15 +204,41 @@ def test_validate_failed_margins_exits_2(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("path", ["grid.nz", "atoms.optical_depth"])
+def set_entry(cfg, path, value):
+    """Set the entry at a dotted path, creating missing sections."""
+    *sections, key = path.split(".")
+    node = cfg
+    for part in sections:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[key] = value
+
+
+@pytest.mark.parametrize("path", ["grid.nz", "atoms.optical_depth",
+                                  "unitaries.read.seed", "fock.photon_cap"])
 def test_json_bool_rejected_as_number(tmp_path, capsys, path):
-    cfg = json.loads(cli.scenario_path("fifty_mhz_margins").read_text())
-    section, key = path.split(".")
-    cfg[section][key] = True
+    scenario = {"unitaries": "random_3mode", "fock": "klm_cz"}.get(path.split(".")[0],
+                                                                   "fifty_mhz_margins")
+    cfg = json.loads(cli.scenario_path(scenario).read_text())
+    set_entry(cfg, path, True)
     bad = tmp_path / "bool.json"
     bad.write_text(json.dumps(cfg))
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
     assert f"'{path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, path", [
+    ("random_3mode", "options.power_broadning"),
+    ("eq5_regime_sweep", "cases.1.spacing"),
+    ("klm_cz", "fock.stages.2.rol"),
+])
+def test_unknown_key_rejected(tmp_path, capsys, scenario, path):
+    """A misspelt key exits 2 and is named by its full dotted path."""
+    cfg = json.loads(cli.scenario_path(scenario).read_text())
+    set_entry(cfg, path, False)
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+    assert f"unknown config entry '{path}'" in capsys.readouterr().err
 
 
 def test_string_switch_rejected(tmp_path, capsys):

@@ -524,10 +524,8 @@ def reference_chain_rhs(sig, e, cells, entries, spectrum, grid):
     return dsig, e, profiles
 
 
-@pytest.mark.parametrize("window", [0, 1])
-def test_chain_operator_matches_per_mode_trapezoid(window):
-    """Bright-mode RHS of a 3-cell chain with uncompensated dispersion."""
-    rng = np.random.default_rng(11)
+def uncompensated_chain():
+    """3-cell, 3-mode compiled chain with unequal depths and dispersion left uncompensated."""
     sp = core.ModeSpectrum.equally_spaced(250.0, 15.0, 3)
     u_in = compiler.haar_random_unitary(3, seed=5)
     u_out = compiler.haar_random_unitary(3, seed=6)
@@ -539,20 +537,62 @@ def test_chain_operator_matches_per_mode_trapezoid(window):
     sched = pde.store_recall_schedule(wp, rp)
     grid = pde.Grid(nz=64, dt=0.02, window=WINDOW)
     opts = pde.SimOptions(check_margins=False, compensate_dispersion=False)
+    return sp, cells, sched, grid, opts
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_chain_operator_matches_per_mode_trapezoid(window):
+    """Bright-mode RHS of a 3-cell chain with uncompensated dispersion, for one
+    state and for a stacked batch of two, each row against the reference."""
+    rng = np.random.default_rng(11)
+    sp, cells, sched, grid, opts = uncompensated_chain()
     sig = rng.normal(size=(3, grid.nz)) + 1j * rng.normal(size=(3, grid.nz))
     e = rng.normal(size=3) + 1j * rng.normal(size=3)
-
+    sig2 = rng.normal(size=(2, 3, grid.nz)) + 1j * rng.normal(size=(2, 3, grid.nz))
+    e2 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     op = pde._ChainOperator(cells, sched, window, sp, grid, opts)
-    dsig, acc = op.derivative(sig, e)
     entries = [row[window] for row in sched.entries]
-    ref_dsig, ref_out, ref_profiles = reference_chain_rhs(sig, e, cells, entries, sp, grid)
 
-    assert np.max(np.abs(dsig - ref_dsig)) <= 1e-12 * np.max(np.abs(ref_dsig))
-    out = op.outflow(e, acc)
-    assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
-    ref_norms = np.concatenate([np.sqrt(np.sum(np.abs(p) ** 2, axis=0)) for p in ref_profiles])
-    norms = op.field_norms(e, acc)
-    assert np.max(np.abs(norms - ref_norms)) <= 1e-12 * np.max(ref_norms)
+    def check(dsig, out, norms, sig, e):
+        ref_dsig, ref_out, ref_profiles = reference_chain_rhs(sig, e, cells, entries, sp, grid)
+        assert np.max(np.abs(dsig - ref_dsig)) <= 1e-12 * np.max(np.abs(ref_dsig))
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        ref_norms = np.concatenate([np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
+                                    for p in ref_profiles])
+        assert np.max(np.abs(norms - ref_norms)) <= 1e-12 * np.max(ref_norms)
+
+    dsig, acc = op.derivative(sig, e)
+    check(dsig, op.outflow(e, acc), op.field_norms(e, acc), sig, e)
+    dsig2, acc2 = op.derivative(sig2, e2)
+    out2, norms2 = op.outflow(e2, acc2), op.field_norms(e2, acc2)
+    assert dsig2.shape == sig2.shape and out2.shape == e2.shape
+    for b in range(2):
+        check(dsig2[b], out2[b], norms2[b], sig2[b], e2[b])
+
+
+def test_batched_basis_probes_match_single_runs():
+    """Each probe of the one batched integration against its own simulate_network run."""
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    pulse = pde.GaussianPulse(FWHM, CENTER, np.ones(3, dtype=complex) / math.sqrt(3))
+    probes = pde._basis_probe(cells, sched, grid, sp, opts, pulse)
+    assert len(probes) == 3
+    for j, res in enumerate(probes):
+        probe = pde.GaussianPulse(FWHM, CENTER, np.eye(3)[j])
+        ref = pde.simulate_network(cells, sched, {0: probe}, grid, sp, opts)
+        assert len(res.outputs) == len(ref.outputs) == sched.n_windows
+        for out, ref_out in zip(res.outputs, ref.outputs):
+            scale = np.max(np.abs(ref_out.envelopes))
+            assert np.max(np.abs(out.envelopes - ref_out.envelopes)) <= 1e-12 * scale
+        for spin, ref_spin in zip(res.residual_spins, ref.residual_spins):
+            assert spin.cell_id == ref_spin.cell_id
+            assert np.max(np.abs(spin.sigma - ref_spin.sigma)) \
+                <= 1e-12 * np.max(np.abs(ref_spin.sigma))
+        for we, ref_we in zip(res.window_energies, ref.window_energies):
+            assert we["window"] == ref_we["window"]
+            for key in ("input", "output"):
+                assert abs(we[key] - ref_we[key]) <= 1e-12 * ref.input_energy
+        assert abs(res.efficiency - ref.efficiency) <= 1e-12
+        assert res.output_windows == ref.output_windows
 
 
 def test_transfer_columns_match_basis_probe_runs():
