@@ -17,8 +17,8 @@ Conventions: the static part of |W(t)|^2 defines the effective rates
     gamma' = gamma + Gamma * sum_k |W_k|^2 / D^2
     delta' = delta + sum_k |W_k|^2 / D
 
-(the adiabatic-elimination sign of the light shift; see the note in
-:func:`memspin.core.effective_rates`).  The integration constant ``alpha``
+(the rates of :func:`memspin.core.effective_rates` with every D_k set to
+the shared excited-state detuning D).  The integration constant ``alpha``
 multiplies the oscillatory product as a whole, so s(0) = alpha * P(0) with
 P the pair product, not alpha itself.
 """

@@ -3,14 +3,14 @@
 Usage::
 
     memspin run|validate|fock-verify|extract-transfer <config> [--out DIR]
-            [--jobs N] [--grid-scale F]
+            [--grid-scale F]
 
 ``<config>`` is a JSON file (human units: MHz and us) or the name of a
 bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
 ./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
-``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``--jobs`` is
-accepted and ignored.  A config key the schema of its ``type`` does not list
-is an error.
+``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``validate``
+builds everything ``run`` builds, without the dynamics.  A config key the
+schema of its ``type`` does not list is an error.
 
 Exit codes: 0 success, 2 configuration/validation error (``validate`` also
 exits 2 when a validity margin fails), 3 numerical divergence.
@@ -222,9 +222,10 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
     raise ConfigError(f"unitaries.{label}: unknown kind '{kind}'")
 
 
-def build_grid(cfg: dict, grid_scale: float = 1.0) -> pde.Grid:
+def build_grid(cfg: dict, grid_scale: float = 1.0, dt: float | None = None) -> pde.Grid:
+    """The grid of section ``grid``, with its step replaced by ``dt`` if given."""
     nz = _get(cfg, "grid.nz", int)
-    dt = _get(cfg, "grid.dt_us", float)
+    dt = _get(cfg, "grid.dt_us", float) if dt is None else dt
     window = _get(cfg, "grid.window_us", float)
     if grid_scale != 1.0:
         nz = int(round(nz * grid_scale))
@@ -251,6 +252,12 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
     else:
         raise ConfigError("pulse.mode_amplitudes must be 'uniform' or {re, im}")
     return pde.GaussianPulse(fwhm=fwhm, center=center, mode_amplitudes=amps)
+
+
+def output_switches(cfg: dict) -> tuple[bool, bool]:
+    """The ``outputs.heatmap`` and ``outputs.transfer`` switches."""
+    return tuple(_get(cfg, f"outputs.{name}", bool, required=False, default=False)
+                 for name in ("heatmap", "transfer"))
 
 
 def build_options(cfg: dict, heatmap: bool) -> pde.SimOptions:
@@ -299,6 +306,24 @@ class NetworkSetup:
             threshold=self.options.margin_threshold)
 
 
+def run_network(setup: NetworkSetup):
+    """Run a compiled scenario against its ideal output.
+
+    The ideal output is the ideal transfer applied to the pulse, in the
+    temporal mode of the single-cell reference echo.  Returns the network
+    result and that unit-energy temporal mode.
+    """
+    psi = pde.default_temporal_mode(setup.cells, setup.schedule, setup.grid,
+                                    setup.spectrum, setup.pulse, setup.options)
+    e_single = pde.GaussianPulse(fwhm=setup.pulse.fwhm, center=setup.pulse.center,
+                                 mode_amplitudes=np.array([1.0])).energy()
+    ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
+    ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi, e_single)
+    result = pde.simulate_network(setup.cells, setup.schedule, {0: setup.pulse},
+                                  setup.grid, setup.spectrum, setup.options, ideal=ideal)
+    return result, psi
+
+
 # ---------------------------------------------------------------------------
 # Report helpers
 # ---------------------------------------------------------------------------
@@ -342,15 +367,16 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
     kind = cfg.get("type", "network")
     if kind == "fock":
         # UnitarySpec construction inside the builder validates every stage.
-        stages, _ = build_fock_network(cfg)
-        print(f"fock scenario '{cfg.get('label', '?')}': {len(stages)} stages, all unitary")
+        stages, _, _, inputs, _ = build_fock_run(cfg)
+        print(f"fock scenario '{cfg.get('label', '?')}': {len(stages)} stages, all unitary; "
+              f"{len(inputs)} inputs")
         return EXIT_OK
     if kind == "eq5_sweep":
-        _, cases = build_eq5_cases(cfg)
+        cases = build_eq5_cases(cfg, args.grid_scale)
         print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
         return EXIT_OK
-    setup = NetworkSetup(cfg)
-    rep = setup.margin_report()
+    heatmap, _ = output_switches(cfg)
+    rep = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap).margin_report()
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
                      sort_keys=True))
@@ -367,22 +393,13 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     if kind == "fock":
         return cmd_fock_verify(cfg, out_dir, args)
     t0 = time.time()
-    heatmap = _get(cfg, "outputs.heatmap", bool, required=False, default=False)
+    heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
     margins = setup.margin_report()
-
-    psi = pde.default_temporal_mode(setup.cells, setup.schedule, setup.grid,
-                                    setup.spectrum, setup.pulse, setup.options)
-    e_single = pde.GaussianPulse(fwhm=setup.pulse.fwhm, center=setup.pulse.center,
-                                 mode_amplitudes=np.array([1.0])).energy()
-    ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
-    ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi, e_single)
-
-    result = pde.simulate_network(setup.cells, setup.schedule, {0: setup.pulse},
-                                  setup.grid, setup.spectrum, setup.options, ideal=ideal)
+    result, psi = run_network(setup)
 
     transfer = None
-    if _get(cfg, "outputs.transfer", bool, required=False, default=False):
+    if want_transfer:
         transfer = pde.extract_transfer_matrix(
             setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
             setup.options, temporal_mode=psi)
@@ -416,48 +433,47 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def build_eq5_cases(cfg: dict):
-    base = {
-        "atoms": _get(cfg, "atoms", dict),
-        "coupling": _get(cfg, "coupling", dict),
-        "pulse": _get(cfg, "pulse", dict),
-        "grid": _get(cfg, "grid", dict),
-    }
-    cases = _get_list(cfg, "cases", dict)
-    for i in range(len(cases)):
-        _get(cfg, f"cases.{i}.label", str)
-        _get(cfg, f"cases.{i}.spacing_mhz", float)
-        _get(cfg, f"cases.{i}.dt_us", float, required=False)
-    return base, cases
+def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
+    """Every case of an eq5 sweep, built: two modes at the case's spacing, one
+    cell storing and recalling them, and the grid, pulse and options to run it."""
+    gradient = angular_from_mhz(_get(cfg, "cells.gradient_mhz", float))
+    cell = pde.MemoryCell(atoms=build_atoms(cfg), gradient_eta=gradient, id="eq5")
+    ot = _get(cfg, "coupling.omega_tilde", float)
+    mean = _get(cfg, "spectrum.mean_mhz", float)
+    grid_dt = _get(cfg, "grid.dt_us", float)
+    pulse = build_pulse(cfg, 2)
+    options = build_options(cfg, heatmap=False)
+    cases = []
+    for i in range(len(_get_list(cfg, "cases", dict))):
+        spacing = _get(cfg, f"cases.{i}.spacing_mhz", float)
+        spectrum = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
+        cv = core.CouplingVector(ot * spectrum.detunings / math.sqrt(2))
+        dt = _get(cfg, f"cases.{i}.dt_us", float, required=False, default=grid_dt)
+        cases.append({
+            "label": _get(cfg, f"cases.{i}.label", str),
+            "spacing_mhz": spacing,
+            "cell": cell,
+            "spectrum": spectrum,
+            "entries": [pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)],
+            "grid": build_grid(cfg, grid_scale, dt=dt),
+            "pulse": pulse,
+            "options": options,
+        })
+    return cases
 
 
 def _run_eq5(cfg: dict, out_dir: str, args) -> int:
     t0 = time.time()
-    _, cases = build_eq5_cases(cfg)
-    atoms = build_atoms(cfg)
-    ot = _get(cfg, "coupling.omega_tilde", float)
-    gradient = angular_from_mhz(_get(cfg, "cells.gradient_mhz", float))
-    mean = _get(cfg, "spectrum.mean_mhz", float)
     results = []
-    for i, case in enumerate(cases):
-        spacing = _get(cfg, f"cases.{i}.spacing_mhz", float)
-        sp = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
-        dt = _get(cfg, f"cases.{i}.dt_us", float, required=False,
-                  default=_get(cfg, "grid.dt_us", float))
-        grid = build_grid({"grid": {"nz": _get(cfg, "grid.nz", int), "dt_us": dt,
-                                    "window_us": _get(cfg, "grid.window_us", float)}},
-                          args.grid_scale)
-        cell = pde.MemoryCell(atoms=atoms, gradient_eta=gradient, id="eq5")
-        cv = core.CouplingVector(ot * sp.detunings / math.sqrt(2))
-        rates = core.effective_rates(cv, sp, atoms)
-        m9 = core.check_inequality_9(sp, rates)
-        pulse = build_pulse(cfg, 2)
-        opts = build_options(cfg, heatmap=False)
-        entries = [pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)]
-        eff_multi, eff_single, dev = pde.eq5_deviation(cell, entries, pulse, grid, sp, opts)
+    for case in build_eq5_cases(cfg, args.grid_scale):
+        cell, sp, entries = case["cell"], case["spectrum"], case["entries"]
+        m9 = core.check_inequality_9(sp, core.effective_rates(entries[0].coupling, sp,
+                                                              cell.atoms))
+        eff_multi, eff_single, dev = pde.eq5_deviation(cell, entries, case["pulse"],
+                                                       case["grid"], sp, case["options"])
         results.append({
             "label": case["label"],
-            "spacing_mhz": spacing,
+            "spacing_mhz": case["spacing_mhz"],
             "margin9": m9 if not math.isinf(m9) else None,
             "efficiency_multi_transition": eff_multi,
             "efficiency_single_excited": eff_single,
@@ -504,13 +520,10 @@ def build_fock_network(cfg: dict):
                     modes=stage.modes, label=stage.label, role=stage.role)
             rebuilt.append(stage)
         stages = rebuilt
-    herald = tuple(_get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN))
-    policy = fock.FeedforwardPolicy(
-        measure_modes=tuple(_get_list(cfg, "fock.ancilla_modes", int,
-                                      default=fock.CZ_ANCILLA_MODES)),
-        branches={herald: (tuple(stages[2:]), True)},
-        default=((), False),
-    )
+    policy = fock.cz_policy(
+        stages, herald=_get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN),
+        ancilla_modes=_get_list(cfg, "fock.ancilla_modes", int,
+                                default=fock.CZ_ANCILLA_MODES))
     return stages, (policy, cap, fc)
 
 
@@ -525,13 +538,30 @@ def _parse_qubit_label(label: str):
     return table[label[0]], table[label[1]]
 
 
-def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.time()
+def build_fock_run(cfg: dict):
+    """The CZ network of a fock config with its parsed inputs and exported plans.
+
+    Returns (stages, policy, photon cap, [(label, (q1, q2))], stage plans or None).
+    """
     stages, (policy, cap, fc) = build_fock_network(cfg)
     labels = _get_list(cfg, "fock.inputs", str, default=["00", "01", "10", "11", "++"])
+    inputs = [(label, _parse_qubit_label(label)) for label in labels]
+    plans = None
+    if "export_plans" in fc:
+        def plan(key, **kw):
+            return _get(cfg, f"fock.export_plans.{key}", float, **kw)
+        sp = core.ModeSpectrum.equally_spaced(
+            plan("mean_mhz"), plan("spacing_mhz"), fock.CZ_MODES,
+            guard=plan("guard", required=False, default=core.FAR_DETUNED_GUARD))
+        plans = fock.stage_plans(stages, sp, plan("omega_tilde"))
+    return stages, policy, cap, inputs, plans
+
+
+def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
+    t0 = time.time()
+    stages, policy, cap, inputs, plans = build_fock_run(cfg)
     rows = []
-    for label in labels:
-        q1, q2 = _parse_qubit_label(label)
+    for label, (q1, q2) in inputs:
         state = fock.dual_rail_input(q1, q2, photon_cap=cap)
         outcomes = fock.run_with_feedforward(stages, state, policy)
         succ = [o for o in outcomes if o.success]
@@ -555,13 +585,8 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
         "stage_labels": [s.label for s in stages],
         "wall_time_s": time.time() - t0,
     }
-    if "export_plans" in fc:
-        def plan(key, **kw):
-            return _get(cfg, f"fock.export_plans.{key}", float, **kw)
-        sp = core.ModeSpectrum.equally_spaced(
-            plan("mean_mhz"), plan("spacing_mhz"), fock.CZ_MODES,
-            guard=plan("guard", required=False, default=core.FAR_DETUNED_GUARD))
-        report["stage_plans"] = fock.stage_plans(stages, sp, plan("omega_tilde"))
+    if plans is not None:
+        report["stage_plans"] = plans
     write_report(out_dir, report)
     return EXIT_OK
 
@@ -601,9 +626,6 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="config JSON path or bundled scenario name")
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: $MEMSPIN_OUT or ./memspin_out)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored: accepted for compatibility; the basis probes "
-                             "run as one batched integration")
     parser.add_argument("--grid-scale", type=float, default=1.0, dest="grid_scale",
                         help="refine (>1) or coarsen (<1) the grid")
     args = parser.parse_args(argv)
@@ -611,10 +633,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, out_dir, args)
-    except (ConfigError, ValidationError, compiler.ValidationError,
-            pde.ScheduleError, fock.PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (core.StepSizeError, pde.DivergenceError, pde.UndefinedOverlapError,
             fock.ConditioningError, fock.DerivationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

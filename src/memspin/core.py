@@ -254,26 +254,12 @@ def effective_rates(coupling: CouplingVector, spectrum: ModeSpectrum,
     """Power broadening and light shift induced by the coupling fields.
 
     gamma' = gamma + Gamma * sum_k (|W_k| / D_k)^2
-    delta' = delta - sum_k |W_k|^2 / D_k
-
-    The sign convention of the shift follows the published multi-mode form;
-    the single-excited-state reduction used by the integrators carries the
-    opposite sign (see :mod:`memspin.pde`), which leaves |delta'| and all
-    margin checks unchanged.
+    delta' = delta + sum_k |W_k|^2 / D_k
     """
     ratios = np.abs(_weights(coupling, spectrum))
     gamma_eff = atoms.gamma + atoms.Gamma * float(np.sum(ratios ** 2))
-    delta_eff = atoms.delta - float(np.sum(np.abs(coupling.amplitudes) ** 2 / spectrum.detunings))
+    delta_eff = atoms.delta + float(np.sum(np.abs(coupling.amplitudes) ** 2 / spectrum.detunings))
     return EffectiveRates(gamma_eff=gamma_eff, delta_eff=delta_eff)
-
-
-def light_shift(coupling: CouplingVector, spectrum: ModeSpectrum) -> float:
-    """Magnitude of the coupling-induced two-photon shift, sum_k |W_k|^2 / D_k."""
-    if len(coupling) != spectrum.n_modes:
-        raise DimensionMismatchError(
-            f"coupling has {len(coupling)} entries for {spectrum.n_modes} modes"
-        )
-    return float(np.sum(np.abs(coupling.amplitudes) ** 2 / spectrum.detunings))
 
 
 def effective_optical_depth(atoms: AtomicParams, omega_tilde_value: float) -> float:

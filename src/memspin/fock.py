@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 from .compiler import UnitarySpec, compile_write
 from .core import MemspinError, ModeSpectrum, ValidationError
@@ -284,6 +282,9 @@ def ns_gate() -> UnitarySpec:
     the two-photon component of the signal flips sign with success
     probability 1/4.  The solve is deterministic (fixed starting points).
     """
+    # imported here: scipy.linalg and scipy.optimize dominate the package's import time
+    from scipy.linalg import expm
+    from scipy.optimize import least_squares
 
     def unpack(x):
         h = np.diag(x[:3]).astype(complex)
@@ -396,12 +397,12 @@ def cz_network() -> list[GateStage]:
     ]
 
 
-def cz_policy(stages) -> FeedforwardPolicy:
+def cz_policy(stages, herald=CZ_HERALD_PATTERN,
+              ancilla_modes=CZ_ANCILLA_MODES) -> FeedforwardPolicy:
     """Success branch on the herald pattern; everything else is a flagged miss."""
-    tail = tuple(s for s in stages[2:])
     return FeedforwardPolicy(
-        measure_modes=CZ_ANCILLA_MODES,
-        branches={CZ_HERALD_PATTERN: (tail, True)},
+        measure_modes=tuple(ancilla_modes),
+        branches={tuple(herald): (tuple(stages[2:]), True)},
         default=((), False),
     )
 

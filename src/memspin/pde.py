@@ -10,14 +10,10 @@ envelopes E_k(z, t):
 with g = 1, N = beta * Gamma (L = 1) and
 
     gamma'     = gamma + Gamma * sum_k |W_k / D_k|^2      (power broadening)
-    dtot(z, t) = delta + shift + sign * eta * (z - 1/2)   (two-photon detuning)
+    dtot(z, t) = delta' + sign * eta * (z - 1/2)          (two-photon detuning)
 
-``shift = sum_k |W_k|^2 / D_k`` is the coupling-field light shift with the
-sign produced by adiabatic elimination of the excited states.  (The public
-:func:`memspin.core.effective_rates` keeps the opposite, published sign
-convention for the shift; only |shift| enters the margin checks, and the
-scheduler cancels the uniform shift by default, so the two conventions meet
-only in documentation.)
+where delta' = delta + sum_k |W_k|^2 / D_k carries the coupling-field light
+shift; both rates come from :func:`memspin.core.effective_rates`.
 
 Storage and recall use the gradient-echo mechanism: a linear detuning
 gradient eta * (z - 1/2) is applied while the light is coupled in, and its
@@ -74,7 +70,7 @@ from .core import (
     MARGIN_THRESHOLD,
     check_beat_resolution,
     dispersion_phase,
-    light_shift,
+    effective_rates,
     margin_report,
     rk4,
 )
@@ -298,7 +294,6 @@ class SimOptions:
     check_margins: bool = True
     margin_threshold: float = MARGIN_THRESHOLD
     record_heatmap: bool = False
-    heatmap_stride: int = 0
 
 
 @dataclass
@@ -359,10 +354,11 @@ class _ChainOperator:
             delta_z[c] = cell.atoms.delta + grad
             if entry.coupling is not None and np.any(entry.coupling.amplitudes):
                 ratios[c] = entry.coupling.amplitudes / spectrum.detunings
+                rates = effective_rates(entry.coupling, spectrum, cell.atoms)
                 if options.power_broadening:
-                    gamma_eff[c] += cell.atoms.Gamma * float(np.sum(np.abs(ratios[c]) ** 2))
+                    gamma_eff[c] = rates.gamma_eff
                 if not options.auto_two_photon:
-                    delta_z[c] = cell.atoms.delta + light_shift(entry.coupling, spectrum) + grad
+                    delta_z[c] = rates.delta_eff + grad
             phase[c + 1] = phase[c]
             upstream[c + 1] = upstream[c]
             upstream[c + 1, :, c] = 1j * ncal[c] * ratios[c]
@@ -461,7 +457,7 @@ def _simulate_batch(cells, schedule: Schedule, inputs, grid: Grid, spectrum: Mod
     outputs: list[np.ndarray] = []  # (*batch, n_modes, nt + 1) per window
     energy_in, energy_out = [], []  # (*batch,) per window
     heat_field, heat_spin, heat_t = [], [], []
-    stride = options.heatmap_stride or max(1, grid.nt // 200)
+    stride = max(1, grid.nt // 200)
 
     for w in range(schedule.n_windows):
         op = _ChainOperator(cells, schedule, w, spectrum, grid, options)
@@ -595,23 +591,6 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float,
             return w, -acc / s
         acc += s * grid.window
     raise ScheduleError("no rephasing point inside the scheduled windows")
-
-
-def echo_template(pulse: GaussianPulse, grid: Grid, center_local: float,
-                  amplitudes: np.ndarray) -> FieldState:
-    """Time-reversed copy of the input pulse centred at the echo time.
-
-    ``amplitudes`` carries the per-mode complex weights expected at the
-    output (for a compiled pair: the ideal transfer applied to the input
-    weights).  A symmetric Gaussian is its own time reverse, so only the
-    centre moves.
-    """
-    times = grid.times
-    env = pulse.envelope(times - (center_local - pulse.center))
-    return FieldState(
-        envelopes=np.asarray(amplitudes, dtype=complex)[:, None] * env[None, :],
-        times=times.copy(),
-    )
 
 
 def _efficiency_overlap(outputs: list[FieldState], ideal: list[FieldState],
@@ -827,21 +806,6 @@ def eq5_deviation(cell: MemoryCell, entries, pulse: GaussianPulse, grid: Grid,
     e_in = float(np.trapezoid(np.abs(composite_in) ** 2, times))
     eff_single = sum(outs[w].energy() for w in schedule.output_windows()) / e_in
     return eff_multi, eff_single, abs(eff_single - eff_multi) / eff_multi
-
-
-def composite_output(result: NetworkResult, spectrum: ModeSpectrum,
-                     window: int, window_offset: float = 0.0) -> FieldState:
-    """Recombine per-mode envelopes into the beating composite field.
-
-    Used to compare multi-transition runs against the single-excited-state
-    model, whose output is inherently composite.  ``window_offset`` is the
-    absolute start time of the window so the beat phases line up.
-    """
-    out = result.outputs[window]
-    beats = spectrum.detunings - spectrum.mean_detuning
-    phases = np.exp(1j * np.outer(beats, out.times + window_offset))
-    composite = np.sum(out.envelopes * phases, axis=0)
-    return FieldState(envelopes=composite[None, :], times=out.times.copy())
 
 
 def write_heatmap_csv(path, matrix: np.ndarray, times: np.ndarray, z: np.ndarray,

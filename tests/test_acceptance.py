@@ -31,16 +31,7 @@ def golden_run():
     cfg["outputs"] = {"heatmap": False, "transfer": False}
 
     def execute(grid_scale=1.0):
-        setup = cli.NetworkSetup(cfg, grid_scale=grid_scale)
-        psi = pde.default_temporal_mode(setup.cells, setup.schedule, setup.grid,
-                                        setup.spectrum, setup.pulse, setup.options)
-        e1 = pde.GaussianPulse(fwhm=setup.pulse.fwhm, center=setup.pulse.center,
-                               mode_amplitudes=np.array([1.0])).energy()
-        ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
-        ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi, e1)
-        return pde.simulate_network(setup.cells, setup.schedule, {0: setup.pulse},
-                                    setup.grid, setup.spectrum, setup.options,
-                                    ideal=ideal)
+        return cli.run_network(cli.NetworkSetup(cfg, grid_scale=grid_scale))[0]
 
     t0 = time.monotonic()
     base = execute()

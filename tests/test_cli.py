@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +252,32 @@ def test_string_switch_rejected(tmp_path, capsys):
     bad.write_text(json.dumps(cfg))
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
     assert "'options.power_broadening'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, path, value", [
+    ("eq5_regime_sweep", "atoms.Gamma_mhz", -1),
+    ("eq5_regime_sweep", "cases.0.spacing_mhz", 1e6),
+    ("klm_cz", "fock.inputs", ["0x"]),
+    ("klm_cz", "fock.export_plans.mean_mhz", True),
+], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans"])
+def test_validate_fails_as_run_does(tmp_path, capsys, scenario, path, value):
+    """validate builds what run builds, so it exits 2 with the error run prints."""
+    cfg = json.loads(cli.scenario_path(scenario).read_text())
+    set_entry(cfg, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli(["run", bad, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    run_err = capsys.readouterr().err
+    assert run_err.startswith("error: ")
+    assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == run_err
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    """Only the nonlinear-sign derivation needs scipy.linalg and scipy.optimize."""
+    code = ("import sys, memspin.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -140,7 +140,7 @@ class TestEffectiveRates:
         atoms = core.AtomicParams(Gamma=mhz(6), gamma=0.005, delta=0.0, beta=100)
         r = core.effective_rates(core.CouplingVector(np.array([d / 10])), sp, atoms)
         assert r.gamma_eff == pytest.approx(0.005 + mhz(6) / 100, rel=1e-12)
-        assert r.delta_eff == pytest.approx(-d / 100, rel=1e-12)
+        assert r.delta_eff == pytest.approx(d / 100, rel=1e-12)
 
     def test_shift_adds_over_modes(self):
         # equal |W_k|^2 / D_k in every mode shifts N times the single-mode value
@@ -149,7 +149,7 @@ class TestEffectiveRates:
             amps = np.sqrt(sp.detunings)  # |W|^2 / D = 1 each
             atoms = core.AtomicParams(Gamma=mhz(6), gamma=0.0, delta=0.0, beta=100)
             r = core.effective_rates(core.CouplingVector(amps), sp, atoms)
-            assert r.delta_eff == pytest.approx(-n, rel=1e-12)
+            assert r.delta_eff == pytest.approx(n, rel=1e-12)
 
     def test_broadening_never_negative(self):
         rng = np.random.default_rng(11)

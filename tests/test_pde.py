@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -503,9 +504,10 @@ def test_heatmap_csv_rows_match_per_value_format(tmp_path):
     assert body == "".join(",".join(f"{v:.8e}" for v in row) + "\n" for row in mat)
 
 
-def reference_chain_rhs(sig, e, cells, entries, spectrum, grid):
+def reference_chain_rhs(sig, e, cells, entries, spectrum, grid, light_shift=False):
     """Explicit per-mode trapezoid form of one chain RHS, cell by cell, with
-    power broadening on, the light shift cancelled and dispersion uncompensated."""
+    power broadening on and dispersion uncompensated.  The light shift
+    +sum_k |W_k|^2 / D_k is added when ``light_shift``, else cancelled."""
     dz = 1.0 / (grid.nz - 1)
     dsig = np.empty_like(sig)
     profiles = []
@@ -514,6 +516,8 @@ def reference_chain_rhs(sig, e, cells, entries, spectrum, grid):
         ncal = cell.atoms.coupling_density
         gamma_eff = cell.atoms.gamma + cell.atoms.Gamma * np.sum(np.abs(ratios) ** 2)
         delta = cell.atoms.delta + entry.gradient_sign * cell.gradient_eta * (grid.z - 0.5)
+        if light_shift:
+            delta = delta + np.sum(np.abs(entry.coupling.amplitudes) ** 2 / spectrum.detunings)
         incr = 1j * ncal * ratios[:, None] * sig[c][None, :]
         ek = np.empty((e.size, grid.nz), dtype=complex)
         ek[:, 0] = e
@@ -543,7 +547,8 @@ def uncompensated_chain():
 @pytest.mark.parametrize("window", [0, 1])
 def test_chain_operator_matches_per_mode_trapezoid(window):
     """Bright-mode RHS of a 3-cell chain with uncompensated dispersion, for one
-    state and for a stacked batch of two, each row against the reference."""
+    state, for a stacked batch of two (each row against the reference) and
+    for detuned atoms with the light shift left in."""
     rng = np.random.default_rng(11)
     sp, cells, sched, grid, opts = uncompensated_chain()
     sig = rng.normal(size=(3, grid.nz)) + 1j * rng.normal(size=(3, grid.nz))
@@ -553,8 +558,9 @@ def test_chain_operator_matches_per_mode_trapezoid(window):
     op = pde._ChainOperator(cells, sched, window, sp, grid, opts)
     entries = [row[window] for row in sched.entries]
 
-    def check(dsig, out, norms, sig, e):
-        ref_dsig, ref_out, ref_profiles = reference_chain_rhs(sig, e, cells, entries, sp, grid)
+    def check(dsig, out, norms, sig, e, cells=cells, light_shift=False):
+        ref_dsig, ref_out, ref_profiles = reference_chain_rhs(sig, e, cells, entries, sp, grid,
+                                                              light_shift)
         assert np.max(np.abs(dsig - ref_dsig)) <= 1e-12 * np.max(np.abs(ref_dsig))
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
         ref_norms = np.concatenate([np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
@@ -568,6 +574,10 @@ def test_chain_operator_matches_per_mode_trapezoid(window):
     assert dsig2.shape == sig2.shape and out2.shape == e2.shape
     for b in range(2):
         check(dsig2[b], out2[b], norms2[b], sig2[b], e2[b])
+    detuned = [replace(cell, atoms=replace(cell.atoms, delta=mhz(0.2))) for cell in cells]
+    op = pde._ChainOperator(detuned, sched, window, sp, grid, replace(opts, auto_two_photon=False))
+    dsig, acc = op.derivative(sig, e)
+    check(dsig, op.outflow(e, acc), op.field_norms(e, acc), sig, e, detuned, light_shift=True)
 
 
 def test_batched_basis_probes_match_single_runs():
