@@ -163,6 +163,19 @@ def _get_list(cfg: dict, path: str, typ, default=None) -> list:
     return [_get(cfg, f"{path}.{i}", typ) for i in range(len(values))]
 
 
+def _get_matrix(cfg: dict, path: str, required=True) -> np.ndarray | None:
+    """The real matrix at ``path``: a list of equal-length rows of numbers."""
+    rows = _get(cfg, path, list, required=required)
+    if rows is None:
+        return None
+    m = [_get_list(cfg, f"{path}.{i}", float) for i in range(len(rows))]
+    for i, row in enumerate(m):
+        if len(row) != len(m[0]):
+            raise ConfigError(f"config entry '{path}.{i}' has {len(row)} entries, "
+                              f"row 0 has {len(m[0])}")
+    return np.array(m, dtype=float)
+
+
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -216,10 +229,21 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
     if kind == "haar":
         return compiler.haar_random_unitary(n, seed=_get(cfg, f"{path}.seed", int), label=label)
     if kind == "explicit":
-        m = np.asarray(_get(cfg, f"{path}.re", list), dtype=float) \
-            + 1j * np.asarray(_get(cfg, f"{path}.im", list), dtype=float)
-        return compiler.UnitarySpec(m, label=label)
+        return compiler.UnitarySpec(_complex_matrix(cfg, path, im_required=True),
+                                    label=label)
     raise ConfigError(f"unitaries.{label}: unknown kind '{kind}'")
+
+
+def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
+    """The complex matrix ``<path>.re + i <path>.im``; a missing optional ``im`` is zero."""
+    re = _get_matrix(cfg, f"{path}.re")
+    im = _get_matrix(cfg, f"{path}.im", required=im_required)
+    if im is None:
+        return re.astype(complex)
+    if im.shape != re.shape:
+        raise ConfigError(f"config entries '{path}.re' and '{path}.im' differ in shape "
+                          f"({re.shape} against {im.shape})")
+    return re + 1j * im
 
 
 def build_grid(cfg: dict, grid_scale: float = 1.0, dt: float | None = None) -> pde.Grid:
@@ -295,6 +319,11 @@ class NetworkSetup:
         self.grid = build_grid(cfg, grid_scale)
         self.pulse = build_pulse(cfg, n)
         self.options = build_options(cfg, heatmap)
+
+    def check_echo(self) -> None:
+        """Fail unless the gradient echo lands inside the scheduled windows,
+        where the transfer extraction reads it."""
+        pde.echo_center(self.schedule, self.grid, self.pulse.center)
 
     def margin_report(self) -> core.MarginReport:
         reps = [compiler.validate_plan(plan, self.spectrum, self.atoms,
@@ -375,8 +404,11 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
         cases = build_eq5_cases(cfg, args.grid_scale)
         print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
         return EXIT_OK
-    heatmap, _ = output_switches(cfg)
-    rep = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap).margin_report()
+    heatmap, want_transfer = output_switches(cfg)
+    setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
+    if want_transfer:
+        setup.check_echo()
+    rep = setup.margin_report()
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
                      sort_keys=True))
@@ -395,6 +427,8 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     t0 = time.time()
     heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
+    if want_transfer:
+        setup.check_echo()
     margins = setup.margin_report()
     result, psi = run_network(setup)
 
@@ -512,9 +546,7 @@ def build_fock_network(cfg: dict):
                     f"{where}.role '{role}' does not match assembly role '{stage.role}'")
             if "re" in entry or "im" in entry:
                 # explicit override of one stage's unitary (validated here)
-                re = np.asarray(_get(cfg, f"{where}.re", list), dtype=float)
-                im = _get(cfg, f"{where}.im", list, required=False)
-                m = re + 1j * (np.zeros_like(re) if im is None else np.asarray(im, dtype=float))
+                m = _complex_matrix(cfg, where, im_required=False)
                 stage = fock.GateStage(
                     unitary=compiler.UnitarySpec(m, label=stage.label.lower()),
                     modes=stage.modes, label=stage.label, role=stage.role)

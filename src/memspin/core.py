@@ -11,7 +11,13 @@ depth ``beta`` is the single depth parameter of the model.
 
 The time integrators of :mod:`memspin.pde` and :mod:`memspin.analytic` share
 the RK4 stepper :func:`rk4`, the error :class:`StepSizeError` and the beat
-guard :func:`check_beat_resolution` defined here.
+guard :func:`check_beat_resolution` defined here.  The stepper hands its
+right-hand side a stage index, not a time: index k points into
+:func:`stage_times`, the grid times interleaved with the step midpoints.  An
+integrator whose coefficients are known functions of time tabulates them on
+those stage times with :func:`stage_table`, vectorised over one block of
+:data:`STAGE_BLOCK` stages at a time, and keeps only state arithmetic in
+its right-hand side.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ FAR_DETUNED_GUARD = 0.2
 #: Default pass threshold for the two validity-margin checks ("much greater
 #: than" is read as a factor of at least this).
 MARGIN_THRESHOLD = 10.0
+
+#: Stage times tabulated per call of a :func:`stage_table` coefficient
+#: function: small enough that the tables stay a few kB, large enough that
+#: the vectorised call costs little per stage.
+STAGE_BLOCK = 512
 
 
 class MemspinError(Exception):
@@ -344,22 +355,76 @@ def check_beat_resolution(spectrum: ModeSpectrum, step: float) -> None:
             f"time step {step:.4g} does not resolve the fastest beat (need <= {limit:.4g})")
 
 
+def beat_sum(amplitudes, beats, t, envelope=1.0) -> np.ndarray:
+    """sum_k amplitudes_k * envelope * exp(i beats_k t) on the times ``t``.
+
+    ``amplitudes`` is (n_modes,), or (t.size, n_modes) for weights that
+    change with time; ``envelope`` is a scalar or one value per time.  The
+    sum runs over the few modes, so no (times, modes) array is built.
+    """
+    total = np.zeros(np.shape(t), dtype=complex)
+    for k, beat in enumerate(beats):
+        total += (amplitudes[..., k] * envelope) * np.exp(1j * (beat * t))
+    return total
+
+
+def stage_times(times) -> np.ndarray:
+    """The RK4 stage times of the grid ``times``: 2n - 1 points for n grid times.
+
+    Entry 2i is grid time i and entry 2i + 1 the midpoint of step i, so the
+    stages of step i sit at indices 2i, 2i + 1 (twice) and 2i + 2.  The grid
+    may be non-uniform.
+    """
+    times = np.asarray(times, dtype=float)
+    stages = np.empty(2 * times.size - 1)
+    stages[0::2] = times
+    stages[1::2] = times[:-1] + 0.5 * (times[1:] - times[:-1])
+    return stages
+
+
+def stage_table(fn, stages: np.ndarray):
+    """Forward-only lookup of ``fn`` on ``stages``, tabulated a block at a time.
+
+    ``fn(t)`` maps a 1-d array of stage times to an array whose first axis
+    runs over them.  The returned ``row(k)`` gives entry k of that table; a
+    call past the current block tabulates the next :data:`STAGE_BLOCK`
+    stages from k on, so only one block is held at a time.  The index may
+    repeat but must not move back before the current block, which is the
+    access pattern of :func:`rk4`.
+    """
+    start, stop, rows = 0, 0, []
+
+    def row(k):
+        nonlocal start, stop, rows
+        if not start <= k < stop:
+            if k < start:
+                raise ValueError(f"stage {k} lies before the current block at {start}")
+            start, stop = k, min(k + STAGE_BLOCK, stages.size)
+            rows = fn(stages[start:stop])
+        return rows[k - start]
+
+    return row
+
+
 def rk4(rhs, y, times):
     """Classical RK4 over the grid ``times``.
 
-    ``rhs(y, t)`` returns ``(dy/dt, observable)``.  Yields ``(y, observable)``
-    at every grid time, the observable taken from the first-stage evaluation
-    at that time; the last grid time costs one extra evaluation.
+    ``rhs(y, k)`` returns ``(dy/dt, observable)`` at stage index ``k``, which
+    indexes :func:`stage_times` of the same grid: step i evaluates stages 2i,
+    2i + 1 (twice) and 2i + 2, so the k4 stage reads the next grid time.
+    Indices never decrease, so a right-hand side may read its coefficients
+    from a :func:`stage_table`.  Yields ``(y, observable)`` at every grid
+    time, the observable taken from the first-stage evaluation at that time;
+    the last grid time costs one extra evaluation.
     """
     times = np.asarray(times, dtype=float)
     for i in range(times.size - 1):
-        t = times.item(i)
-        h = times.item(i + 1) - t
-        k1, observable = rhs(y, t)
+        h = times.item(i + 1) - times.item(i)
+        k1, observable = rhs(y, 2 * i)
         yield y, observable
         # later-stage observables are dropped at once, not kept through the next stage
-        k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)[0]
-        k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)[0]
-        k4 = rhs(y + h * k3, t + h)[0]
+        k2 = rhs(y + 0.5 * h * k1, 2 * i + 1)[0]
+        k3 = rhs(y + 0.5 * h * k2, 2 * i + 1)[0]
+        k4 = rhs(y + h * k3, 2 * i + 2)[0]
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    yield y, rhs(y, times.item(-1))[1]
+    yield y, rhs(y, 2 * (times.size - 1))[1]

@@ -42,7 +42,15 @@ share cells, schedule and grid: the operator acts on the last two axes,
 and each RHS evaluation takes the inflows of all runs, (P, n_modes), from
 one pulse call.  The N basis probes of a transfer extraction run this way
 as one integration; :func:`simulate_network` is the same window loop with
-no batch axis.
+no batch axis.  Its RHS reads the time of each RK4 stage from
+:func:`memspin.core.stage_times` and calls the pulse there.
+
+The single-excited-state model (:func:`simulate_eq5`) runs on the same
+stepper, but its coefficients beat in time: W(t), the composite probe E(t)
+and the Stark, drive, absorption and emission terms built from them.  All
+are known functions of time, so they are tabulated on the RK4 stage times
+one block of stages at a time (:func:`memspin.core.stage_table`), and its
+RHS holds only arithmetic on the spin grid.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -68,11 +76,14 @@ from .core import (
     StepSizeError,
     ValidationError,
     MARGIN_THRESHOLD,
+    beat_sum,
     check_beat_resolution,
     dispersion_phase,
     effective_rates,
     margin_report,
     rk4,
+    stage_table,
+    stage_times,
 )
 
 
@@ -452,6 +463,7 @@ def _simulate_batch(cells, schedule: Schedule, inputs, grid: Grid, spectrum: Mod
     schedule.check_causality(preloaded={
         c for c in range(schedule.n_cells) if np.any(sig[..., c, :])})
     times = grid.times
+    stages = stage_times(times)
     zero = np.zeros(n_modes, dtype=complex)
 
     outputs: list[np.ndarray] = []  # (*batch, n_modes, nt + 1) per window
@@ -463,8 +475,8 @@ def _simulate_batch(cells, schedule: Schedule, inputs, grid: Grid, spectrum: Mod
         op = _ChainOperator(cells, schedule, w, spectrum, grid, options)
         pulse = inputs.get(w)
 
-        def rhs(y, t, pulse=pulse, op=op):
-            e = np.asarray(pulse(t), dtype=complex) if pulse is not None else zero
+        def rhs(y, k, pulse=pulse, op=op):
+            e = np.asarray(pulse(stages.item(k)), dtype=complex) if pulse is not None else zero
             dy, acc = op.derivative(y, e)
             return dy, (e, acc)
 
@@ -730,6 +742,11 @@ def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid,
     power broadening and the light shift oscillate instead of being folded
     into constant effective rates.
 
+    Those time-dependent coefficients are tabulated per block of RK4 stage
+    times, looping over the few modes; each RHS evaluation then reads one
+    table row and does five array operations on the spin grid besides the
+    cumulative trapezoid.
+
     Returns (list of composite single-row FieldState per window, SpinState).
     """
     check_beat_resolution(spectrum, grid.dt)
@@ -739,39 +756,51 @@ def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid,
     ncal = atoms.coupling_density
     z = grid.z
     half_dz = 0.5 / (grid.nz - 1)
+    stages = stage_times(grid.times)
     sig = np.zeros(grid.nz, dtype=complex)
     outputs = []
-    gamma_scale = 1.0 if options.power_broadening else 0.0
+    stark_rate = (1.0 if options.power_broadening else 0.0) * atoms.Gamma + 1j * dmean
 
     for w, entry in enumerate(entries):
         t_base = w * grid.window  # beat phases run on absolute time
         grad = entry.gradient_sign * cell.gradient_eta * (z - 0.5)
+        pulse_w = pulse if w == 0 else None
+
+        def probe(t, pulse_w=pulse_w, t_base=t_base):
+            # the composite probe E(t), zero outside the input window
+            if pulse_w is None:
+                return np.zeros(t.shape, dtype=complex)
+            return beat_sum(pulse_w.mode_amplitudes, beats, t_base + t, pulse_w.envelope(t))
+
         coupling_on = entry.coupling is not None and bool(np.any(entry.coupling.amplitudes))
         if coupling_on:
             amps = entry.coupling.amplitudes
             static_shift = float(np.sum(np.abs(amps) ** 2)) / dmean
             delta_uniform = atoms.delta + (0.0 if options.auto_two_photon else static_shift)
             offset = -static_shift if options.auto_two_photon else 0.0
-        else:
-            amps = None
-            delta_uniform = atoms.delta
-            offset = 0.0
-        pulse_w = pulse if w == 0 else None
+            neg_idelta = -(1j * (delta_uniform + offset + grad))
 
-        def rhs(s, t, amps=amps, grad=grad, delta_uniform=delta_uniform, offset=offset,
-                pulse_w=pulse_w, t_base=t_base):
-            # the bright-mode form of the chain, with one time-dependent mode
-            phases = np.exp(1j * beats * (t_base + t))
-            e = complex((pulse_w(t) * phases).sum()) if pulse_w is not None else 0.0j
-            if amps is None:
-                return -(atoms.gamma + 1j * (delta_uniform + grad)) * s, e
-            om = complex((amps * phases).sum())
-            ratio = om / dmean
-            acc = _cumtrapz(s, half_dz)
-            stark = (gamma_scale * atoms.Gamma + 1j * dmean) * (abs(om) ** 2 / dmean ** 2)
-            decay = atoms.gamma + stark + 1j * (delta_uniform + offset + grad)
-            ds = -decay * s + 1j * np.conj(ratio) * e - (ncal * abs(ratio) ** 2) * acc
-            return ds, e + 1j * ncal * ratio * acc[-1]
+            def coefficients(t, amps=amps, probe=probe, t_base=t_base):
+                # the bright-mode form of the chain, with one time-dependent mode
+                om = beat_sum(amps, beats, t_base + t)
+                ratio = om / dmean
+                e = probe(t)
+                return np.stack([-(atoms.gamma + stark_rate * (np.abs(om) ** 2 / dmean ** 2)),
+                                 1j * np.conj(ratio) * e, ncal * np.abs(ratio) ** 2,
+                                 1j * ncal * ratio, e], axis=1)
+
+            row = stage_table(coefficients, stages)
+
+            def rhs(s, k, row=row, neg_idelta=neg_idelta):
+                neg_rate, drive, absorb, emit, e = row(k)
+                acc = _cumtrapz(s, half_dz)
+                return (neg_rate + neg_idelta) * s + drive - absorb * acc, e + emit * acc[-1]
+        else:
+            row = stage_table(probe, stages)
+            neg_decay = -(atoms.gamma + 1j * (atoms.delta + grad))
+
+            def rhs(s, k, row=row, neg_decay=neg_decay):
+                return neg_decay * s, row(k)
 
         out_series = np.empty(grid.nt + 1, dtype=complex)
         for n, (sig, out_now) in enumerate(rk4(rhs, sig, grid.times)):

@@ -198,6 +198,27 @@ class TestOracle:
         rel = abs(a[-1] - b[-1]) / abs(b[-1])
         assert rel <= 1e-6
 
+    def test_callable_fields_match_constant_fields(self):
+        """A callable returning constant envelopes gives the constant-field
+        trajectory; tolerance 1e-13 of its largest value."""
+        det = mhz(250.0) + np.array([-5.0, 5.0])
+        sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=det)
+        cv = core.CouplingVector(np.array([2.0 + 1.0j, -1.0 + 0.5j]))
+        atoms = core.AtomicParams(Gamma=GAMMA, gamma=0.01, delta=0.02, beta=100.0)
+        fields = np.array([0.4, -0.2j])
+        t = np.linspace(0, 20, 4001)
+        const = analytic.ode_oracle(atoms, cv, sp, fields, t, sigma0=0.3j)
+        calls = []
+
+        def field_of(tk):
+            calls.append(tk)
+            return fields
+
+        called = analytic.ode_oracle(atoms, cv, sp, field_of, t, sigma0=0.3j)
+        assert np.max(np.abs(called - const)) <= 1e-13 * np.max(np.abs(const))
+        # once per RK4 stage time: the grid times and the step midpoints
+        npt.assert_array_equal(calls, core.stage_times(t))
+
     def test_rejects_under_resolved_grid(self):
         det = mhz(250.0) + np.array([-20.0, 20.0])
         sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=det)

@@ -254,21 +254,36 @@ def test_string_switch_rejected(tmp_path, capsys):
     assert "'options.power_broadening'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario, path, value", [
-    ("eq5_regime_sweep", "atoms.Gamma_mhz", -1),
-    ("eq5_regime_sweep", "cases.0.spacing_mhz", 1e6),
-    ("klm_cz", "fock.inputs", ["0x"]),
-    ("klm_cz", "fock.export_plans.mean_mhz", True),
-], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans"])
-def test_validate_fails_as_run_does(tmp_path, capsys, scenario, path, value):
+def explicit(re):
+    return {"kind": "explicit", "re": re, "im": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("scenario, edits, message", [
+    ("eq5_regime_sweep", {"atoms.Gamma_mhz": -1}, None),
+    ("eq5_regime_sweep", {"cases.0.spacing_mhz": 1e6}, None),
+    ("klm_cz", {"fock.inputs": ["0x"]}, None),
+    ("klm_cz", {"fock.export_plans.mean_mhz": True}, None),
+    ("hadamard_2mode", {"unitaries.write": explicit([[1, 0], [0]])},
+     "'unitaries.write.re.1'"),
+    ("hadamard_2mode", {"unitaries.write": explicit([["1", 0], [0, 1]])},
+     "'unitaries.write.re.0.0' must be float"),
+    ("klm_cz", {"fock.stages.0.re": [[1, 0], [0, True]]}, "'fock.stages.0.re.1.1'"),
+    ("identity_1mode", {"pulse.center_us": 45.0, "outputs.transfer": True},
+     "no rephasing point inside the scheduled windows"),
+], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
+        "string_entry", "bool_stage_entry", "echo_outside_windows"])
+def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())
-    set_entry(cfg, path, value)
+    for path, value in edits.items():
+        set_entry(cfg, path, value)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert run_cli(["run", bad, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
     run_err = capsys.readouterr().err
     assert run_err.startswith("error: ")
+    if message is not None:
+        assert message in run_err
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == run_err
 

@@ -279,3 +279,70 @@ def test_margin_report_from_configuration():
     rep = core.margin_report(sp, cv, atoms)
     assert rep.pass7 and rep.pass9
     assert rep.margin7 > rep.margin9 > 0
+
+
+class TestStageContract:
+    """rk4 hands its right-hand side stage indices into stage_times."""
+
+    def test_stage_times_non_uniform(self):
+        # tolerance: one rounded add per midpoint, 1e-15 absolute on O(1) times
+        times = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+        stages = core.stage_times(times)
+        assert stages.shape == (2 * times.size - 1,)
+        npt.assert_array_equal(stages[0::2], times)
+        npt.assert_allclose(stages[1::2], [0.05, 0.225, 0.375, 0.7], rtol=0, atol=1e-15)
+
+    def test_block_tabulated_rk4_matches_inline_rk4(self):
+        """A run of 1399 stages (two full blocks and a partial one) on a
+        non-uniform grid, against RK4 written out in time; tolerance 1e-13
+        of the largest state entry."""
+
+        def a(t):
+            return -0.3 + 2j * np.cos(3.0 * t)
+
+        def b(t):
+            return np.exp(-t) * (1.0 + 0.5j * np.sin(t))
+
+        times = np.linspace(0.0, 4.0, 700) ** 1.2
+        assert (2 * times.size - 1) % core.STAGE_BLOCK != 0
+        y0 = np.array([1.0 + 0.0j, -0.5j, 0.25 + 0.25j])
+
+        blocks = []
+
+        def coefficients(t):
+            blocks.append(t.size)
+            return np.stack([a(t), b(t)], axis=1)
+
+        row = core.stage_table(coefficients, core.stage_times(times))
+
+        def rhs(y, k):
+            ak, bk = row(k)
+            return ak * y + bk, None
+
+        tabulated = np.array([y for y, _ in core.rk4(rhs, y0, times)])
+
+        def f(yy, t):
+            return a(t) * yy + b(t)
+
+        inline = [y0]
+        y = y0
+        for t0, t1 in zip(times[:-1], times[1:]):
+            h = t1 - t0
+            k1 = f(y, t0)
+            k2 = f(y + 0.5 * h * k1, t0 + 0.5 * h)
+            k3 = f(y + 0.5 * h * k2, t0 + 0.5 * h)
+            k4 = f(y + h * k3, t1)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            inline.append(y)
+        inline = np.array(inline)
+
+        assert np.max(np.abs(tabulated - inline)) <= 1e-13 * np.max(np.abs(inline))
+        # tabulated one block at a time, never the whole window
+        assert blocks == [core.STAGE_BLOCK, core.STAGE_BLOCK, 2 * times.size - 1 - 2 * core.STAGE_BLOCK]
+
+    def test_stage_table_is_forward_only(self):
+        row = core.stage_table(lambda t: t, core.stage_times(np.arange(600.0)))
+        assert row(0) == 0.0
+        assert row(core.STAGE_BLOCK + 1) == (core.STAGE_BLOCK + 1) / 2
+        with pytest.raises(ValueError):
+            row(3)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memspin import compiler, core, fock
 
@@ -154,6 +156,36 @@ class TestApplyUnitary:
         for k in keys:
             npt.assert_allclose(one.amplitudes.get(k, 0j), two.amplitudes.get(k, 0j),
                                 atol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_norm_conserved_for_haar_draws(self, data):
+        """Any unitary on any subset of modes keeps the norm of any state within
+        the photon cap, and the weight of each photon-number sector, to 1e-12
+        absolute for a unit-norm input."""
+        n_modes = data.draw(st.integers(2, 4), label="n_modes")
+        modes = data.draw(st.permutations(range(n_modes)), label="order")[
+            :data.draw(st.integers(1, n_modes), label="n_acted")]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        occupation = st.lists(st.integers(0, 2), min_size=n_modes, max_size=n_modes)
+        occupations = data.draw(st.lists(occupation.filter(lambda o: sum(o) <= 4),
+                                         min_size=1, max_size=4, unique_by=tuple),
+                                label="occupations")
+        moduli, phases = st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi)
+        amps = {tuple(occ): data.draw(moduli) * np.exp(1j * data.draw(phases))
+                for occ in occupations}
+        state = fock.FockState(amplitudes=amps, n_modes=n_modes).normalized()
+        u = compiler.haar_random_unitary(len(modes), seed=seed)
+        out = fock.apply_unitary(state, u, modes)
+        assert abs(out.norm() - 1.0) <= 1e-12
+
+        def sectors(fs):
+            weights = np.zeros(5)
+            for occ, amp in fs.amplitudes.items():
+                weights[sum(occ)] += abs(amp) ** 2
+            return weights
+
+        npt.assert_allclose(sectors(out), sectors(state), rtol=0, atol=1e-12)
 
     def test_capacity_overflow(self):
         st = fock.FockState(amplitudes={(2, 2): 1.0}, n_modes=2, photon_cap=2)
