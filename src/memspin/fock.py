@@ -15,6 +15,14 @@ The nonlinear-sign unitary is derived on first use by a numerical
 constraint solve (success amplitude +1/2 on the zero- and one-photon
 components, -1/2 on the two-photon component, heralded on the ancilla
 pattern (1, 0)); no gate constants are hard-coded.
+
+Each distinct unitary's blocks <m|U|n> are computed once per process:
+``_blocks`` memoises them by matrix content (shape and bytes), so the
+fixed stage unitaries are reused across inputs and ``cz_network()``
+rebuilds, for up to ``MEMO_SIZE`` unitaries.  A block is the same
+``permanent(sub) / norm`` computed on first use, and measurement keeps
+state order within each pattern, so results are bit-identical to
+recomputing everything per call.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .core import MemspinError, ModeSpectrum, ValidationError
 PERMANENT_CAP = 6
 DEFAULT_PHOTON_CAP = 4
 MODE_CAP = 10
+MEMO_SIZE = 64  # distinct unitaries, and (photons, modes) pairs, memoised per process
 ROLES = ("prepare", "measure", "write", "transfer", "feedforward")
 
 
@@ -67,14 +76,41 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex((-1) ** n * total)
 
 
-def _compositions(total: int, parts: int):
+@lru_cache(maxsize=MEMO_SIZE)
+def _compositions(total: int, parts: int) -> tuple:
     """All tuples of ``parts`` non-negative ints summing to ``total``."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _blocks(shape: tuple, data: bytes):
+    """``(n_sub, m_sub) -> <m|U|n>`` of one unitary, memoised by matrix content."""
+    mat = np.frombuffer(data, dtype=complex).reshape(shape)
+
+    @lru_cache(maxsize=None)
+    def block(n_sub, m_sub):
+        rows = [i for i, m in enumerate(m_sub) for _ in range(m)]
+        cols = [j for j, n in enumerate(n_sub) for _ in range(n)]
+        norm = math.sqrt(
+            math.prod(math.factorial(m) for m in m_sub)
+            * math.prod(math.factorial(n) for n in n_sub))
+        return permanent(mat[np.ix_(rows, cols)]) / norm
+
+    return block
+
+
+def _checked_modes(modes, n_modes: int, arity: int | None = None) -> tuple:
+    modes = tuple(int(m) for m in modes)
+    if arity is not None and len(modes) != arity:
+        raise ValidationError(f"{arity} mode indices needed, got {modes}")
+    if any(m < 0 or m >= n_modes for m in modes):
+        raise ValidationError(f"mode index out of range 0..{n_modes - 1} in {modes}")
+    if len(set(modes)) != len(modes):
+        raise ValidationError(f"duplicate mode indices in {modes}")
+    return modes
 
 
 @dataclass
@@ -134,29 +170,8 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
     Amplitudes on the acted modes transform through matrix permanents over
     occupation-expanded submatrices; the remaining modes ride along.
     """
-    modes = tuple(int(m) for m in modes)
-    if len(modes) != u.n:
-        raise ValidationError(f"{u.n}x{u.n} unitary applied to {len(modes)} modes")
-    if any(m < 0 or m >= state.n_modes for m in modes):
-        raise ValidationError("mode index out of range")
-    if len(set(modes)) != len(modes):
-        raise ValidationError("duplicate mode indices")
-
-    mat = u.matrix
-    block_cache: dict = {}
-
-    def block(n_sub, m_sub):
-        key = (n_sub, m_sub)
-        if key not in block_cache:
-            rows = [i for i, m in enumerate(m_sub) for _ in range(m)]
-            cols = [j for j, n in enumerate(n_sub) for _ in range(n)]
-            sub = mat[np.ix_(rows, cols)]
-            norm = math.sqrt(
-                math.prod(math.factorial(m) for m in m_sub)
-                * math.prod(math.factorial(n) for n in n_sub))
-            block_cache[key] = permanent(sub) / norm
-        return block_cache[key]
-
+    modes = _checked_modes(modes, state.n_modes, arity=u.n)
+    block = _blocks(u.matrix.shape, u.matrix.tobytes())
     out: dict = {}
     for occ, amp in state.amplitudes.items():
         n_sub = tuple(occ[m] for m in modes)
@@ -168,8 +183,6 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
             out[occ] = out.get(occ, 0.0 + 0.0j) + amp
             continue
         for m_sub in _compositions(p, len(modes)):
-            if any(n > state.photon_cap for n in m_sub):
-                raise CapacityError("output occupation exceeds photon cap")
             coeff = block(n_sub, m_sub)
             if coeff == 0:
                 continue
@@ -198,33 +211,32 @@ def measure_and_condition(state: FockState, modes, pattern) -> MeasurementOutcom
     The measured modes are removed; the returned state lives on the
     remaining modes and is renormalised.
     """
-    modes = tuple(int(m) for m in modes)
     pattern = tuple(int(p) for p in pattern)
-    if len(modes) != len(pattern):
-        raise ValidationError("pattern length must match the measured modes")
-    keep = [m for m in range(state.n_modes) if m not in modes]
-    prob = 0.0
-    reduced: dict = {}
-    for occ, amp in state.amplitudes.items():
-        if tuple(occ[m] for m in modes) != pattern:
-            continue
-        prob += abs(amp) ** 2
-        key = tuple(occ[m] for m in keep)
-        reduced[key] = reduced.get(key, 0.0 + 0.0j) + amp
-    if prob == 0.0:
-        raise ConditioningError(f"pattern {pattern} has zero probability")
-    scale = 1.0 / math.sqrt(prob)
-    cond = FockState(
-        amplitudes={k: v * scale for k, v in reduced.items()},
-        n_modes=len(keep), photon_cap=state.photon_cap)
-    return MeasurementOutcome(pattern=pattern, probability=prob, conditioned_state=cond)
+    modes = _checked_modes(modes, state.n_modes, arity=len(pattern))
+    for outcome in measurement_distribution(state, modes):
+        if outcome.pattern == pattern:
+            return outcome
+    raise ConditioningError(f"pattern {pattern} has zero probability")
 
 
 def measurement_distribution(state: FockState, modes) -> list[MeasurementOutcome]:
-    """All patterns with nonzero probability on the given modes."""
-    modes = tuple(int(m) for m in modes)
-    patterns = {tuple(occ[m] for m in modes) for occ in state.amplitudes}
-    outcomes = [measure_and_condition(state, modes, p) for p in sorted(patterns)]
+    """All patterns with nonzero probability on the given modes, in sorted order."""
+    modes = _checked_modes(modes, state.n_modes)
+    keep = [m for m in range(state.n_modes) if m not in modes]
+    groups: dict = {}
+    for occ, amp in state.amplitudes.items():
+        group = groups.setdefault(tuple(occ[m] for m in modes), [0.0, {}])
+        group[0] += abs(amp) ** 2
+        key = tuple(occ[m] for m in keep)
+        group[1][key] = group[1].get(key, 0.0 + 0.0j) + amp
+    outcomes = []
+    for pattern in sorted(groups):
+        prob, reduced = groups[pattern]
+        if prob == 0.0:
+            continue
+        scale = 1.0 / math.sqrt(prob)
+        cond = FockState({k: v * scale for k, v in reduced.items()}, len(keep), state.photon_cap)
+        outcomes.append(MeasurementOutcome(pattern, prob, cond))
     return outcomes
 
 
@@ -330,13 +342,11 @@ def run_with_feedforward(stages, input_state: FockState,
     probability and the final conditioned state of its branch.
     """
     state = input_state
-    measured = False
-    for i, stage in enumerate(stages):
+    for stage in stages:
         state = apply_unitary(state, stage.unitary, stage.modes)
         if stage.role == "measure":
-            measured = True
             break
-    if not measured:
+    else:
         return [MeasurementOutcome(pattern=(), probability=1.0,
                                    conditioned_state=state, success=True)]
 
@@ -401,7 +411,7 @@ def cz_policy(stages, herald=CZ_HERALD_PATTERN,
               ancilla_modes=CZ_ANCILLA_MODES) -> FeedforwardPolicy:
     """Success branch on the herald pattern; everything else is a flagged miss."""
     return FeedforwardPolicy(
-        measure_modes=tuple(ancilla_modes),
+        measure_modes=_checked_modes(ancilla_modes, CZ_MODES, arity=len(herald)),
         branches={tuple(herald): (tuple(stages[2:]), True)},
         default=((), False),
     )

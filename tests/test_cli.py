@@ -270,8 +270,13 @@ def explicit(re):
     ("klm_cz", {"fock.stages.0.re": [[1, 0], [0, True]]}, "'fock.stages.0.re.1.1'"),
     ("identity_1mode", {"pulse.center_us": 45.0, "outputs.transfer": True},
      "no rephasing point inside the scheduled windows"),
+    ("klm_cz", {"fock.ancilla_modes": [4, 5, 6, 8]}, "mode index out of range"),
+    ("klm_cz", {"fock.ancilla_modes": [4, 4, 6, 7]}, "duplicate mode indices"),
+    ("klm_cz", {"fock.herald": [1, 0, 1]}, "3 mode indices needed"),
+    ("klm_cz", {"fock.ancilla_modes": [4, 5, 6, -1]}, "mode index out of range"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
-        "string_entry", "bool_stage_entry", "echo_outside_windows"])
+        "string_entry", "bool_stage_entry", "echo_outside_windows",
+        "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())

@@ -33,9 +33,10 @@ class TestPermanent:
 
     def test_against_naive(self):
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert fock.permanent(a) == pytest.approx(naive_permanent(a), rel=1e-12)
+        for n in range(1, 6):
+            for _ in range(10):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                assert fock.permanent(a) == pytest.approx(naive_permanent(a), rel=1e-12)
 
     def test_size_cap(self):
         with pytest.raises(fock.CapacityError):
@@ -199,6 +200,43 @@ class TestApplyUnitary:
         with pytest.raises(core.ValidationError):
             fock.apply_unitary(st, fock.beamsplitter(), (0, 5))
 
+    def test_memoised_blocks_give_identical_amplitudes(self):
+        """Cold, warm and fresh-spec applications of one matrix agree exactly."""
+        u = compiler.haar_random_unitary(3, seed=21)
+        st = fock.FockState(amplitudes={(2, 1, 0): 0.6, (1, 1, 1): 0.8j}, n_modes=3)
+        fock._blocks.cache_clear()
+        cold = fock.apply_unitary(st, u, (0, 1, 2))
+        warm = fock.apply_unitary(st, u, (0, 1, 2))
+        fresh = fock.apply_unitary(st, compiler.UnitarySpec(u.matrix.copy()), (0, 1, 2))
+        assert cold.amplitudes == warm.amplitudes == fresh.amplitudes
+
+    def test_distinct_unitaries_do_not_share_blocks(self):
+        u = compiler.haar_random_unitary(3, seed=22)
+        v = compiler.haar_random_unitary(3, seed=23)
+        st = fock.FockState.from_occupation((1, 1, 1))
+        fock._blocks.cache_clear()
+        v_cold = fock.apply_unitary(st, v, (0, 1, 2))
+        fock._blocks.cache_clear()
+        u_out = fock.apply_unitary(st, u, (0, 1, 2))
+        v_after_u = fock.apply_unitary(st, v, (0, 1, 2))
+        assert v_after_u.amplitudes == v_cold.amplitudes
+        assert v_after_u.amplitudes != u_out.amplitudes
+
+
+def per_pattern_scan(state, modes, pattern):
+    """Probability and conditioned amplitudes of one pattern, by a full scan."""
+    keep = [m for m in range(state.n_modes) if m not in modes]
+    prob = 0.0
+    reduced = {}
+    for occ, amp in state.amplitudes.items():
+        if tuple(occ[m] for m in modes) != pattern:
+            continue
+        prob += abs(amp) ** 2
+        key = tuple(occ[m] for m in keep)
+        reduced[key] = reduced.get(key, 0.0 + 0.0j) + amp
+    scale = 1.0 / math.sqrt(prob)
+    return prob, {k: v * scale for k, v in reduced.items()}
+
 
 class TestMeasurement:
     def test_full_measurement_certain(self):
@@ -218,6 +256,36 @@ class TestMeasurement:
         st = fock.FockState.from_occupation((1, 0))
         with pytest.raises(fock.ConditioningError):
             fock.measure_and_condition(st, (0,), (3,))
+        stored_zero = fock.FockState(amplitudes={(1, 0): 1.0, (0, 1): 0.0}, n_modes=2)
+        assert [o.pattern for o in fock.measurement_distribution(stored_zero, (0,))] == [(1,)]
+        with pytest.raises(fock.ConditioningError):
+            fock.measure_and_condition(stored_zero, (0,), (0,))
+
+    def test_mode_validation(self):
+        st = fock.FockState.from_occupation((1, 0, 1))
+        for modes, pattern in (((0, 3), (1, 0)), ((-1,), (1,)), ((0, 0), (1, 1)),
+                               ((0, 1), (1,))):
+            with pytest.raises(core.ValidationError):
+                fock.measure_and_condition(st, modes, pattern)
+        for modes in ((3,), (-1,), (2, 2)):
+            with pytest.raises(core.ValidationError):
+                fock.measurement_distribution(st, modes)
+
+    def test_distribution_matches_per_pattern_scan(self):
+        """The one-pass distribution equals a scan of the state per pattern, exactly."""
+        u = compiler.haar_random_unitary(5, seed=31)
+        st = fock.apply_unitary(fock.FockState.from_occupation((1, 1, 1, 0, 1)), u,
+                                range(5))
+        modes = (3, 1)
+        outs = fock.measurement_distribution(st, modes)
+        patterns = sorted({tuple(occ[m] for m in modes) for occ in st.amplitudes})
+        assert [o.pattern for o in outs] == patterns
+        for out in outs:
+            prob, amps = per_pattern_scan(st, modes, out.pattern)
+            single = fock.measure_and_condition(st, modes, out.pattern)
+            for got in (out, single):
+                assert got.probability == prob
+                assert list(got.conditioned_state.amplitudes.items()) == list(amps.items())
 
     def test_distribution_sums_to_one(self):
         bs = fock.beamsplitter()
