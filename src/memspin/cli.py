@@ -344,10 +344,9 @@ def run_network(setup: NetworkSetup):
     """
     psi = pde.default_temporal_mode(setup.cells, setup.schedule, setup.grid,
                                     setup.spectrum, setup.pulse, setup.options)
-    e_single = pde.GaussianPulse(fwhm=setup.pulse.fwhm, center=setup.pulse.center,
-                                 mode_amplitudes=np.array([1.0])).energy()
     ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
-    ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi, e_single)
+    ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi,
+                             setup.pulse.mode_energy())
     result = pde.simulate_network(setup.cells, setup.schedule, {0: setup.pulse},
                                   setup.grid, setup.spectrum, setup.options, ideal=ideal)
     return result, psi
@@ -552,10 +551,14 @@ def build_fock_network(cfg: dict):
                     modes=stage.modes, label=stage.label, role=stage.role)
             rebuilt.append(stage)
         stages = rebuilt
-    policy = fock.cz_policy(
-        stages, herald=_get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN),
-        ancilla_modes=_get_list(cfg, "fock.ancilla_modes", int,
-                                default=fock.CZ_ANCILLA_MODES))
+    herald = _get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN)
+    ancilla = _get_list(cfg, "fock.ancilla_modes", int, default=fock.CZ_ANCILLA_MODES)
+    try:
+        policy = fock.cz_policy(stages, herald=herald, ancilla_modes=ancilla)
+    except ValidationError as exc:
+        # the mode check tests the herald's length first, then the modes themselves
+        where = "fock.herald" if len(herald) != len(ancilla) else "fock.ancilla_modes"
+        raise ConfigError(f"config entry '{where}': {exc}") from exc
     return stages, (policy, cap, fc)
 
 

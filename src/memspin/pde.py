@@ -253,10 +253,13 @@ class GaussianPulse:
             -2.0 * math.log(2.0) * ((t - self.center) / self.fwhm) ** 2
         )
 
+    def mode_energy(self) -> float:
+        """Closed-form integral of |env(t)|^2 dt: the energy of unit weight on one mode."""
+        return self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
+
     def energy(self) -> float:
-        """Closed-form integral of sum_k |amp_k|^2 |env(t)|^2 dt (summed over a batch)."""
-        norm = self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
-        return float(np.sum(np.abs(self.mode_amplitudes) ** 2)) * norm
+        """sum_k |amp_k|^2 times :meth:`mode_energy` (summed over a batch)."""
+        return float(np.sum(np.abs(self.mode_amplitudes) ** 2)) * self.mode_energy()
 
 
 @dataclass
@@ -717,8 +720,6 @@ def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
         temporal_mode = default_temporal_mode(cells, schedule, grid, spectrum,
                                               pulse, options)
     psi = temporal_mode.envelopes[0]
-    e_single = GaussianPulse(fwhm=pulse.fwhm, center=pulse.center,
-                             mode_amplitudes=np.array([1.0])).energy()
     probe_options = replace(options, record_heatmap=False, check_margins=False)
 
     matrix = np.zeros((n, n), dtype=complex)
@@ -726,7 +727,7 @@ def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
     for j, res in enumerate(probes):
         out = res.outputs[win]
         matrix[:, j] = np.trapezoid(out.envelopes * np.conj(psi)[None, :],
-                                    out.times, axis=1) / math.sqrt(e_single)
+                                    out.times, axis=1) / math.sqrt(pulse.mode_energy())
     return matrix
 
 
@@ -830,21 +831,94 @@ def eq5_deviation(cell: MemoryCell, entries, pulse: GaussianPulse, grid: Grid,
     outs, _ = simulate_eq5(cell, entries, pulse, grid, spectrum, options)
     beats = spectrum.detunings - spectrum.mean_detuning
     times = grid.times
-    composite_in = np.sum(pulse.mode_amplitudes[:, None] * pulse.envelope(times)[None, :]
-                          * np.exp(1j * np.outer(beats, times)), axis=0)
+    composite_in = beat_sum(pulse.mode_amplitudes, beats, times, pulse.envelope(times))
     e_in = float(np.trapezoid(np.abs(composite_in) ** 2, times))
     eff_single = sum(outs[w].energy() for w in schedule.output_windows()) / e_in
     return eff_multi, eff_single, abs(eff_single - eff_multi) / eff_multi
 
 
+# The heatmap encoder's tables.  One value is 15 bytes, "d." + 4 digits +
+# 4 digits + "e+XX" + separator, filled one field per table lookup.
+_LEAD = np.array([b"%d." % d for d in range(10)]).view(np.uint16)
+_ASCII = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS = np.stack(np.meshgrid(_ASCII, _ASCII, _ASCII, _ASCII, indexing="ij"),
+                   axis=-1).view(np.uint32).ravel()  # "0000".."9999"
+_EXPONENT = np.array([b"e%+03d" % e for e in range(-99, 100)]).view(np.uint32)
+_SCALE = np.array([10.0 ** (8 - e) for e in range(-100, 101)])  # [10^e, 10^(e+1)) -> [1e8, 1e9)
+_VALUE = np.dtype({"names": ["lead", "high", "low", "exponent", "sep"],
+                   "formats": [np.uint16, np.uint32, np.uint32, np.uint32, np.uint8],
+                   "offsets": [0, 2, 6, 10, 14], "itemsize": 15})
+HEATMAP_BLOCK_ROWS = 64
+
+
+def _encode_rows(block: np.ndarray):
+    """``%.8e`` text of a (rows, cols) block as a (rows, cols * 15) uint8 array.
+
+    The 9-digit mantissa is rint(x * 10^(8 - e)) with e = floor(log10 x),
+    the decade fixed where the scaled value falls outside [1e8, 1e9) and the
+    carry where rounding reaches 1e9.  The scaling errs by a few 1e-7 at
+    most, so the rounding is certain unless the scaled fraction lies within
+    1e-5 of one half.  Returns the array and the indices of the rows it
+    cannot encode: a row holding a near-tie, |e| >= 100, a negative value,
+    -0.0, NaN or inf.  Exact +0.0 is encoded.
+    """
+    x = np.asarray(block, dtype=np.float64).ravel()
+    zero = (x == 0.0) & ~np.signbit(x)
+    positive = (x > 0.0) & (x < np.inf)
+    e = np.floor(np.log10(np.where(positive, x, 1.0))).astype(np.intp)
+    ok = positive & (np.abs(e) < 100)
+    xs = np.where(ok, x, 1.0)
+    e[~ok] = 0
+    scaled = xs * _SCALE[e + 100]
+    off = np.flatnonzero((scaled < 1e8) | (scaled >= 1e9))
+    if off.size:
+        e[off] += np.where(scaled[off] >= 1e9, 1, -1)
+        scaled[off] = xs[off] * _SCALE[e[off] + 100]
+    mantissa = np.rint(scaled)
+    tie = np.abs(scaled - mantissa) >= 0.5 - 1e-5
+    carry = mantissa >= 1e9
+    mantissa[carry] = 1e8
+    e[carry] += 1
+    exact = zero | (ok & ~tie & (np.abs(e) < 100))
+
+    lead, rest = np.divmod(mantissa.astype(np.int32), 100_000_000)
+    high, low = np.divmod(rest, 10_000)
+    lead[zero] = 0
+    e[~exact] = 0
+    out = np.empty(x.size, dtype=_VALUE)
+    out["lead"] = _LEAD[lead]
+    out["high"] = _DIGITS[high]
+    out["low"] = _DIGITS[low]
+    out["exponent"] = _EXPONENT[e + 99]
+    out["sep"] = ord(",")
+    text = out.view(np.uint8).reshape(block.shape[0], -1)
+    text[:, -1] = ord("\n")
+    return text, np.flatnonzero(~exact.reshape(block.shape).all(axis=1))
+
+
 def write_heatmap_csv(path, matrix: np.ndarray, times: np.ndarray, z: np.ndarray,
                       grid: Grid, n_cells: int) -> None:
-    """Heatmap CSV: rows = z index, columns = t index, one metadata header row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
+    """Heatmap CSV: rows = z index, columns = t index, one metadata header row.
+
+    Every value is written as ``"%.8e" % value`` writes it, byte for byte.
+    Rows are encoded HEATMAP_BLOCK_ROWS at a time from uint8 digit tables
+    (:func:`_encode_rows`); a row holding a value whose 9-digit rounding is
+    uncertain (scaled fraction within 1e-5 of one half), an exponent with
+    |e| >= 100, a negative value, -0.0, NaN or inf goes through the ``%``
+    format string instead.
+    """
+    row_format = ",".join(["%.8e"] * matrix.shape[1]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write((
             f"nz={grid.nz},n_cells={n_cells},dt={grid.dt},window={grid.window},"
             f"n_times={len(times)},t0={times[0]},t1={times[-1]}\n"
-        )
-        row_format = ",".join(["%.8e"] * matrix.shape[1]) + "\n"
-        for row in matrix:
-            fh.write(row_format % tuple(row.tolist()))
+        ).encode())
+        for start in range(0, matrix.shape[0], HEATMAP_BLOCK_ROWS):
+            block = matrix[start:start + HEATMAP_BLOCK_ROWS]
+            text, fallback = _encode_rows(block)
+            done = 0
+            for r in fallback:
+                fh.write(text[done:r])
+                fh.write((row_format % tuple(block[r].tolist())).encode())
+                done = r + 1
+            fh.write(text[done:])

@@ -193,6 +193,20 @@ def test_heatmap_files_written(tmp_path):
     assert len(spin) == len(field)
 
 
+def test_heatmap_rows_match_percent_format(tmp_path):
+    """The written heatmaps of a run equal '%.8e' applied to the result's matrices."""
+    out = tmp_path / "heat"
+    assert run_cli(["run", "ten_mode_two_ops", "--out", out, "--grid-scale", "0.5"]) \
+        == cli.EXIT_OK
+    cfg = json.loads(cli.scenario_path("ten_mode_two_ops").read_text())
+    result, _ = cli.run_network(cli.NetworkSetup(cfg, grid_scale=0.5, heatmap=True))
+    for name, matrix in (("heatmap_field.csv", result.heatmap_field),
+                         ("heatmap_spin.csv", result.heatmap_spin)):
+        row_format = ",".join(["%.8e"] * matrix.shape[1]) + "\n"
+        body = (out / name).read_bytes().split(b"\n", 1)[1]
+        assert body == "".join(row_format % tuple(row) for row in matrix.tolist()).encode()
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("MEMSPIN_OUT", str(tmp_path / "envout"))
     assert run_cli(["run", "identity_1mode"]) == cli.EXIT_OK
@@ -291,6 +305,23 @@ def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
         assert message in run_err
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == run_err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("fock.ancilla_modes", [4, 5, 6, 8]),
+    ("fock.ancilla_modes", [4, 4, 6, 7]),
+    ("fock.herald", [1, 0, 1]),
+    ("fock.ancilla_modes", [4, 5, 6, -1]),
+], ids=["ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative"])
+def test_fock_policy_error_names_entry(tmp_path, capsys, path, value):
+    """validate and fock-verify both name the offending entry by its dotted path."""
+    cfg = json.loads(cli.scenario_path("klm_cz").read_text())
+    set_entry(cfg, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    for command in (["validate", bad], ["fock-verify", bad, "--out", tmp_path / "o"]):
+        assert run_cli(command) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: config entry '{path}': ")
 
 
 def test_import_leaves_scipy_solvers_unloaded():

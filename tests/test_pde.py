@@ -504,6 +504,37 @@ def test_heatmap_csv_rows_match_per_value_format(tmp_path):
     assert body == "".join(",".join(f"{v:.8e}" for v in row) + "\n" for row in mat)
 
 
+def test_heatmap_encoder_matches_percent_format(tmp_path):
+    """The block encoder writes what '%.8e' writes on near-ties, decade carries,
+    signed zeros, subnormals, |e| >= 100, negatives, non-finite values and
+    log-uniform draws spread over more rows than one block."""
+    ties = [9.999999995e-3, 1.000000005, 1.234567895e-7, 123456789.5, 9.9999999995e99]
+    near = [np.nextafter(v, direction) for v in ties for direction in (0.0, np.inf)]
+    decades = 10.0 ** np.arange(-20.0, 21.0)
+    carries = [9.9999999996e-3, 0.99999999999, 9.999999999e5, *decades,
+               *np.nextafter(decades, 0.0), *np.nextafter(decades, np.inf)]
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-99, 1e-100, 1e100,
+               9.99999999e99, -1.0, -2.5e-7, np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(7)
+    draws = 10.0 ** rng.uniform(-30.0, 30.0, 20_000)
+    values = np.concatenate([ties, near, carries, special, draws])
+    cols = 10
+    values = np.concatenate([values, np.ones(-values.size % cols)])
+    # in rows of ten, most rows hold draws only and take the encoded path;
+    # in one column, every adversarial value sits in a row of its own
+    for mat in (values.reshape(-1, cols), values[:, None]):
+        assert mat.shape[0] > pde.HEATMAP_BLOCK_ROWS
+        path = tmp_path / "heat.csv"
+        pde.write_heatmap_csv(path, mat, np.arange(float(mat.shape[1])),
+                              np.linspace(0, 1, mat.shape[0]),
+                              pde.Grid(nz=64, dt=0.02, window=40.0), n_cells=1)
+        body = path.read_bytes().split(b"\n", 1)[1].decode()
+        assert body.split("\n")[:-1] == [",".join("%.8e" % v for v in row)
+                                         for row in mat.tolist()]
+    _, fallback = pde._encode_rows(draws.reshape(-1, cols))
+    assert fallback.size < draws.size // cols // 100
+
+
 def reference_chain_rhs(sig, e, cells, entries, spectrum, grid, light_shift=False):
     """Explicit per-mode trapezoid form of one chain RHS, cell by cell, with
     power broadening on and dispersion uncompensated.  The light shift
@@ -542,6 +573,27 @@ def uncompensated_chain():
     grid = pde.Grid(nz=64, dt=0.02, window=WINDOW)
     opts = pde.SimOptions(check_margins=False, compensate_dispersion=False)
     return sp, cells, sched, grid, opts
+
+
+def test_chain_superposition_through_batch_axis():
+    """Runs x, y and a x + b y of a 3-cell chain, integrated as one batch: the
+    third run's window outputs and residual spins are a run 1 + b run 2."""
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    grid = pde.Grid(nz=grid.nz, dt=0.05, window=grid.window)
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    a, b = 0.7 - 0.4j, -0.3 + 1.1j
+    pulse = pde.GaussianPulse(FWHM, CENTER, np.array([x, y, a * x + b * y]))
+    sig = np.zeros((3, sched.n_cells, grid.nz), dtype=complex)
+    r1, r2, r3 = pde._simulate_batch(cells, sched, {0: pulse}, grid, sp, opts, sig)
+    for o1, o2, o3 in zip(r1.outputs, r2.outputs, r3.outputs):
+        scale = np.max(np.abs(o3.envelopes))
+        assert scale > 0
+        npt.assert_allclose(o3.envelopes, a * o1.envelopes + b * o2.envelopes,
+                            rtol=0, atol=1e-12 * scale)
+    spins = [np.array([s.sigma for s in r.residual_spins]) for r in (r1, r2, r3)]
+    npt.assert_allclose(spins[2], a * spins[0] + b * spins[1], rtol=0,
+                        atol=1e-12 * np.max(np.abs(spins[2])))
 
 
 @pytest.mark.parametrize("window", [0, 1])
