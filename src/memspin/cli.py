@@ -457,10 +457,10 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     if heatmap and result.heatmap_field is not None:
         pde.write_heatmap_csv(os.path.join(out_dir, "heatmap_field.csv"),
                               result.heatmap_field, result.heatmap_times,
-                              result.heatmap_z, setup.grid, len(setup.cells))
+                              setup.grid, len(setup.cells))
         pde.write_heatmap_csv(os.path.join(out_dir, "heatmap_spin.csv"),
                               result.heatmap_spin, result.heatmap_times,
-                              result.heatmap_z, setup.grid, len(setup.cells))
+                              setup.grid, len(setup.cells))
     print(f"{cfg.get('label', 'scenario')}: efficiency={result.efficiency:.4f} "
           f"overlap={result.overlap:.4f} -> {path}")
     return EXIT_OK

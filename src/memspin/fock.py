@@ -11,10 +11,11 @@ standard permanent homomorphism
 where U[m, n] repeats row i m_i times and column j n_j times, with the
 single-photon convention  a_k+  ->  sum_j U_jk a_j+.
 
-The nonlinear-sign unitary is derived on first use by a numerical
-constraint solve (success amplitude +1/2 on the zero- and one-photon
-components, -1/2 on the two-photon component, heralded on the ancilla
-pattern (1, 0)); no gate constants are hard-coded.
+The nonlinear-sign unitary is derived on first use, in closed form, from
+its heralding constraints (success amplitude +1/2 on the zero- and
+one-photon components, -1/2 on the two-photon component, heralded on the
+ancilla pattern (1, 0)) and checked against them at run time; no gate
+constants are hard-coded.
 
 Each distinct unitary's blocks <m|U|n> are computed once per process:
 ``_blocks`` memoises them by matrix content (shape and bytes), so the
@@ -56,11 +57,18 @@ class PolicyError(MemspinError):
 
 
 class DerivationError(MemspinError):
-    """The numerical gate-constraint solve did not converge."""
+    """A derived gate misses its heralding constraints or is not unitary."""
+
+
+@lru_cache(maxsize=PERMANENT_CAP)
+def _ryser_subsets(n: int) -> tuple:
+    """The nonempty column subsets S of n columns as an (n, 2^n - 1) 0/1 mask, and (-1)^|S|."""
+    mask = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    return mask.T.astype(complex), (-1.0) ** mask.sum(axis=1)
 
 
 def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square matrix by Ryser's inclusion-exclusion formula."""
+    """Permanent of a square matrix by Ryser's formula, every column subset in one product."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("permanent requires a square matrix")
@@ -69,11 +77,8 @@ def permanent(matrix: np.ndarray) -> complex:
         raise CapacityError(f"permanent limited to n <= {PERMANENT_CAP}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for s in range(1, 1 << n):
-        cols = [j for j in range(n) if (s >> j) & 1]
-        total += (-1) ** len(cols) * np.prod(np.sum(a[:, cols], axis=1))
-    return complex((-1) ** n * total)
+    mask, sign = _ryser_subsets(n)
+    return complex((-1) ** n * (sign @ np.prod(a @ mask, axis=0)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -275,11 +280,8 @@ def _ns_amplitudes(u: np.ndarray) -> np.ndarray:
 
     Signal on mode 0, ancillas prepared in (1, 0) and heralded on (1, 0).
     """
-    a0 = u[1, 1]
-    a1 = u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0]
-    sub = u[np.ix_([0, 0, 1], [0, 0, 1])]
-    a2 = permanent(sub) / 2.0
-    return np.array([a0, a1, a2])
+    two = u[np.ix_([0, 0, 1], [0, 0, 1])]
+    return np.array([u[1, 1], permanent(u[:2, :2]), permanent(two) / 2.0])
 
 
 _NS_TARGET = np.array([0.5, 0.5, -0.5])
@@ -287,39 +289,31 @@ _NS_TARGET = np.array([0.5, 0.5, -0.5])
 
 @lru_cache(maxsize=1)
 def ns_gate() -> UnitarySpec:
-    """Derive the 3-mode nonlinear-sign unitary by constraint solving.
+    """Derive the 3-mode nonlinear-sign unitary from its heralded amplitudes.
 
-    Finds U = expm(iH) (H hermitian, 9 real parameters) whose heralded
-    amplitudes on the ancilla pattern (1, 0) equal (1/2, 1/2, -1/2), i.e.
-    the two-photon component of the signal flips sign with success
-    probability 1/4.  The solve is deterministic (fixed starting points).
+    With u11 = a0 and u01 = u10, the targets (a0, a1, a2) = (1/2, 1/2, -1/2)
+    give a0 u00^2 - 2 a1 u00 + a2 = 0, taken at its root inside the unit
+    disc, and u01^2 = a1 - a0 u00.  Unitary completion with u02, u20 > 0
+    gives the ancilla column and row: the gate of Knill, Laflamme & Milburn,
+    Nature 409, 46 (2001).
     """
-    # imported here: scipy.linalg and scipy.optimize dominate the package's import time
-    from scipy.linalg import expm
-    from scipy.optimize import least_squares
-
-    def unpack(x):
-        h = np.diag(x[:3]).astype(complex)
-        (i01, i02, i12) = ((0, 1), (0, 2), (1, 2))
-        for (i, j), re, im in zip((i01, i02, i12), x[3:6], x[6:9]):
-            h[i, j] = re + 1j * im
-            h[j, i] = re - 1j * im
-        return h
-
-    def residuals(x):
-        u = expm(1j * unpack(x))
-        diff = _ns_amplitudes(u) - _NS_TARGET
-        return np.concatenate([diff.real, diff.imag])
-
-    for attempt in range(8):
-        rng = np.random.default_rng(1234 + attempt)
-        x0 = rng.uniform(-1.5, 1.5, size=9)
-        sol = least_squares(residuals, x0, xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                            max_nfev=4000)
-        if np.max(np.abs(sol.fun)) < 1e-12:
-            u = expm(1j * unpack(sol.x))
-            return UnitarySpec(matrix=u, label="ns")
-    raise DerivationError("nonlinear-sign constraint solve failed to converge")
+    a0, a1, a2 = _NS_TARGET.astype(complex)
+    root = np.sqrt(a1 * a1 - a0 * a2)
+    u00 = min((a1 + root) / a0, (a1 - root) / a0, key=abs)
+    u01 = np.sqrt(a1 - a0 * u00)
+    block = np.array([[u00, u01], [u01, a0]])
+    col = np.eye(2) - block @ block.conj().T  # = c c^+ for the ancilla column c
+    row = np.eye(2) - block.conj().T @ block  # = r^+ r for the ancilla row r
+    u = np.empty((3, 3), dtype=complex)
+    u[:2, :2] = block
+    u[:2, 2] = col[:, 0] / np.sqrt(col[0, 0].real)
+    u[2, :2] = row[0] / np.sqrt(row[0, 0].real)
+    u[2, 2] = -(u[2, :2] @ block[0].conj()) / u[0, 2].conj()
+    miss = max(np.max(np.abs(_ns_amplitudes(u) - _NS_TARGET)),
+               np.max(np.abs(u.conj().T @ u - np.eye(3))))
+    if not miss <= 1e-12:
+        raise DerivationError(f"nonlinear-sign gate misses its constraints by {miss:.3g}")
+    return UnitarySpec(matrix=u, label="ns")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ per cell, which the tests verify to 1e-3 in the lossless limit.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -558,11 +559,15 @@ def _warn_on_margins(cells, schedule, spectrum, options):
             report = margin_report(spectrum, entry.coupling, cell.atoms,
                                    threshold=options.margin_threshold)
             if not (report.pass7 and report.pass9):
+                # attributed to the first frame outside this module, whatever the entry point
+                frame, level = sys._getframe(), 1
+                while frame.f_globals.get("__name__") == __name__:
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"cell '{cell.id}': validity margins below threshold "
                     f"(margin7 = {report.margin7:.3g}, margin9 = {report.margin9:.3g})",
                     RuntimeWarning,
-                    stacklevel=4,
+                    stacklevel=level,
                 )
                 return
 
@@ -896,8 +901,8 @@ def _encode_rows(block: np.ndarray):
     return text, np.flatnonzero(~exact.reshape(block.shape).all(axis=1))
 
 
-def write_heatmap_csv(path, matrix: np.ndarray, times: np.ndarray, z: np.ndarray,
-                      grid: Grid, n_cells: int) -> None:
+def write_heatmap_csv(path, matrix: np.ndarray, times: np.ndarray, grid: Grid,
+                      n_cells: int) -> None:
     """Heatmap CSV: rows = z index, columns = t index, one metadata header row.
 
     Every value is written as ``"%.8e" % value`` writes it, byte for byte.

@@ -325,10 +325,21 @@ def test_fock_policy_error_names_entry(tmp_path, capsys, path, value):
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    """Only the nonlinear-sign derivation needs scipy.linalg and scipy.optimize."""
+    """Importing the command line loads neither scipy.linalg nor scipy.optimize."""
     code = ("import sys, memspin.cli; "
             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_fock_verify_leaves_scipy_solvers_unloaded(tmp_path):
+    """The CZ path, the nonlinear-sign derivation included, runs on numpy alone."""
+    code = ("import sys; from memspin import cli; "
+            f"assert cli.main(['fock-verify', 'klm_cz', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"

@@ -315,6 +315,15 @@ class TestNsGate:
         ns = fock.ns_gate()
         npt.assert_allclose(ns.matrix.conj().T @ ns.matrix, np.eye(3), atol=1e-10)
 
+    def test_matches_klm_matrix(self):
+        """The derived gate is the published one (Knill, Laflamme & Milburn, Nature 409, 46)."""
+        r2 = math.sqrt(2.0)
+        s = math.sqrt(3.0 / r2 - 2.0)
+        klm = np.array([[1.0 - r2, 2.0 ** -0.25, s],
+                        [2.0 ** -0.25, 0.5, 0.5 - 1.0 / r2],
+                        [s, 0.5 - 1.0 / r2, r2 - 0.5]])
+        npt.assert_allclose(fock.ns_gate().matrix, klm, rtol=0, atol=1e-15)
+
 
 class TestCzNetwork:
     def setup_method(self):

@@ -162,6 +162,27 @@ class TestSingleCell:
             pde.simulate_cell(cell, pde.ScheduleEntry("store", cv, 1), pulse, grid,
                               sp, pde.SimOptions())
 
+    def test_margin_warning_names_the_caller(self):
+        """The warning points at the line that called into pde, whichever entry point."""
+        sp = core.ModeSpectrum.equally_spaced(250.0, 0.02, 2)
+        atoms = core.AtomicParams(Gamma=GAMMA, gamma=0.0, beta=300.0)
+        cell = pde.MemoryCell(atoms=atoms, gradient_eta=ETA, id="warn")
+        ot = math.sqrt(ETA / (300.0 * GAMMA))
+        cv = core.CouplingVector(ot * sp.detunings / math.sqrt(2))
+        grid = pde.Grid(nz=64, dt=0.02, window=WINDOW)
+        pulse = pde.GaussianPulse(FWHM, CENTER, np.ones(2) / math.sqrt(2))
+        store, recall = pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)
+        calls = {
+            "simulate_network": lambda: pde.simulate_network(
+                [cell], pde.Schedule(entries=((store,),)), {0: pulse}, grid, sp),
+            "simulate_cell": lambda: pde.simulate_cell(cell, store, pulse, grid, sp),
+            "eq5_deviation": lambda: pde.eq5_deviation(cell, [store, recall], pulse, grid, sp),
+        }
+        for name, call in calls.items():
+            with pytest.warns(RuntimeWarning, match="validity margins") as record:
+                call()
+            assert [w.filename for w in record] == [__file__], name
+
 
 class TestBrightDark:
     def setup_method(self):
@@ -486,8 +507,7 @@ def test_heatmap_csv(tmp_path):
     grid = pde.Grid(nz=64, dt=0.02, window=40.0)
     mat = np.arange(12.0).reshape(3, 4)
     path = tmp_path / "heat.csv"
-    pde.write_heatmap_csv(path, mat, np.array([0.0, 1.0, 2.0, 3.0]),
-                          np.linspace(0, 1, 3), grid, n_cells=1)
+    pde.write_heatmap_csv(path, mat, np.array([0.0, 1.0, 2.0, 3.0]), grid, n_cells=1)
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("nz=64,n_cells=1,")
     assert len(lines) == 4
@@ -499,7 +519,7 @@ def test_heatmap_csv_rows_match_per_value_format(tmp_path):
                     [np.pi, -2.5e-7, 1e10, 7.0, np.inf]])
     grid = pde.Grid(nz=64, dt=0.02, window=40.0)
     path = tmp_path / "heat.csv"
-    pde.write_heatmap_csv(path, mat, np.arange(5.0), np.linspace(0, 1, 2), grid, n_cells=1)
+    pde.write_heatmap_csv(path, mat, np.arange(5.0), grid, n_cells=1)
     body = path.read_text().split("\n", 1)[1]
     assert body == "".join(",".join(f"{v:.8e}" for v in row) + "\n" for row in mat)
 
@@ -526,7 +546,6 @@ def test_heatmap_encoder_matches_percent_format(tmp_path):
         assert mat.shape[0] > pde.HEATMAP_BLOCK_ROWS
         path = tmp_path / "heat.csv"
         pde.write_heatmap_csv(path, mat, np.arange(float(mat.shape[1])),
-                              np.linspace(0, 1, mat.shape[0]),
                               pde.Grid(nz=64, dt=0.02, window=40.0), n_cells=1)
         body = path.read_bytes().split(b"\n", 1)[1].decode()
         assert body.split("\n")[:-1] == [",".join("%.8e" % v for v in row)
