@@ -9,11 +9,13 @@ Usage::
 bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
 ./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
 ``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``validate``
-builds everything ``run`` builds, without the dynamics.  A config key the
-schema of its ``type`` does not list is an error.
+builds everything ``run`` builds, window operators and step-size guards
+included, without the dynamics.  A config key the schema of its ``type``
+does not list is an error.
 
 Exit codes: 0 success, 2 configuration/validation error (``validate`` also
-exits 2 when a validity margin fails), 3 numerical divergence.
+exits 2 when a validity margin fails), 3 numerical error (a step too large
+for the dynamics, or divergence).
 """
 
 from __future__ import annotations
@@ -247,14 +249,11 @@ def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
 
 
 def build_grid(cfg: dict, grid_scale: float = 1.0, dt: float | None = None) -> pde.Grid:
-    """The grid of section ``grid``, with its step replaced by ``dt`` if given."""
+    """The grid of section ``grid``, with its step replaced by ``dt`` if given,
+    refined by ``grid_scale``; the unscaled grid must be valid itself."""
     nz = _get(cfg, "grid.nz", int)
     dt = _get(cfg, "grid.dt_us", float) if dt is None else dt
-    window = _get(cfg, "grid.window_us", float)
-    if grid_scale != 1.0:
-        nz = int(round(nz * grid_scale))
-        dt = dt / grid_scale
-    return pde.Grid(nz=nz, dt=dt, window=window)
+    return pde.Grid(nz=nz, dt=dt, window=_get(cfg, "grid.window_us", float)).refined(grid_scale)
 
 
 def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
@@ -320,10 +319,15 @@ class NetworkSetup:
         self.pulse = build_pulse(cfg, n)
         self.options = build_options(cfg, heatmap)
 
-    def check_echo(self) -> None:
-        """Fail unless the gradient echo lands inside the scheduled windows,
-        where the transfer extraction reads it."""
-        pde.echo_center(self.schedule, self.grid, self.pulse.center)
+    def chains(self, transfer: bool) -> list[pde.Chain]:
+        """What ``run`` integrates as one batch: the network, the basis probes
+        if ``transfer``, and the reference echo last."""
+        probes = (pde._basis_probe(self.cells, self.schedule, self.grid, self.spectrum,
+                                   self.options, self.pulse) if transfer else [])
+        return [pde.Chain(self.cells, self.schedule, self.spectrum, {0: self.pulse},
+                          self.options), *probes,
+                pde.reference_echo(self.cells, self.schedule, self.spectrum, self.pulse,
+                                   self.options)]
 
     def margin_report(self) -> core.MarginReport:
         reps = [compiler.validate_plan(plan, self.spectrum, self.atoms,
@@ -335,21 +339,24 @@ class NetworkSetup:
             threshold=self.options.margin_threshold)
 
 
-def run_network(setup: NetworkSetup):
-    """Run a compiled scenario against its ideal output.
+def run_network(setup: NetworkSetup, transfer: bool = False):
+    """Run a compiled scenario against its ideal output, in one integration
+    with its reference echo and, if ``transfer``, the basis probes.
 
     The ideal output is the ideal transfer applied to the pulse, in the
     temporal mode of the single-cell reference echo.  Returns the network
-    result and that unit-energy temporal mode.
+    result, that unit-energy temporal mode and the transfer matrix (None
+    unless ``transfer``).
     """
-    psi = pde.default_temporal_mode(setup.cells, setup.schedule, setup.grid,
-                                    setup.spectrum, setup.pulse, setup.options)
+    result, *probes, echo = pde._simulate_batch(setup.chains(transfer), setup.grid)
+    psi = pde.echo_mode(echo)
     ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
     ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi,
                              setup.pulse.mode_energy())
-    result = pde.simulate_network(setup.cells, setup.schedule, {0: setup.pulse},
-                                  setup.grid, setup.spectrum, setup.options, ideal=ideal)
-    return result, psi
+    result.efficiency, result.overlap = pde.efficiency_and_overlap(result, ideal)
+    matrix = (pde.transfer_from_probes(probes, psi, setup.schedule, setup.grid, setup.pulse)
+              if transfer else None)
+    return result, psi, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +408,13 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
         return EXIT_OK
     if kind == "eq5_sweep":
         cases = build_eq5_cases(cfg, args.grid_scale)
+        for _, (cell, entries, pulse, grid, spectra, options) in eq5_batches(cases):
+            pde.window_operators(pde.eq5_chains(cell, entries, pulse, spectra, options), grid)
         print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
         return EXIT_OK
     heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
-    if want_transfer:
-        setup.check_echo()
+    pde.window_operators(setup.chains(want_transfer), setup.grid)
     rep = setup.margin_report()
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
@@ -426,16 +434,8 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     t0 = time.time()
     heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
-    if want_transfer:
-        setup.check_echo()
     margins = setup.margin_report()
-    result, psi = run_network(setup)
-
-    transfer = None
-    if want_transfer:
-        transfer = pde.extract_transfer_matrix(
-            setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
-            setup.options, temporal_mode=psi)
+    result, _, transfer = run_network(setup, want_transfer)
 
     os.makedirs(out_dir, exist_ok=True)
     report = {
@@ -495,17 +495,22 @@ def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
     return cases
 
 
+def eq5_batches(cases: list[dict]):
+    """The cases share cell, pulse and options, so those on one grid run as one
+    batch: per grid, the case indices and the arguments of ``pde.eq5_deviation``."""
+    for grid in dict.fromkeys(case["grid"] for case in cases):
+        group = [i for i, case in enumerate(cases) if case["grid"] == grid]
+        first = cases[group[0]]
+        yield group, (first["cell"], [cases[i]["entries"] for i in group], first["pulse"],
+                      grid, [cases[i]["spectrum"] for i in group], first["options"])
+
+
 def _run_eq5(cfg: dict, out_dir: str, args) -> int:
     t0 = time.time()
     cases = build_eq5_cases(cfg, args.grid_scale)
     deviations = {}
-    for grid in dict.fromkeys(case["grid"] for case in cases):
-        # the cases share cell, pulse and options; those on one grid run as one batch
-        group = [i for i, case in enumerate(cases) if case["grid"] == grid]
-        first = cases[group[0]]
-        deviations.update(zip(group, pde.eq5_deviation(
-            first["cell"], [cases[i]["entries"] for i in group], first["pulse"], grid,
-            [cases[i]["spectrum"] for i in group], first["options"])))
+    for group, batch in eq5_batches(cases):
+        deviations.update(zip(group, pde.eq5_deviation(*batch)))
     results = []
     for i, case in enumerate(cases):
         eff_multi, eff_single, dev = deviations[i]

@@ -37,21 +37,19 @@ inflow and S(1) to the outflow (C, H), with the uncompensated dispersion
 phases folded into all four.  The scheme is linear in the state, so
 superposition holds to rounding error.
 
-The state may carry leading batch axes, (P, n_cells, nz) for P runs that
-share cells and grid, integrated as one: the N basis probes of a transfer
-extraction share one operator, broadcast over the batch, and the cases of
-an eq5 sweep each have their own, stacked on a leading run axis.
-:func:`simulate_network` is the same window loop with no batch axis.  The
-inflow drive i B e is tabulated on the RK4 stage times a block at a time
-(:func:`memspin.core.stage_table`) from vectorised pulse calls, so the RHS
-is arithmetic on the spin grids only; the outflow C e + H S(1) and the
+Every op is one integration of a batch (:func:`_simulate_batch`): chains
+(:class:`Chain`) laid end to end on one cell axis, each with its own cells,
+schedule, spectrum, inflow and starting spins, so G is block-diagonal and
+each chain has its own outflow.  A run carries its reference echo, a
+transfer extraction its N basis probes and the echo, and an eq5 sweep
+both models of every case on a grid.  The inflow drive i B e is tabulated
+on the RK4 stage times a block at a time (:func:`memspin.core.stage_table`),
+so the RHS is arithmetic on the spin grids only; each chain's outflow and
 input power are formed after each window from the recorded S(1) series.
-
-The single-excited-state model (:func:`simulate_eq5`) runs on the same
-stepper, but its coefficients beat in time: W(t), the composite probe E(t)
-and the Stark, drive, absorption and emission terms built from them.  All
-are known functions of time, so they are tabulated the same way, with a
-leading case axis, and its RHS holds only arithmetic on the spin grids.
+The single-excited-state model of eq. 5 is a one-cell chain with one
+composite mode whose coupling W(t) beats in time; its rate, drive and
+absorption are tabulated on the same stage times, and the RHS reads those
+tables only in a batch that holds such a chain.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -327,6 +325,22 @@ class NetworkResult:
     heatmap_times: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class Chain:
+    """One run of a batch (:func:`_simulate_batch`): ``cells`` run ``schedule``
+    under ``spectrum``, fed ``inputs`` (window -> pulse), from ``spins``
+    ((n_cells, nz), zero if None); a ``single_excited`` chain is one cell
+    under the model of eq. 5 (:class:`_Eq5Operator`)."""
+
+    cells: list
+    schedule: Schedule
+    spectrum: ModeSpectrum
+    inputs: dict
+    options: SimOptions = SimOptions()
+    spins: np.ndarray | None = None
+    single_excited: bool = False
+
+
 def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
     """Cumulative trapezoid of ``s`` along its last axis, zero at z = 0."""
     acc = np.empty_like(s)
@@ -344,12 +358,10 @@ class _ChainOperator:
         dsig/dt = -(gamma' + i delta(z)) sig + i (B e + G S(1)) - N |r|^2 S
         outflow = C e + H S(1)
 
-    The window loop tabulates the inflow drive i B e (:meth:`inflow_drive`).
+    The window loop tabulates the inflow drive i B e (:meth:`coefficients`).
     An uncoupled cell has r = 0, so it only decays and passes its inflow
     on.  Checks the step size against the fastest rate on construction.
     """
-
-    ARRAYS = ("absorb", "decay", "emit", "phase", "upstream", "iB", "iG", "C", "H")
 
     def __init__(self, cells, schedule: Schedule, window: int, spectrum: ModeSpectrum,
                  grid: Grid, options: SimOptions):
@@ -399,34 +411,67 @@ class _ChainOperator:
         # i G: cell to cell through S(1), which a one-cell chain does not have
         self.iG = (1j * np.einsum("ck,ckd->cd", np.conj(ratios), self.upstream)
                    if n_cells > 1 else None)
+        self.hi, self.window = n_cells, window  # G acts on cells [0, hi)
         self.C, self.H = phase[-1], upstream[-1]
 
     @classmethod
-    def stacked(cls, ops: list["_ChainOperator"]) -> "_ChainOperator":
-        """One operator for P runs: each array of ``ops`` gains a leading run axis."""
+    def joined(cls, ops) -> "_ChainOperator":
+        """The operator of chains laid end to end on one cell axis: decay and
+        absorption are concatenated, and G is block-diagonal over the cells
+        up to the end of the last chain that has cell-to-cell coupling."""
         op = cls.__new__(cls)
         op.half_dz = ops[0].half_dz
-        for name in cls.ARRAYS:
-            arrays = [getattr(each, name) for each in ops]
-            setattr(op, name, None if arrays[0] is None else np.stack(arrays))
+        op.decay = np.concatenate([each.decay for each in ops])
+        op.absorb = np.concatenate([each.absorb for each in ops])
+        bounds = np.cumsum([0] + [each.decay.shape[0] for each in ops])
+        coupled = [i for i, each in enumerate(ops) if each.iG is not None]
+        op.hi = int(bounds[coupled[-1] + 1]) if coupled else 0
+        op.iG = np.zeros((op.hi, op.hi), dtype=complex) if coupled else None
+        for i in coupled:
+            op.iG[bounds[i]:bounds[i + 1], bounds[i]:bounds[i + 1]] = ops[i].iG
         return op
+
+    def inflow(self, t, pulse) -> np.ndarray:
+        """The chain inflows at the times ``t``, (*t.shape, n_modes), zero without ``pulse``."""
+        shape = np.shape(t) + self.C.shape
+        if pulse is None:
+            return np.zeros(shape, dtype=complex)
+        e = np.asarray(pulse(t), dtype=complex)
+        if e.shape != shape:
+            raise ValidationError(f"pulse of window {self.window} gives inflows of shape "
+                                  f"{e.shape}, not {shape}")
+        return e
 
     def inflow_drive(self, e: np.ndarray) -> np.ndarray:
         """i B e, (..., n_cells, 1), for chain inflows ``e`` (..., n_modes)."""
         return self.iB @ e[..., None]
 
-    def derivative(self, sig: np.ndarray, drive: np.ndarray | None):
+    def coefficients(self, t: np.ndarray, pulse, timed: bool) -> np.ndarray:
+        """The RHS tables on the stage times ``t``, (t.size, fields, n_cells, 1):
+        the inflow drive, then in a ``timed`` batch a zero rate and the absorption."""
+        drive = self.inflow_drive(self.inflow(t, pulse))
+        if not timed:
+            return drive[:, None]
+        return np.stack([drive, np.zeros_like(drive),
+                         np.broadcast_to(self.absorb, drive.shape)], axis=1)
+
+    def derivative(self, sig: np.ndarray, drive: np.ndarray | None, rate=None, absorb=None):
         """(dsig/dt, S) for spin grids ``sig`` (..., n_cells, nz) and the
-        inflow drive ``drive`` (..., n_cells, 1), None without inflow; the
-        leading axes are a batch of runs."""
+        inflow drive ``drive`` (..., n_cells, 1), None without inflow.  A
+        batch with single-excited chains also passes every cell's tabulated
+        ``rate`` (added to the static decay) and ``absorb``."""
         acc = _cumtrapz(sig, self.half_dz)
-        dsig = self.decay * sig
+        dsig = (self.decay if rate is None else self.decay + rate) * sig
         if self.iG is not None:
-            chain = self.iG @ acc[..., -1:]
-            drive = chain if drive is None else drive + chain
+            chain = self.iG @ acc[..., :self.hi, -1:]
+            if drive is None:
+                dsig[..., :self.hi, :] += chain
+            else:
+                drive = np.concatenate([drive[..., :self.hi, :] + chain,
+                                        drive[..., self.hi:, :]], axis=-2)
         if drive is not None:
             dsig += drive
-        dsig -= self.absorb * acc
+        dsig -= (self.absorb if absorb is None else absorb) * acc
         return dsig, acc
 
     def outflow(self, e: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -442,6 +487,89 @@ class _ChainOperator:
         inflow = self.phase * e[..., None, :] + (self.upstream @ acc[..., None, :, -1:])[..., 0]
         field = inflow[..., None] + self.emit[..., None] * acc[..., None, :]
         return np.sqrt(np.sum(np.abs(field) ** 2, axis=-2)).reshape(*acc.shape[:-2], -1)
+
+
+class _Eq5Operator:
+    """One cell under the single-excited-state model of eq. 5, during one window.
+
+    All Raman transitions share one excited state at the mean detuning D, so
+    the modes act as one composite mode E(t) = sum_k E_k(t) exp(i (D_k - D) t)
+    with coupling W(t) = sum_k W_k exp(i (D_k - D) t); dt must give the
+    fastest beat 20 points per period.  Power broadening and the light shift
+    oscillate, (Gamma + i D) |W(t)|^2 / D^2, instead of being folded into
+    constant rates.  The gradient is the static decay; the rate, the drive
+    i conj(r) E and the absorption N |r|^2 (r = W / D) are tabulated, and
+    the outflow is E + i N r S(1).
+    """
+
+    iG = None
+
+    def __init__(self, cells, schedule: Schedule, window: int, spectrum: ModeSpectrum,
+                 grid: Grid, options: SimOptions):
+        check_beat_resolution(spectrum, grid.dt)
+        (cell,) = cells
+        entry = schedule.entries[0][window]
+        self.atoms, self.d, self.times = cell.atoms, spectrum.mean_detuning, grid.times
+        self.half_dz = 0.5 / (grid.nz - 1)
+        self.beats = spectrum.detunings - spectrum.mean_detuning
+        self.amps = (entry.coupling.amplitudes if entry.coupling is not None
+                     else np.zeros(spectrum.n_modes))
+        self.t_base = window * grid.window  # beat phases run on absolute time
+        static_shift = float(np.sum(np.abs(self.amps) ** 2)) / self.d
+        delta = cell.atoms.delta + (0.0 if options.auto_two_photon else static_shift)
+        offset = -static_shift if options.auto_two_photon else 0.0
+        grad = entry.gradient_sign * cell.gradient_eta * (grid.z - 0.5)
+        self.decay = -(1j * (delta + offset + grad))[None, :]
+        self.absorb = np.zeros((1, 1))
+        self.stark = (1.0 if options.power_broadening else 0.0) * cell.atoms.Gamma + 1j * self.d
+
+    def inflow(self, t, pulse) -> np.ndarray:
+        """The composite probe E(t) at the times ``t``, (t.size, 1), zero without ``pulse``."""
+        if pulse is None:
+            return np.zeros((np.size(t), 1), dtype=complex)
+        return beat_sum(pulse.mode_amplitudes, self.beats, self.t_base + t,
+                        pulse.envelope(t))[:, None]
+
+    def coefficients(self, t: np.ndarray, pulse, timed: bool) -> np.ndarray:
+        """Drive, rate and absorption on the stage times ``t``, (t.size, 3, 1, 1)."""
+        om = beat_sum(self.amps, self.beats, self.t_base + t)
+        ratio = om / self.d
+        rows = [1j * np.conj(ratio) * self.inflow(t, pulse)[:, 0],
+                -(self.atoms.gamma + self.stark * (np.abs(om) ** 2 / self.d ** 2)),
+                self.atoms.coupling_density * np.abs(ratio) ** 2]
+        return np.stack(rows, axis=1)[:, :, None, None]
+
+    def outflow(self, e: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """E + i N r S(1) on the grid times, for the composite inflow ``e`` (1, times)."""
+        ratio = beat_sum(self.amps, self.beats, self.t_base + self.times) / self.d
+        return e + 1j * self.atoms.coupling_density * ratio * s1
+
+
+def window_operators(chains, grid: Grid):
+    """Check a batch of chains and build its operators: per window, the
+    joined operator and each chain's own; and the starting state.  The
+    step-size guards (the chain rate, the eq5 beat) run here, so this
+    validates a batch without integrating it."""
+    if len({chain.schedule.n_windows for chain in chains}) != 1:
+        raise ValidationError("the chains of a batch must cover the same windows")
+    starts = []
+    for chain in chains:
+        shape = (len(chain.cells), grid.nz)
+        if len(chain.cells) != chain.schedule.n_cells:
+            raise ScheduleError(f"{shape[0]} cells supplied for a schedule with "
+                                f"{chain.schedule.n_cells} rows")
+        spins = np.zeros(shape, complex) if chain.spins is None else np.array(chain.spins, complex)
+        if spins.shape != shape:
+            raise ValidationError("initial_spins must have shape (n_cells, nz)")
+        chain.schedule.check_causality(preloaded={c for c in range(shape[0]) if np.any(spins[c])})
+        starts.append(spins)
+    windows = []
+    for w in range(chains[0].schedule.n_windows):
+        parts = [(_Eq5Operator if chain.single_excited else _ChainOperator)(
+            chain.cells, chain.schedule, w, chain.spectrum, grid, chain.options)
+            for chain in chains]
+        windows.append((_ChainOperator.joined(parts), parts))
+    return windows, np.concatenate(starts)
 
 
 def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
@@ -464,132 +592,90 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
     initial_spins:
         Optional (n_cells, nz) starting spin grids (default all zero).
     """
-    if initial_spins is None:
-        sig = np.zeros((schedule.n_cells, grid.nz), dtype=complex)
-    else:
-        sig = np.array(initial_spins, dtype=complex)
-        if sig.shape != (schedule.n_cells, grid.nz):
-            raise ValidationError("initial_spins must have shape (n_cells, nz)")
-    return _simulate_batch(cells, (schedule,), inputs, grid, (spectrum,), options, sig, ideal)[0]
+    (result,) = _simulate_batch([Chain(cells, schedule, spectrum, inputs, options,
+                                       initial_spins)], grid)
+    if ideal is not None:
+        result.efficiency, result.overlap = efficiency_and_overlap(result, ideal)
+    return result
 
 
-def _simulate_batch(cells, schedules, inputs, grid: Grid, spectra, options: SimOptions,
-                    sig: np.ndarray, ideal: list[FieldState] | None = None) -> list[NetworkResult]:
-    """Run a batch of runs through the chain of ``cells`` in one integration.
+def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
+    """Run a batch of :class:`Chain` in one integration; one result per chain.
 
-    ``sig`` holds the starting spin grids, (P, n_cells, nz) for P runs or
-    (n_cells, nz) for a single run, which then carries no batch axis.
-    ``schedules`` and ``spectra`` hold one schedule and one spectrum that
-    all runs share, or one of each per run along a single batch axis (P,);
-    then the window operator's arrays carry that run axis.  A pulse in
-    ``inputs`` maps an array of times to the inflows of all runs,
-    (*times.shape, P, n_modes) or (*times.shape, n_modes).  Returns one
-    :class:`NetworkResult` per run.
+    The chains lie end to end on the cell axis of one state (total cells,
+    nz) and share the grid and the number of windows.  Per window, every
+    chain's drive (and a single-excited chain's rate and absorption) is
+    tabulated on the RK4 stage times, S(1) is recorded per grid time, and
+    each chain's outflow and input power are formed from it afterwards.
     """
-    batch, n_ops, n_cells = sig.shape[:-2], len(schedules), len(cells)
-    if len(spectra) != n_ops or (n_ops > 1 and batch != (n_ops,)):
-        raise ValidationError("give one schedule and spectrum shared by all runs, "
-                              "or one of each per run along a single batch axis")
-    n_modes, n_windows = spectra[0].n_modes, schedules[0].n_windows
-    for p, (schedule, spectrum) in enumerate(zip(schedules, spectra)):
-        if n_cells != schedule.n_cells:
-            raise ScheduleError(
-                f"{n_cells} cells supplied for a schedule with {schedule.n_cells} rows")
-        if options.check_margins:
-            _warn_on_margins(cells, schedule, spectrum, options)
-        run_sig = sig if n_ops == 1 else sig[p]
-        schedule.check_causality(preloaded={
-            c for c in range(n_cells) if np.any(run_sig[..., c, :])})
+    windows, sig = window_operators(chains, grid)
+    for chain in chains:
+        if chain.options.check_margins:
+            _warn_on_margins(chain.cells, chain.schedule, chain.spectrum, chain.options)
+    bounds = np.cumsum([0] + [len(chain.cells) for chain in chains])
+    rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    timed = any(chain.single_excited for chain in chains)
+    heat = [c for c, chain in enumerate(chains) if chain.options.record_heatmap]
     times = grid.times
     stages = stage_times(times)
-
-    outputs: list[np.ndarray] = []  # (*batch, n_modes, nt + 1) per window
-    energy_in, energy_out = [], []  # (*batch,) per window
-    heat_field, heat_spin, heat_t = [], [], []
     stride = max(1, grid.nt // 200)
+    outputs = [[] for _ in chains]  # (n_modes, nt + 1) per window
+    energies = [[] for _ in chains]
+    heat_field, heat_spin, heat_t = [[] for _ in chains], [[] for _ in chains], []
 
-    for w in range(n_windows):
-        ops = [_ChainOperator(cells, schedule, w, spectrum, grid, options)
-               for schedule, spectrum in zip(schedules, spectra)]
-        op = ops[0] if n_ops == 1 else _ChainOperator.stacked(ops)
+    for w, (op, parts) in enumerate(windows):
+        pulses = [chain.inputs.get(w) for chain in chains]
+        table = None
+        if timed or any(pulse is not None for pulse in pulses):
+            table = stage_table(lambda t, parts=parts, pulses=pulses: np.concatenate(
+                [part.coefficients(t, pulse, timed) for part, pulse in zip(parts, pulses)],
+                axis=-2), stages)
 
-        def inflow(t, pulse=inputs.get(w)):
-            shape = np.shape(t) + batch + (n_modes,)
-            if pulse is None:
-                return np.zeros(shape, dtype=complex)
-            e = np.asarray(pulse(t), dtype=complex)
-            if e.shape != shape:
-                raise ValidationError(f"pulse of window {w} gives inflows of shape {e.shape}, "
-                                      f"not {shape}")
-            return e
+        def rhs(y, k, op=op, table=table):
+            return op.derivative(y, *(table(k) if table is not None else (None,)))
 
-        drive = (stage_table(lambda t, op=op, inflow=inflow: op.inflow_drive(inflow(t)), stages)
-                 if w in inputs else None)
-
-        def rhs(y, k, op=op, drive=drive):
-            return op.derivative(y, None if drive is None else drive(k))
-
-        s1 = np.empty(batch + (n_cells, grid.nt + 1), dtype=complex)
+        s1 = np.empty((len(sig), grid.nt + 1), dtype=complex)
         for n, (sig, acc) in enumerate(rk4(rhs, sig, times)):
-            s1[..., n] = acc[..., -1]
-            if options.record_heatmap and n < grid.nt and n % stride == 0:
-                heat_field.append(op.field_norms(inflow(times[n]), acc))
-                heat_spin.append(np.abs(sig).reshape(*batch, -1))
+            s1[:, n] = acc[:, -1]
+            if heat and n < grid.nt and n % stride == 0:
+                for c in heat:
+                    inflow = parts[c].inflow(times[n], pulses[c])
+                    heat_field[c].append(parts[c].field_norms(inflow, acc[rows[c]]))
+                    heat_spin[c].append(np.abs(sig[rows[c]]).reshape(-1))
                 heat_t.append(w * grid.window + times[n])
         _check_finite(s1, sig, w, times)
         # series run along a contiguous last axis, so the energy sums are pairwise
-        e = inflow(times)
-        out_series = op.outflow(np.moveaxis(e, 0, -1), s1)
-        outputs.append(out_series)
-        in_power = np.ascontiguousarray(np.moveaxis(np.sum(np.abs(e) ** 2, axis=-1), 0, -1))
-        energy_in.append(np.trapezoid(in_power, times, axis=-1))
-        energy_out.append(np.trapezoid(np.sum(np.abs(out_series) ** 2, axis=-2), times,
-                                       axis=-1))
-        del s1, e  # freed before the next window allocates its own
+        for c, (part, pulse) in enumerate(zip(parts, pulses)):
+            e = part.inflow(times, pulse)
+            out = part.outflow(np.moveaxis(e, 0, -1), s1[rows[c]])
+            outputs[c].append(out)
+            energies[c].append({
+                "window": w,
+                "input": float(np.trapezoid(np.sum(np.abs(e) ** 2, axis=-1), times)),
+                "output": float(np.trapezoid(np.sum(np.abs(out) ** 2, axis=-2), times))})
+        del s1  # freed before the next window allocates its own
 
-    # one leading run axis, of length 1 for an unbatched run
-    n_runs = math.prod(batch)
-    outputs = [out.reshape(n_runs, n_modes, -1) for out in outputs]
-    energy_in = [energy.reshape(n_runs) for energy in energy_in]
-    energy_out = [energy.reshape(n_runs) for energy in energy_out]
-    sig = sig.reshape(n_runs, n_cells, grid.nz)
-    if options.record_heatmap and heat_t:
-        heat_field = np.asarray(heat_field).reshape(len(heat_t), n_runs, -1)
-        heat_spin = np.asarray(heat_spin).reshape(len(heat_t), n_runs, -1)
     results = []
-    for p in range(n_runs):
-        out_windows = schedules[p if n_ops > 1 else 0].output_windows()
-        window_energies = [
-            {"window": w, "input": float(energy_in[w][p]), "output": float(energy_out[w][p])}
-            for w in range(n_windows)
-        ]
-        input_energy = sum(we["input"] for we in window_energies)
-        output_energy = sum(window_energies[w]["output"] for w in out_windows)
+    for c, chain in enumerate(chains):
+        out_windows = chain.schedule.output_windows()
+        input_energy = sum(we["input"] for we in energies[c])
+        output_energy = sum(energies[c][w]["output"] for w in out_windows)
         efficiency = output_energy / input_energy if input_energy > 0 else 0.0
         if efficiency > 1.0 + 1e-3:
             raise DivergenceError(f"efficiency {efficiency:.4f} exceeds unity beyond tolerance")
-        run_outputs = [FieldState(envelopes=out[p], times=times.copy()) for out in outputs]
-
-        overlap = None
-        if ideal is not None:
-            efficiency, overlap = _efficiency_overlap(
-                [run_outputs[w] for w in out_windows], ideal, input_energy)
-
         result = NetworkResult(
-            outputs=run_outputs,
-            residual_spins=[
-                SpinState(sigma=sig[p, c].copy(), z=grid.z, cell_id=cells[c].id)
-                for c in range(n_cells)
-            ],
+            outputs=[FieldState(envelopes=out, times=times.copy()) for out in outputs[c]],
+            residual_spins=[SpinState(sigma=spin.copy(), z=grid.z, cell_id=cell.id)
+                            for spin, cell in zip(sig[rows[c]], chain.cells)],
             efficiency=float(efficiency),
-            overlap=overlap,
+            overlap=None,
             input_energy=float(input_energy),
-            window_energies=window_energies,
+            window_energies=energies[c],
             output_windows=out_windows,
         )
-        if options.record_heatmap and heat_t:
-            result.heatmap_field = heat_field[:, p].T
-            result.heatmap_spin = heat_spin[:, p].T
+        if c in heat and heat_t:
+            result.heatmap_field = np.asarray(heat_field[c]).T
+            result.heatmap_spin = np.asarray(heat_spin[c]).T
             result.heatmap_times = np.asarray(heat_t)
         results.append(result)
     return results
@@ -670,8 +756,9 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float,
     raise ScheduleError("no rephasing point inside the scheduled windows")
 
 
-def _efficiency_overlap(outputs: list[FieldState], ideal: list[FieldState],
-                        input_energy: float):
+def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
+    """Energy ratio and global-phase-insensitive overlap against an ideal."""
+    outputs = [result.outputs[w] for w in result.output_windows]
     if len(outputs) != len(ideal):
         raise ValidationError("outputs and ideal must cover the same windows")
     e_out = sum(o.energy() for o in outputs)
@@ -684,39 +771,41 @@ def _efficiency_overlap(outputs: list[FieldState], ideal: list[FieldState],
             raise ValidationError("output/ideal grids do not match")
         inner += np.trapezoid(
             np.sum(o.envelopes * np.conj(i.envelopes), axis=0), o.times)
-    efficiency = e_out / input_energy if input_energy > 0 else 0.0
+    efficiency = e_out / result.input_energy if result.input_energy > 0 else 0.0
     overlap = abs(inner) ** 2 / (e_out * e_ideal) if e_out > 0 else 0.0
     return float(efficiency), float(overlap)
 
 
-def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
-    """Energy ratio and global-phase-insensitive overlap against an ideal."""
-    outputs = [result.outputs[w] for w in result.output_windows]
-    return _efficiency_overlap(outputs, ideal, result.input_energy)
+def reference_echo(cells, schedule: Schedule, spectrum: ModeSpectrum, pulse: GaussianPulse,
+                   options: SimOptions = SimOptions()) -> Chain:
+    """The chain of the single-cell reference echo, to ride in any batch: the
+    first cell, coupled at the weight of the schedule's first store, stores a
+    unit one-mode pulse, recalls it and holds for the remaining windows.
 
-
-def reference_echo(cell: MemoryCell, omega_tilde_value: float, pulse: GaussianPulse,
-                   grid: Grid, mean_detuning: float,
-                   options: SimOptions = SimOptions()) -> FieldState:
-    """Recall-window echo of one identity-coupled cell, unit energy.
-
-    Serves as the ideal temporal mode for overlap and transfer extraction:
-    every memory in a compiled chain emits this same shape (its pattern is
-    dark for all downstream cells), so deviations from it measure
-    mode-space infidelity rather than the common re-emission shape.
+    Every memory in a compiled chain emits this same shape (its pattern is
+    dark for all downstream cells), so its recalled field (:func:`echo_mode`)
+    is the ideal temporal mode for overlap and transfer extraction.
     """
-    sp1 = ModeSpectrum(mean_detuning=mean_detuning,
-                       detunings=np.array([mean_detuning]))
-    cv = CouplingVector(np.array([omega_tilde_value * mean_detuning]))
-    sched = Schedule(entries=((
-        ScheduleEntry(event="store", coupling=cv, gradient_sign=1),
-        ScheduleEntry(event="recall", coupling=cv, gradient_sign=-1),
-    ),))
-    probe = GaussianPulse(fwhm=pulse.fwhm, center=pulse.center,
-                          mode_amplitudes=np.array([1.0]))
-    opts = replace(options, record_heatmap=False, check_margins=False)
-    res = simulate_network([cell], sched, {0: probe}, grid, sp1, opts)
-    out = res.outputs[1]
+    first_store = next(
+        (row[w].coupling for row in schedule.entries
+         for w in range(schedule.n_windows) if row[w].event == "store"), None)
+    if first_store is None:
+        raise ScheduleError("schedule contains no store event")
+    d = spectrum.mean_detuning
+    cv = CouplingVector(np.array([float(np.linalg.norm(first_store.amplitudes
+                                                       / spectrum.detunings)) * d]))
+    row = (ScheduleEntry("store", cv, 1), ScheduleEntry("recall", cv, -1),
+           *[ScheduleEntry("hold")] * (schedule.n_windows - 2))
+    return Chain([cells[0]], Schedule(entries=(row,)),
+                 ModeSpectrum(mean_detuning=d, detunings=np.array([d])),
+                 {0: GaussianPulse(fwhm=pulse.fwhm, center=pulse.center,
+                                   mode_amplitudes=np.array([1.0]))},
+                 replace(options, record_heatmap=False, check_margins=False))
+
+
+def echo_mode(result: NetworkResult) -> FieldState:
+    """The recalled field of a :func:`reference_echo` run, scaled to unit energy."""
+    out = result.outputs[result.output_windows[0]]
     scale = 1.0 / math.sqrt(out.energy())
     return FieldState(envelopes=out.envelopes * scale, times=out.times.copy())
 
@@ -738,174 +827,79 @@ def ideal_output(transfer_matrix: np.ndarray, input_amplitudes: np.ndarray,
 
 
 def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,
-                 options: SimOptions, pulse: GaussianPulse) -> list[NetworkResult]:
-    """The N basis probes, probe j fed ``pulse`` with unit weight on mode j only.
+                 options: SimOptions, pulse: GaussianPulse) -> list[Chain]:
+    """The chains of the N basis probes, probe j fed ``pulse`` with unit
+    weight on mode j only, in mode order.  Fails unless the gradient echo
+    lands inside the scheduled windows, where the extraction reads it."""
+    echo_center(schedule, grid, pulse.center)
+    probe_options = replace(options, record_heatmap=False, check_margins=False)
+    return [Chain(cells, schedule, spectrum, {0: replace(pulse, mode_amplitudes=weights)},
+                  probe_options) for weights in np.eye(spectrum.n_modes)]
 
-    The probes share the schedule and the scheme is linear, so they run as
-    one integration whose state carries a leading axis of N probes; the
-    inflow of all probes comes from one (N, n_modes) pulse evaluation.
-    Returns one :class:`NetworkResult` per probe, in mode order.
+
+def transfer_from_probes(probes: list[NetworkResult], temporal_mode: FieldState,
+                         schedule: Schedule, grid: Grid, pulse: GaussianPulse) -> np.ndarray:
+    """The mode-transfer matrix from the basis probe runs of ``schedule``.
+
+    Entry (k, j) is the complex overlap of output mode k in the echo window
+    against the unit-energy ``temporal_mode`` when only input mode j is fed,
+    normalised so that |entry|^2 is the mode-to-mode energy efficiency.
     """
-    n = spectrum.n_modes
-    probes = replace(pulse, mode_amplitudes=np.eye(n))
-    sig = np.zeros((n, schedule.n_cells, grid.nz), dtype=complex)
-    return _simulate_batch(cells, (schedule,), {0: probes}, grid, (spectrum,), options, sig)
-
-
-def default_temporal_mode(cells, schedule: Schedule, grid: Grid,
-                          spectrum: ModeSpectrum, pulse: GaussianPulse,
-                          options: SimOptions = SimOptions()) -> FieldState:
-    """Unit-energy reference echo matching the schedule's coupling weight."""
-    first_store = next(
-        (row[w].coupling for row in schedule.entries
-         for w in range(schedule.n_windows) if row[w].event == "store"), None)
-    if first_store is None:
-        raise ScheduleError("schedule contains no store event")
-    ot = float(np.linalg.norm(first_store.amplitudes / spectrum.detunings))
-    return reference_echo(cells[0], ot, pulse, grid, spectrum.mean_detuning, options)
+    window, _ = echo_center(schedule, grid, pulse.center)
+    psi = np.conj(temporal_mode.envelopes[0])
+    columns = [np.trapezoid(res.outputs[window].envelopes * psi, res.outputs[window].times,
+                            axis=1) for res in probes]
+    return np.stack(columns, axis=1) / math.sqrt(pulse.mode_energy())
 
 
 def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
                             spectrum: ModeSpectrum, pulse: GaussianPulse,
-                            options: SimOptions = SimOptions(),
-                            temporal_mode: FieldState | None = None) -> np.ndarray:
-    """Realised mode-transfer matrix from the N basis probes (one integration).
+                            options: SimOptions = SimOptions()) -> np.ndarray:
+    """Realised mode-transfer matrix (:func:`transfer_from_probes`) against the
+    reference echo; the N basis probes and the echo run as one integration."""
+    *probes, echo = _simulate_batch(
+        _basis_probe(cells, schedule, grid, spectrum, options, pulse)
+        + [reference_echo(cells, schedule, spectrum, pulse, options)], grid)
+    return transfer_from_probes(probes, echo_mode(echo), schedule, grid, pulse)
 
-    Entry (k, j) is the complex overlap of output mode k against the ideal
-    recalled temporal mode when only input mode j is fed, normalised so
-    that |entry|^2 is the mode-to-mode energy efficiency.  The temporal
-    mode defaults to the single-cell reference echo.
-    """
-    n = spectrum.n_modes
-    win, _ = echo_center(schedule, grid, pulse.center)
-    if temporal_mode is None:
-        temporal_mode = default_temporal_mode(cells, schedule, grid, spectrum,
-                                              pulse, options)
-    psi = temporal_mode.envelopes[0]
-    probe_options = replace(options, record_heatmap=False, check_margins=False)
 
-    matrix = np.zeros((n, n), dtype=complex)
-    probes = _basis_probe(cells, schedule, grid, spectrum, probe_options, pulse)
-    for j, res in enumerate(probes):
-        out = res.outputs[win]
-        matrix[:, j] = np.trapezoid(out.envelopes * np.conj(psi)[None, :],
-                                    out.times, axis=1) / math.sqrt(pulse.mode_energy())
-    return matrix
+def eq5_chains(cell: MemoryCell, entries, pulse: GaussianPulse, spectra,
+               options: SimOptions = SimOptions()) -> list[Chain]:
+    """Both models of every eq5 case: the multi-transition chains of the cases,
+    then their single-excited chains, which do not warn on margins."""
+    if len(spectra) != len(entries):
+        raise ValidationError("one spectrum needed for every case")
+    single_options = replace(options, check_margins=False)
+    return [Chain([cell], Schedule(entries=(tuple(row),)), spectrum, {0: pulse},
+                  single_options if single else options, single_excited=single)
+            for single in (False, True) for row, spectrum in zip(entries, spectra)]
 
 
 def simulate_eq5(cell: MemoryCell, entries, pulse, grid: Grid, spectra,
                  options: SimOptions = SimOptions()):
-    """Single-excited-state dynamics with the full oscillatory coupling.
-
-    All Raman transitions share one excited state at the mean detuning D.
-    The total coupling W(t) = sum_k W_k exp(i (D_k - D) t) and the composite
-    probe E(t) = sum_k E_k(t) exp(i (D_k - D) t) beat at the mode spacings,
-    so dt must resolve the fastest beat (20 points per period).  The spin
-    decays through the instantaneous (Gamma + i D) |W(t)|^2 / D^2 term, so
-    power broadening and the light shift oscillate instead of being folded
-    into constant effective rates.
-
-    ``entries`` lists the window entries of each case and ``spectra`` its
-    mode spectrum; the cases share the cell, the pulse (fed in window 0)
-    and the grid, and run as one integration whose spin state is
-    (n_cases, nz).  The time-dependent coefficients are tabulated per block
-    of RK4 stage times with the same case axis, looping over the few cases
-    and modes; each RHS evaluation then reads one table row and does five
-    array operations on the spin grids besides the cumulative trapezoid.
-    The recalled field E(t) + i N r(t) S(1) is formed once per grid time.
-
-    Returns (per case, the list of composite single-row FieldState per
-    window; per case, the final SpinState).
+    """Single-excited-state dynamics with the full oscillatory coupling
+    (:class:`_Eq5Operator`), all cases in one integration.  Returns (per case,
+    the composite single-row FieldState per window; per case, the final SpinState).
     """
-    n_cases = len(entries)
-    if len(spectra) != n_cases or len({len(row) for row in entries}) != 1:
-        raise ValidationError("one spectrum and the same windows needed for every case")
-    for spectrum in spectra:
-        check_beat_resolution(spectrum, grid.dt)
-    beats = [spectrum.detunings - spectrum.mean_detuning for spectrum in spectra]
-    atoms = cell.atoms
-    dmean = np.array([spectrum.mean_detuning for spectrum in spectra])[:, None]
-    ncal = atoms.coupling_density
-    z = grid.z
-    half_dz = 0.5 / (grid.nz - 1)
-    stages = stage_times(grid.times)
-    sig = np.zeros((n_cases, grid.nz), dtype=complex)
-    outputs = [[] for _ in range(n_cases)]
-    stark_rate = (1.0 if options.power_broadening else 0.0) * atoms.Gamma + 1j * dmean
-
-    for w in range(len(entries[0])):
-        t_base = w * grid.window  # beat phases run on absolute time
-        column = [row[w] for row in entries]
-        amps = [entry.coupling.amplitudes if entry.coupling is not None
-                else np.zeros(spectrum.n_modes) for entry, spectrum in zip(column, spectra)]
-        static_shift = np.array([[float(np.sum(np.abs(a) ** 2))] for a in amps]) / dmean
-        delta_uniform = atoms.delta + (0.0 if options.auto_two_photon else static_shift)
-        offset = -static_shift if options.auto_two_photon else 0.0
-        signs = np.array([[entry.gradient_sign] for entry in column])
-        neg_idelta = -(1j * (delta_uniform + offset + signs * cell.gradient_eta * (z - 0.5)))
-
-        def coefficients(t, amps=amps, t_base=t_base, fed=(w == 0)):
-            # the bright-mode form of the chain, with one time-dependent mode, per case
-            rows = []
-            for a, beat, d, rate in zip(amps, beats, dmean[:, 0], stark_rate[:, 0]):
-                om = beat_sum(a, beat, t_base + t)
-                ratio = om / d
-                # the composite probe E(t), zero outside the input window
-                e = (beat_sum(pulse.mode_amplitudes, beat, t_base + t, pulse.envelope(t))
-                     if fed else np.zeros(t.shape, dtype=complex))
-                rows.append(np.stack([-(atoms.gamma + rate * (np.abs(om) ** 2 / d ** 2)),
-                                      1j * np.conj(ratio) * e, ncal * np.abs(ratio) ** 2,
-                                      1j * ncal * ratio, e], axis=1))
-            return np.stack(rows, axis=2)[..., None]  # (stages, 5, n_cases, 1)
-
-        row = stage_table(coefficients, stages)
-
-        def rhs(s, k, row=row, neg_idelta=neg_idelta):
-            table_row = row(k)
-            neg_rate, drive, absorb, _, _ = table_row
-            acc = _cumtrapz(s, half_dz)
-            return (neg_rate + neg_idelta) * s + drive - absorb * acc, (table_row, acc)
-
-        out_series = np.empty((n_cases, grid.nt + 1), dtype=complex)
-        for n, (sig, ((_, _, _, emit, e), acc)) in enumerate(rk4(rhs, sig, grid.times)):
-            out_series[:, n:n + 1] = e + emit * acc[:, -1:]
-        _check_finite(out_series, sig, w, grid.times)
-        for case, series in zip(outputs, out_series):
-            case.append(FieldState(envelopes=series[None, :], times=grid.times))
-
-    spins = [SpinState(sigma=s, z=grid.z, cell_id=cell.id) for s in sig]
-    return outputs, spins
+    runs = _simulate_batch(eq5_chains(cell, entries, pulse, spectra, options)[len(entries):],
+                           grid)
+    return [run.outputs for run in runs], [run.residual_spins[0] for run in runs]
 
 
 def eq5_deviation(cell: MemoryCell, entries, pulse: GaussianPulse, grid: Grid, spectra,
                   options: SimOptions = SimOptions()):
     """Single-excited-state model against the multi-transition model, per case.
 
-    Each case runs one cell through its ``entries`` (its store and recall
-    windows) under its spectrum in both models; the cases share the cell,
-    the pulse and the grid, so each model is one integration over all of
-    them.  The multi-transition efficiency is the network efficiency; the
-    single-excited-state efficiency is the recalled energy over the energy
-    of the composite input sum_k E_k(t) exp(i (D_k - D) t), which carries
-    the beats.  Returns, per case, (eff_multi, eff_single, relative
-    deviation |eff_single - eff_multi| / eff_multi).
+    Each case runs the cell through its ``entries`` (store, recall) under its
+    spectrum in both models, all in one integration.  The single-excited
+    efficiency is the recalled energy over that of the composite input
+    sum_k E_k(t) exp(i (D_k - D) t), which carries the beats.  Returns, per
+    case, (eff_multi, eff_single, |eff_single - eff_multi| / eff_multi).
     """
-    schedules = [Schedule(entries=(tuple(row),)) for row in entries]
-    n_cases = len(schedules)
-    fed = replace(pulse, mode_amplitudes=np.tile(pulse.mode_amplitudes, (n_cases, 1)))
-    sig = np.zeros((n_cases, 1, grid.nz), dtype=complex)
-    multi = _simulate_batch([cell], schedules, {0: fed}, grid, spectra, options, sig)
-    single, _ = simulate_eq5(cell, entries, pulse, grid, spectra, options)
-    times = grid.times
-    deviations = []
-    for res, outs, schedule, spectrum in zip(multi, single, schedules, spectra):
-        beats = spectrum.detunings - spectrum.mean_detuning
-        composite_in = beat_sum(pulse.mode_amplitudes, beats, times, pulse.envelope(times))
-        e_in = float(np.trapezoid(np.abs(composite_in) ** 2, times))
-        eff_single = sum(outs[w].energy() for w in schedule.output_windows()) / e_in
-        deviations.append((res.efficiency, eff_single,
-                           abs(eff_single - res.efficiency) / res.efficiency))
-    return deviations
+    runs = _simulate_batch(eq5_chains(cell, entries, pulse, spectra, options), grid)
+    return [(multi.efficiency, single.efficiency,
+             abs(single.efficiency - multi.efficiency) / multi.efficiency)
+            for multi, single in zip(runs[:len(entries)], runs[len(entries):])]
 
 
 # The heatmap encoder's tables.  One value is 15 bytes, "d." + 4 digits +

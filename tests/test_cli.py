@@ -228,7 +228,7 @@ def test_heatmap_rows_match_percent_format(tmp_path):
     assert run_cli(["run", "ten_mode_two_ops", "--out", out, "--grid-scale", "0.5"]) \
         == cli.EXIT_OK
     cfg = json.loads(cli.scenario_path("ten_mode_two_ops").read_text())
-    result, _ = cli.run_network(cli.NetworkSetup(cfg, grid_scale=0.5, heatmap=True))
+    result, *_ = cli.run_network(cli.NetworkSetup(cfg, grid_scale=0.5, heatmap=True))
     for name, matrix in (("heatmap_field.csv", result.heatmap_field),
                          ("heatmap_spin.csv", result.heatmap_spin)):
         row_format = ",".join(["%.8e"] * matrix.shape[1]) + "\n"
@@ -372,3 +372,91 @@ def test_fock_verify_leaves_scipy_solvers_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def edited(tmp_path, scenario, edits):
+    """Path of a copy of a bundled scenario with ``edits`` (dotted path -> value)."""
+    cfg = json.loads(cli.scenario_path(scenario).read_text())
+    for path, value in edits.items():
+        set_entry(cfg, path, value)
+    path = tmp_path / f"{scenario}_edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("scenario, edits, message", [
+    ("eq5_regime_sweep", {"cases.0.dt_us": 0.2},
+     "time step 0.2 does not resolve the fastest beat (need <= 0.025)"),
+    ("identity_1mode", {"grid.dt_us": 1.0}, "(dt * rate = 0.92 > 0.5)"),
+], ids=["eq5_beat", "chain_rate"])
+def test_validate_runs_the_step_size_guards(tmp_path, capsys, scenario, edits, message):
+    """validate builds the window operators of every chain run would build, so
+    a step run rejects exits 3 in validate too, with run's message."""
+    bad = edited(tmp_path, scenario, edits)
+    assert run_cli(["run", bad, "--out", tmp_path / "o"]) == cli.EXIT_NUMERIC
+    run_err = capsys.readouterr().err
+    assert run_err.startswith("numerical error: ") and message in run_err
+    assert run_cli(["validate", bad]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == run_err
+
+
+@pytest.mark.parametrize("command, scenario, edits, calls", [
+    ("run", "identity_1mode", {}, 1),
+    ("run", "random_3mode", {"outputs.transfer": True}, 1),
+    ("extract-transfer", "hadamard_2mode", {}, 1),
+    ("run", "eq5_regime_sweep", {}, 1),
+    ("run", "eq5_regime_sweep", {"cases.1.dt_us": 0.005}, 2),
+], ids=["run", "run_transfer", "extract_transfer", "eq5_one_grid", "eq5_two_grids"])
+def test_one_integration_per_op(tmp_path, monkeypatch, command, scenario, edits, calls):
+    """Each op integrates once: the network with its echo (and probes), the
+    probes with the echo, and both eq5 models of all cases on a grid."""
+    counted = []
+    batch = pde._simulate_batch
+
+    def counting(chains, grid):
+        counted.append(len(chains))
+        return batch(chains, grid)
+
+    monkeypatch.setattr(pde, "_simulate_batch", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # margin_1 fails the margins
+        assert run_cli([command, edited(tmp_path, scenario, edits), "--out", tmp_path / "o",
+                        "--grid-scale", "0.5"]) == cli.EXIT_OK
+    assert len(counted) == calls
+    if scenario == "random_3mode":
+        assert counted == [1 + 3 + 1]  # network, three probes, echo
+
+
+def test_eq5_sweep_matches_pinned_values(tmp_path):
+    """The bundled sweep's efficiencies against pinned reference values to 1e-12
+    relative; a deviation is a difference of efficiencies over eff_multi, so it
+    is held to the same bound in absolute terms."""
+    pinned = {
+        "margin_100": (0.8306179955704462, 0.8304430076804689, 0.00021067192248490582),
+        "margin_1": (0.8306179955704466, 0.6795878871496733, 0.18182860138618806),
+    }
+    with pytest.warns(RuntimeWarning):
+        assert run_cli(["run", "eq5_regime_sweep", "--out", tmp_path]) == cli.EXIT_OK
+    for case in json.loads((tmp_path / "report.json").read_text())["cases"]:
+        multi, single, deviation = pinned[case["label"]]
+        assert case["efficiency_multi_transition"] == pytest.approx(multi, rel=1e-12, abs=0)
+        assert case["efficiency_single_excited"] == pytest.approx(single, rel=1e-12, abs=0)
+        assert case["relative_deviation"] == pytest.approx(deviation, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nz, dt, scale", [(64, 0.02, 1.0), (256, 0.02, 0.5), (100, 0.01, 2.0),
+                                           (128, 0.02, 1.5), (256, 0.04, 0.25)])
+def test_build_grid_refines_as_before(nz, dt, scale):
+    """build_grid goes through Grid.refined and builds the grid the explicit
+    arithmetic built: nz scaled and rounded, dt divided by the scale."""
+    cfg = {"grid": {"nz": nz, "dt_us": dt, "window_us": 40.0}}
+    expected = pde.Grid(nz=int(round(nz * scale)), dt=dt / scale, window=40.0)
+    assert cli.build_grid(cfg, scale) == expected
+
+
+def test_grid_scale_does_not_lift_an_invalid_base_grid(tmp_path, capsys):
+    """The unscaled grid must be valid itself: nz 48 fails even where a scale of 2
+    would lift it over the limit."""
+    small = edited(tmp_path, "identity_1mode", {"grid.nz": 48})
+    assert run_cli(["validate", small, "--grid-scale", "2"]) == cli.EXIT_CONFIG
+    assert "nz must be at least 64" in capsys.readouterr().err

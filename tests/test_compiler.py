@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memspin import compiler, core
 from memspin.core import angular_from_mhz as mhz
@@ -149,3 +151,15 @@ def test_dft_unitary_is_unitary():
     for n in (2, 7):
         u = compiler.dft_unitary(n)
         npt.assert_allclose(u.matrix @ u.matrix.conj().T, np.eye(n), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       weight=st.floats(1e-4, 0.1))
+def test_compile_round_trip_haar(n, seed, weight):
+    """reconstruct_matrix inverts both compiles for any Haar draw, N = 1..10."""
+    u = compiler.haar_random_unitary(n, seed=seed)
+    sp = spectrum(n)
+    for compile_plan in (compiler.compile_write, compiler.compile_read):
+        rec = compiler.reconstruct_matrix(compile_plan(u, sp, weight), sp)
+        assert np.max(np.abs(rec - u.matrix)) <= 1e-12

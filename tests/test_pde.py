@@ -280,7 +280,8 @@ class TestNetwork:
         u_in = compiler.haar_random_unitary(3, seed=31)
         u_out = compiler.haar_random_unitary(3, seed=32)
         sp, cells, sched, grid, pulse = two_op_network(3, u_in, u_out, nz=192)
-        psi = pde.default_temporal_mode(cells, sched, grid, sp, pulse, OPTS)
+        psi = pde.echo_mode(pde._simulate_batch(
+            [pde.reference_echo(cells, sched, sp, pulse, OPTS)], grid)[0])
         e1 = pde.GaussianPulse(FWHM, CENTER, np.array([1.0])).energy()
         ideal_m = compiler.ideal_transfer(u_in, u_out).matrix
         ideal = pde.ideal_output(ideal_m, pulse.mode_amplitudes, psi, e1)
@@ -347,7 +348,11 @@ class TestEchoHelpers:
 
     def test_reference_echo_unit_energy(self):
         sp, atoms, cell, cv, grid, pulse = single_mode_setup(nz=128)
-        psi = pde.reference_echo(cell, 0.004, pulse, grid, sp.mean_detuning, OPTS)
+        cv = core.CouplingVector(np.array([0.004 * sp.mean_detuning]))
+        sched = pde.Schedule(entries=((pde.ScheduleEntry("store", cv, 1),
+                                       pde.ScheduleEntry("recall", cv, -1)),))
+        psi = pde.echo_mode(pde._simulate_batch(
+            [pde.reference_echo([cell], sched, sp, pulse, OPTS)], grid)[0])
         assert psi.energy() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -623,9 +628,8 @@ def test_chain_superposition_through_batch_axis():
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     a, b = 0.7 - 0.4j, -0.3 + 1.1j
-    pulse = pde.GaussianPulse(FWHM, CENTER, np.array([x, y, a * x + b * y]))
-    sig = np.zeros((3, sched.n_cells, grid.nz), dtype=complex)
-    r1, r2, r3 = pde._simulate_batch(cells, (sched,), {0: pulse}, grid, (sp,), opts, sig)
+    r1, r2, r3 = pde._simulate_batch([pde.Chain(cells, sched, sp, {0: pde.GaussianPulse(
+        FWHM, CENTER, amps)}, opts) for amps in (x, y, a * x + b * y)], grid)
     for o1, o2, o3 in zip(r1.outputs, r2.outputs, r3.outputs):
         scale = np.max(np.abs(o3.envelopes))
         assert scale > 0
@@ -696,7 +700,7 @@ def test_batched_basis_probes_match_single_runs():
     """Each probe of the one batched integration against its own simulate_network run."""
     sp, cells, sched, grid, opts = uncompensated_chain()
     pulse = pde.GaussianPulse(FWHM, CENTER, np.ones(3, dtype=complex) / math.sqrt(3))
-    probes = pde._basis_probe(cells, sched, grid, sp, opts, pulse)
+    probes = pde._simulate_batch(pde._basis_probe(cells, sched, grid, sp, opts, pulse), grid)
     assert len(probes) == 3
     for j, res in enumerate(probes):
         probe = pde.GaussianPulse(FWHM, CENTER, np.eye(3)[j])
@@ -715,9 +719,9 @@ def test_batch_runs_with_own_schedule_and_spectrum():
         compiler.compile_read(compiler.haar_random_unitary(3, seed=8), sp2, weight))
     rng = np.random.default_rng(12)
     amps = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    sig = np.zeros((2, sched.n_cells, grid.nz), dtype=complex)
-    runs = pde._simulate_batch(cells, (sched, sched2), {0: pde.GaussianPulse(FWHM, CENTER, amps)},
-                               grid, (sp, sp2), opts, sig)
+    runs = pde._simulate_batch([pde.Chain(cells, schedule, spectrum, {0: pde.GaussianPulse(
+        FWHM, CENTER, a)}, opts) for schedule, spectrum, a in zip((sched, sched2), (sp, sp2), amps)],
+        grid)
     assert len(runs) == 2
     for res, schedule, spectrum, a in zip(runs, (sched, sched2), (sp, sp2), amps):
         ref = pde.simulate_network(cells, schedule, {0: pde.GaussianPulse(FWHM, CENTER, a)},
@@ -748,7 +752,8 @@ def test_transfer_columns_match_basis_probe_runs():
     u_out = compiler.haar_random_unitary(2, seed=42)
     sp, cells, sched, grid, pulse = two_op_network(2, u_in, u_out, nz=64)
     m = pde.extract_transfer_matrix(cells, sched, grid, sp, pulse, OPTS)
-    psi = pde.default_temporal_mode(cells, sched, grid, sp, pulse, OPTS).envelopes[0]
+    psi = pde.echo_mode(pde._simulate_batch(
+        [pde.reference_echo(cells, sched, sp, pulse, OPTS)], grid)[0]).envelopes[0]
     win, _ = pde.echo_center(sched, grid, pulse.center)
     e1 = pde.GaussianPulse(FWHM, CENTER, np.array([1.0])).energy()
     for j in range(2):
@@ -756,3 +761,50 @@ def test_transfer_columns_match_basis_probe_runs():
         out = pde.simulate_network(cells, sched, {0: probe}, grid, sp, OPTS).outputs[win]
         column = np.trapezoid(out.envelopes * np.conj(psi), out.times, axis=1) / math.sqrt(e1)
         npt.assert_allclose(m[:, j], column, rtol=0, atol=1e-12)
+
+
+def test_mixed_batch_matches_standalone_runs():
+    """A 3-cell chain with its 1-cell reference echo, and the multi-transition
+    and single-excited runs of two eq5 cases, as one batch: each chain against
+    its own standalone run."""
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    rng = np.random.default_rng(13)
+    pulse = pde.GaussianPulse(FWHM, CENTER, rng.normal(size=3) + 1j * rng.normal(size=3))
+    network = pde.Chain(cells, sched, sp, {0: pulse}, opts)
+    echo = pde.reference_echo(cells, sched, sp, pulse, opts)
+    cases = [TestEq5()._setup(spacing, dt=grid.dt, nz=grid.nz) for spacing in (1.0, 0.3)]
+    eq5 = pde.eq5_chains(cases[0][1], [c[5] for c in cases], cases[0][4], [c[0] for c in cases],
+                         OPTS)
+    chains = [network, echo, *eq5]
+    runs = pde._simulate_batch(chains, grid)
+    assert len(runs) == 6
+    for res, chain in zip(runs, chains):
+        (ref,) = pde._simulate_batch([chain], grid)
+        assert_same_run(res, ref, sched.n_windows)
+    # the single-excited chains are simulate_eq5's runs
+    single, _ = pde.simulate_eq5(cases[0][1], [c[5] for c in cases], cases[0][4], grid,
+                                 [c[0] for c in cases], OPTS)
+    for res, outs in zip(runs[4:], single):
+        for out, ref_out in zip(res.outputs, outs):
+            npt.assert_array_equal(out.envelopes, ref_out.envelopes)
+    assert abs(runs[2].efficiency - runs[4].efficiency) > 1e-6
+
+
+def test_echo_pads_to_the_schedule_windows():
+    """The reference echo holds after its recall, so it rides with a longer schedule,
+    and its recalled mode is that of the two-window echo."""
+    sp, atoms, cell, cv, grid, pulse = single_mode_setup(nz=64)
+    two = pde.Schedule(entries=((pde.ScheduleEntry("store", cv, 1),
+                                 pde.ScheduleEntry("recall", cv, -1)),))
+    three = pde.Schedule(entries=((pde.ScheduleEntry("store", cv, 1),
+                                   pde.ScheduleEntry("hold", gradient_sign=-1),
+                                   pde.ScheduleEntry("recall", cv, -1)),))
+    echo3 = pde.reference_echo([cell], three, sp, pulse, OPTS)
+    assert echo3.schedule.n_windows == 3
+    network, res3 = pde._simulate_batch([pde.Chain([cell], three, sp, {0: pulse}, OPTS), echo3],
+                                        grid)
+    (res2,) = pde._simulate_batch([pde.reference_echo([cell], two, sp, pulse, OPTS)], grid)
+    npt.assert_array_equal(pde.echo_mode(res3).envelopes, pde.echo_mode(res2).envelopes)
+    with pytest.raises(core.ValidationError, match="same windows"):
+        pde._simulate_batch([pde.Chain([cell], three, sp, {0: pulse}, OPTS),
+                             pde.reference_echo([cell], two, sp, pulse, OPTS)], grid)
