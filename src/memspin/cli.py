@@ -10,8 +10,9 @@ bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
 ./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
 ``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``validate``
 builds everything ``run`` builds, window operators and step-size guards
-included, without the dynamics.  A config key the schema of its ``type``
-does not list is an error.
+included, without the dynamics.  Every entry is checked when the config is
+loaded, against the schema of its ``type``: a key the schema does not list,
+or a value not of the type the schema gives it, is an error.
 
 Exit codes: 0 success, 2 configuration/validation error (``validate`` also
 exits 2 when a validity margin fails), 3 numerical error (a step too large
@@ -58,59 +59,85 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
 
 
-# Every key a config may hold, per config type: a dict is a section, a list
-# holds the schema of each of its entries, None is a value.
-_ATOMS = dict.fromkeys(("Gamma_mhz", "gamma_mhz", "delta_mhz", "optical_depth"))
-_GRID = dict.fromkeys(("nz", "dt_us", "window_us"))
-_PULSE = {"shape": None, "fwhm_us": None, "center_us": None,
-          "mode_amplitudes": dict.fromkeys(("re", "im"))}
-_OPTIONS = dict.fromkeys(("power_broadening", "compensate_dispersion", "auto_two_photon"))
-_UNITARY = dict.fromkeys(("kind", "seed", "re", "im"))
+# Every entry a config may hold, per config type: a dict is a section, a list
+# holds the schema of each of its entries (a list of lists is a matrix of equal
+# rows), a tuple is a choice of literals and sections, and a type is a value.
+_MATRIX = [[float]]
+_ATOMS = dict.fromkeys(("Gamma_mhz", "gamma_mhz", "delta_mhz", "optical_depth"), float)
+_GRID = {"nz": int, "dt_us": float, "window_us": float}
+_PULSE = {"shape": str, "fwhm_us": float, "center_us": float,
+          "mode_amplitudes": ("uniform", {"re": [float], "im": [float]})}
+_OPTIONS = dict.fromkeys(("power_broadening", "compensate_dispersion", "auto_two_photon"), bool)
+_UNITARY = {"kind": str, "seed": int, "re": _MATRIX, "im": _MATRIX}
 SCHEMAS = {
     "network": {
-        "type": None, "label": None, "margin_threshold": None,
+        "type": str, "label": str, "margin_threshold": float,
         "atoms": _ATOMS, "grid": _GRID, "pulse": _PULSE, "options": _OPTIONS,
-        "spectrum": dict.fromkeys(("mean_mhz", "n_modes", "spacing_mhz", "detunings_mhz",
-                                   "guard")),
-        "cells": dict.fromkeys(("count", "gradient_mhz")),
-        "coupling": {"omega_tilde": None},
+        "spectrum": {"mean_mhz": float, "n_modes": int, "spacing_mhz": float,
+                     "detunings_mhz": [float], "guard": float},
+        "cells": {"count": int, "gradient_mhz": float},
+        "coupling": {"omega_tilde": float},
         "unitaries": {"write": _UNITARY, "read": _UNITARY},
-        "outputs": dict.fromkeys(("heatmap", "transfer")),
+        "outputs": dict.fromkeys(("heatmap", "transfer"), bool),
     },
     "eq5_sweep": {
-        "type": None, "label": None, "margin_threshold": None,
+        "type": str, "label": str, "margin_threshold": float,
         "atoms": _ATOMS, "grid": _GRID, "pulse": _PULSE, "options": _OPTIONS,
-        "spectrum": {"mean_mhz": None},
-        "cells": {"gradient_mhz": None},
-        "coupling": {"omega_tilde": None},
-        "cases": [dict.fromkeys(("label", "spacing_mhz", "dt_us"))],
+        "spectrum": {"mean_mhz": float},
+        "cells": {"gradient_mhz": float},
+        "coupling": {"omega_tilde": float},
+        "cases": [{"label": str, "spacing_mhz": float, "dt_us": float}],
     },
     "fock": {
-        "type": None, "label": None,
+        "type": str, "label": str,
         "fock": {
-            "photon_cap": None, "assembly": None, "herald": None, "ancilla_modes": None,
-            "inputs": None,
-            "stages": [dict.fromkeys(("label", "role", "window", "re", "im"))],
-            "export_plans": dict.fromkeys(("mean_mhz", "spacing_mhz", "guard", "omega_tilde")),
+            "photon_cap": int, "assembly": str, "herald": [int], "ancilla_modes": [int],
+            "inputs": [str],
+            "stages": [{"label": str, "role": str, "window": int, "re": _MATRIX, "im": _MATRIX}],
+            "export_plans": dict.fromkeys(("mean_mhz", "spacing_mhz", "guard", "omega_tilde"),
+                                          float),
         },
     },
 }
 
 
-def check_keys(node, schema, path: str = "") -> None:
-    """Reject any key of ``node`` that ``schema`` does not list, by its dotted path."""
-    if isinstance(schema, list) and isinstance(node, list):
-        for i, entry in enumerate(node):
-            check_keys(entry, schema[0], f"{path}.{i}")
-    elif isinstance(schema, dict) and isinstance(node, dict):
+def _check(node, schema, path: str) -> None:
+    """Raise ConfigError at the first entry of ``node`` that ``schema`` does not
+    allow, naming it by its dotted path (list entries by index)."""
+    if isinstance(schema, tuple):
+        if node in schema:
+            return
+        sections = [form for form in schema if isinstance(form, dict)]
+        if not (sections and isinstance(node, dict)):
+            forms = " or ".join(repr(form) if isinstance(form, str) else "dict" for form in schema)
+            raise ConfigError(f"config entry '{path}' must be {forms}")
+        schema = sections[0]
+    if isinstance(schema, dict):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config entry '{path}' must be dict")
         for key, value in node.items():
             where = f"{path}.{key}" if path else key
             if key not in schema:
                 raise ConfigError(f"unknown config entry '{where}'")
-            check_keys(value, schema[key], where)
+            _check(value, schema[key], where)
+    elif isinstance(schema, list):
+        if not isinstance(node, list):
+            raise ConfigError(f"config entry '{path}' must be list")
+        for i, entry in enumerate(node):
+            _check(entry, schema[0], f"{path}.{i}")
+            if isinstance(entry, list) and len(entry) != len(node[0]):
+                raise ConfigError(f"config entry '{path}.{i}' has {len(entry)} entries, "
+                                  f"row 0 has {len(node[0])}")
+    # bool subclasses int, so JSON true/false would otherwise pass as a number
+    elif isinstance(node, bool) and schema is not bool:
+        raise ConfigError(f"config entry '{path}' must be {schema.__name__}, not a boolean")
+    elif not isinstance(node, (int, float) if schema is float else schema):
+        raise ConfigError(f"config entry '{path}' must be {schema.__name__}")
 
 
 def load_config(path_or_name: str) -> dict:
+    """The config at a path or of a bundled name, as parsed, once every entry
+    has been checked against the schema of its ``type``."""
     candidate = scenario_path(path_or_name)
     if os.path.exists(path_or_name):
         text = open(path_or_name, "r", encoding="utf-8").read()
@@ -124,58 +151,26 @@ def load_config(path_or_name: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    kind = _get(cfg, "type", str, required=False, default="network")
-    if kind not in SCHEMAS:
+    kind = cfg.get("type", "network")
+    if not (isinstance(kind, str) and kind in SCHEMAS):
         raise ConfigError(f"config entry 'type' must be one of {', '.join(sorted(SCHEMAS))}")
-    check_keys(cfg, SCHEMAS[kind])
+    _check(cfg, SCHEMAS[kind], "")
     return cfg
 
 
-def _get(cfg: dict, path: str, typ, required=True, default=None):
-    """The entry at dotted ``path`` (an integer part indexes a list), checked as ``typ``."""
+def _require(cfg: dict, path: str):
+    """The entry at dotted ``path`` (an integer part indexes a list), which the
+    config must hold."""
     node = cfg
     parts = path.split(".")
     for i, part in enumerate(parts):
-        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+        if isinstance(node, list):
             node = node[int(part)]
-            continue
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
-            return default
-        node = node[part]
-    types = typ if isinstance(typ, tuple) else (typ,)
-    name = "/".join(t.__name__ for t in types)
-    # bool subclasses int, so JSON true/false would otherwise pass as a number
-    if isinstance(node, bool) and bool not in types:
-        raise ConfigError(f"config entry '{path}' must be {name}, not a boolean")
-    if float in types and isinstance(node, int):
-        node = float(node)
-    if not isinstance(node, types):
-        raise ConfigError(f"config entry '{path}' must be {name}")
+        elif part in node:
+            node = node[part]
+        else:
+            raise ConfigError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
     return node
-
-
-def _get_list(cfg: dict, path: str, typ, default=None) -> list:
-    """The list at ``path``, each entry read through ``_get`` as ``typ``;
-    required unless a ``default`` is given."""
-    values = _get(cfg, path, list, required=default is None)
-    if values is None:
-        return list(default)
-    return [_get(cfg, f"{path}.{i}", typ) for i in range(len(values))]
-
-
-def _get_matrix(cfg: dict, path: str, required=True) -> np.ndarray | None:
-    """The real matrix at ``path``: a list of equal-length rows of numbers."""
-    rows = _get(cfg, path, list, required=required)
-    if rows is None:
-        return None
-    m = [_get_list(cfg, f"{path}.{i}", float) for i in range(len(rows))]
-    for i, row in enumerate(m):
-        if len(row) != len(m[0]):
-            raise ConfigError(f"config entry '{path}.{i}' has {len(row)} entries, "
-                              f"row 0 has {len(m[0])}")
-    return np.array(m, dtype=float)
 
 
 def config_hash(cfg: dict) -> str:
@@ -188,38 +183,45 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def build_spectrum(cfg: dict) -> core.ModeSpectrum:
-    sc = _get(cfg, "spectrum", dict)
-    guard = _get(cfg, "spectrum.guard", float, required=False, default=core.FAR_DETUNED_GUARD)
+    sc = _require(cfg, "spectrum")
+    guard = sc.get("guard", core.FAR_DETUNED_GUARD)
     if "detunings_mhz" in sc:
-        det = np.asarray(_get_list(cfg, "spectrum.detunings_mhz", float))
-        mean = _get(cfg, "spectrum.mean_mhz", float, required=False, default=float(det.mean()))
+        for key in ("n_modes", "spacing_mhz"):
+            if key in sc:
+                raise ConfigError(f"config entry 'spectrum.{key}' is ignored where "
+                                  f"'spectrum.detunings_mhz' is given")
+        det = np.asarray(sc["detunings_mhz"], dtype=float)
+        mean = sc.get("mean_mhz", float(det.mean()))
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(det), guard=guard)
-    mean = _get(cfg, "spectrum.mean_mhz", float)
-    n = _get(cfg, "spectrum.n_modes", int)
+    mean = _require(cfg, "spectrum.mean_mhz")
+    n = _require(cfg, "spectrum.n_modes")
     if n == 1:
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(np.array([mean])), guard=guard)
-    spacing = _get(cfg, "spectrum.spacing_mhz", float)
+    spacing = _require(cfg, "spectrum.spacing_mhz")
     return core.ModeSpectrum.equally_spaced(mean, spacing, n, guard=guard)
 
 
 def build_atoms(cfg: dict) -> core.AtomicParams:
+    atoms = cfg.get("atoms", {})
     return core.AtomicParams(
-        Gamma=angular_from_mhz(_get(cfg, "atoms.Gamma_mhz", float)),
-        gamma=angular_from_mhz(_get(cfg, "atoms.gamma_mhz", float, required=False,
-                                    default=0.0)),
-        delta=angular_from_mhz(_get(cfg, "atoms.delta_mhz", float, required=False,
-                                    default=0.0)),
-        beta=_get(cfg, "atoms.optical_depth", float),
+        Gamma=angular_from_mhz(_require(cfg, "atoms.Gamma_mhz")),
+        gamma=angular_from_mhz(atoms.get("gamma_mhz", 0.0)),
+        delta=angular_from_mhz(atoms.get("delta_mhz", 0.0)),
+        beta=_require(cfg, "atoms.optical_depth"),
     )
 
 
 def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
     """The unitary of section ``unitaries.<label>``."""
     path = f"unitaries.{label}"
-    _get(cfg, path, dict)
-    kind = _get(cfg, f"{path}.kind", str, required=False, default="explicit")
+    section = _require(cfg, path)
+    kind = section.get("kind", "explicit")
+    for key, reader in (("seed", "haar"), ("re", "explicit"), ("im", "explicit")):
+        if key in section and kind != reader:
+            raise ConfigError(f"config entry '{path}.{key}' is ignored unless kind is "
+                              f"'{reader}'")
     if kind == "identity":
         return compiler.UnitarySpec(np.eye(n), label=label)
     if kind == "dft":
@@ -229,7 +231,7 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
             raise ConfigError(f"unitaries.{label}: hadamard2 needs exactly 2 modes")
         return compiler.UnitarySpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2), label=label)
     if kind == "haar":
-        return compiler.haar_random_unitary(n, seed=_get(cfg, f"{path}.seed", int), label=label)
+        return compiler.haar_random_unitary(n, seed=_require(cfg, f"{path}.seed"), label=label)
     if kind == "explicit":
         return compiler.UnitarySpec(_complex_matrix(cfg, path, im_required=True),
                                     label=label)
@@ -238,10 +240,10 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
 
 def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
     """The complex matrix ``<path>.re + i <path>.im``; a missing optional ``im`` is zero."""
-    re = _get_matrix(cfg, f"{path}.re")
-    im = _get_matrix(cfg, f"{path}.im", required=im_required)
-    if im is None:
+    re = np.array(_require(cfg, f"{path}.re"), dtype=float)
+    if not (im_required or "im" in _require(cfg, path)):
         return re.astype(complex)
+    im = np.array(_require(cfg, f"{path}.im"), dtype=float)
     if im.shape != re.shape:
         raise ConfigError(f"config entries '{path}.re' and '{path}.im' differ in shape "
                           f"({re.shape} against {im.shape})")
@@ -251,47 +253,44 @@ def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
 def build_grid(cfg: dict, grid_scale: float = 1.0, dt: float | None = None) -> pde.Grid:
     """The grid of section ``grid``, with its step replaced by ``dt`` if given,
     refined by ``grid_scale``; the unscaled grid must be valid itself."""
-    nz = _get(cfg, "grid.nz", int)
-    dt = _get(cfg, "grid.dt_us", float) if dt is None else dt
-    return pde.Grid(nz=nz, dt=dt, window=_get(cfg, "grid.window_us", float)).refined(grid_scale)
+    nz = _require(cfg, "grid.nz")
+    dt = _require(cfg, "grid.dt_us") if dt is None else dt
+    window = float(_require(cfg, "grid.window_us"))
+    return pde.Grid(nz=nz, dt=dt, window=window).refined(grid_scale)
 
 
 def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
-    shape = _get(cfg, "pulse.shape", str, required=False, default="gaussian")
+    pulse = cfg.get("pulse", {})
+    shape = pulse.get("shape", "gaussian")
     if shape != "gaussian":
         raise ConfigError(f"pulse.shape '{shape}' unsupported (gaussian only)")
-    fwhm = _get(cfg, "pulse.fwhm_us", float)
-    center = _get(cfg, "pulse.center_us", float)
-    amps_cfg = _get(cfg, "pulse.mode_amplitudes", (str, dict), required=False,
-                    default="uniform")
+    fwhm = _require(cfg, "pulse.fwhm_us")
+    center = _require(cfg, "pulse.center_us")
+    amps_cfg = pulse.get("mode_amplitudes", "uniform")
     if amps_cfg == "uniform":
         amps = np.ones(n, dtype=complex) / math.sqrt(n)
-    elif isinstance(amps_cfg, dict):
-        re = _get_list(cfg, "pulse.mode_amplitudes.re", float)
-        im = _get_list(cfg, "pulse.mode_amplitudes.im", float, default=[0.0] * len(re))
-        amps = np.asarray(re) + 1j * np.asarray(im)
+    else:
+        re = _require(cfg, "pulse.mode_amplitudes.re")
+        im = amps_cfg.get("im", [0.0] * len(re))
+        amps = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
         if amps.size != n:
             raise ConfigError("pulse.mode_amplitudes length must equal the mode count")
-    else:
-        raise ConfigError("pulse.mode_amplitudes must be 'uniform' or {re, im}")
     return pde.GaussianPulse(fwhm=fwhm, center=center, mode_amplitudes=amps)
 
 
 def output_switches(cfg: dict) -> tuple[bool, bool]:
     """The ``outputs.heatmap`` and ``outputs.transfer`` switches."""
-    return tuple(_get(cfg, f"outputs.{name}", bool, required=False, default=False)
-                 for name in ("heatmap", "transfer"))
+    outputs = cfg.get("outputs", {})
+    return outputs.get("heatmap", False), outputs.get("transfer", False)
 
 
 def build_options(cfg: dict, heatmap: bool) -> pde.SimOptions:
-    def switch(name):
-        return _get(cfg, f"options.{name}", bool, required=False, default=True)
+    options = cfg.get("options", {})
     return pde.SimOptions(
-        power_broadening=switch("power_broadening"),
-        compensate_dispersion=switch("compensate_dispersion"),
-        auto_two_photon=switch("auto_two_photon"),
-        margin_threshold=_get(cfg, "margin_threshold", float, required=False,
-                              default=core.MARGIN_THRESHOLD),
+        power_broadening=options.get("power_broadening", True),
+        compensate_dispersion=options.get("compensate_dispersion", True),
+        auto_two_photon=options.get("auto_two_photon", True),
+        margin_threshold=float(cfg.get("margin_threshold", core.MARGIN_THRESHOLD)),
         record_heatmap=heatmap,
     )
 
@@ -303,13 +302,13 @@ class NetworkSetup:
         self.spectrum = build_spectrum(cfg)
         n = self.spectrum.n_modes
         self.atoms = build_atoms(cfg)
-        n_cells = _get(cfg, "cells.count", int, required=False, default=n)
+        n_cells = cfg.get("cells", {}).get("count", n)
         if n_cells != n:
             raise ConfigError("cells.count must equal the mode count for compiled plans")
-        gradient = angular_from_mhz(_get(cfg, "cells.gradient_mhz", float))
+        gradient = angular_from_mhz(_require(cfg, "cells.gradient_mhz"))
         self.cells = [pde.MemoryCell(atoms=self.atoms, gradient_eta=gradient, id=f"m{j}")
                       for j in range(n)]
-        ot = _get(cfg, "coupling.omega_tilde", float)
+        ot = _require(cfg, "coupling.omega_tilde")
         self.u_in = build_unitary(cfg, n, "write")
         self.u_out = build_unitary(cfg, n, "read")
         self.write_plan = compiler.compile_write(self.u_in, self.spectrum, ot)
@@ -469,21 +468,21 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
 def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
     """Every case of an eq5 sweep, built: two modes at the case's spacing, one
     cell storing and recalling them, and the grid, pulse and options to run it."""
-    gradient = angular_from_mhz(_get(cfg, "cells.gradient_mhz", float))
+    gradient = angular_from_mhz(_require(cfg, "cells.gradient_mhz"))
     cell = pde.MemoryCell(atoms=build_atoms(cfg), gradient_eta=gradient, id="eq5")
-    ot = _get(cfg, "coupling.omega_tilde", float)
-    mean = _get(cfg, "spectrum.mean_mhz", float)
-    grid_dt = _get(cfg, "grid.dt_us", float)
+    ot = _require(cfg, "coupling.omega_tilde")
+    mean = _require(cfg, "spectrum.mean_mhz")
+    grid_dt = _require(cfg, "grid.dt_us")
     pulse = build_pulse(cfg, 2)
     options = build_options(cfg, heatmap=False)
     cases = []
-    for i in range(len(_get_list(cfg, "cases", dict))):
-        spacing = _get(cfg, f"cases.{i}.spacing_mhz", float)
+    for i, entry in enumerate(_require(cfg, "cases")):
+        spacing = float(_require(cfg, f"cases.{i}.spacing_mhz"))
         spectrum = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
         cv = core.CouplingVector(ot * spectrum.detunings / math.sqrt(2))
-        dt = _get(cfg, f"cases.{i}.dt_us", float, required=False, default=grid_dt)
+        dt = entry.get("dt_us", grid_dt)
         cases.append({
-            "label": _get(cfg, f"cases.{i}.label", str),
+            "label": _require(cfg, f"cases.{i}.label"),
             "spacing_mhz": spacing,
             "cell": cell,
             "spectrum": spectrum,
@@ -539,23 +538,22 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
 
 
 def build_fock_network(cfg: dict):
-    fc = _get(cfg, "fock", dict)
-    cap = _get(cfg, "fock.photon_cap", int, required=False, default=fock.DEFAULT_PHOTON_CAP)
-    assembly = _get(cfg, "fock.assembly", str, required=False, default="cz")
+    fc = _require(cfg, "fock")
+    cap = fc.get("photon_cap", fock.DEFAULT_PHOTON_CAP)
+    assembly = fc.get("assembly", "cz")
     if assembly != "cz":
         raise ConfigError(f"fock.assembly '{assembly}' unknown (only 'cz' bundled)")
     stages = fock.cz_network()
     if "stages" in fc:
-        roles = _get_list(cfg, "fock.stages", dict)
-        if len(roles) != len(stages):
+        if len(fc["stages"]) != len(stages):
             raise ConfigError("fock.stages must list one entry per assembly stage")
         rebuilt = []
-        for i, (entry, stage) in enumerate(zip(roles, stages)):
+        for i, (entry, stage) in enumerate(zip(fc["stages"], stages)):
             where = f"fock.stages.{i}"
-            role = _get(cfg, f"{where}.role", str, required=False)
-            if role != stage.role:
-                raise ConfigError(
-                    f"{where}.role '{role}' does not match assembly role '{stage.role}'")
+            for key, want in (("role", stage.role), ("label", stage.label), ("window", i)):
+                if entry.get(key) != want:
+                    raise ConfigError(f"{where}.{key} {entry.get(key)!r} does not match "
+                                      f"assembly {key} {want!r}")
             if "re" in entry or "im" in entry:
                 # explicit override of one stage's unitary (validated here)
                 m = _complex_matrix(cfg, where, im_required=False)
@@ -564,8 +562,8 @@ def build_fock_network(cfg: dict):
                     modes=stage.modes, label=stage.label, role=stage.role)
             rebuilt.append(stage)
         stages = rebuilt
-    herald = _get_list(cfg, "fock.herald", int, default=fock.CZ_HERALD_PATTERN)
-    ancilla = _get_list(cfg, "fock.ancilla_modes", int, default=fock.CZ_ANCILLA_MODES)
+    herald = fc.get("herald", fock.CZ_HERALD_PATTERN)
+    ancilla = fc.get("ancilla_modes", fock.CZ_ANCILLA_MODES)
     try:
         policy = fock.cz_policy(stages, herald=herald, ancilla_modes=ancilla)
     except ValidationError as exc:
@@ -592,15 +590,15 @@ def build_fock_run(cfg: dict):
     Returns (stages, policy, photon cap, [(label, (q1, q2))], stage plans or None).
     """
     stages, (policy, cap, fc) = build_fock_network(cfg)
-    labels = _get_list(cfg, "fock.inputs", str, default=["00", "01", "10", "11", "++"])
+    labels = fc.get("inputs", ["00", "01", "10", "11", "++"])
     inputs = [(label, _parse_qubit_label(label)) for label in labels]
     plans = None
     if "export_plans" in fc:
-        def plan(key, **kw):
-            return _get(cfg, f"fock.export_plans.{key}", float, **kw)
+        def plan(key):
+            return _require(cfg, f"fock.export_plans.{key}")
         sp = core.ModeSpectrum.equally_spaced(
             plan("mean_mhz"), plan("spacing_mhz"), fock.CZ_MODES,
-            guard=plan("guard", required=False, default=core.FAR_DETUNED_GUARD))
+            guard=fc["export_plans"].get("guard", core.FAR_DETUNED_GUARD))
         plans = fock.stage_plans(stages, sp, plan("omega_tilde"))
     return stages, policy, cap, inputs, plans
 

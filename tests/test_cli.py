@@ -260,17 +260,61 @@ def set_entry(cfg, path, value):
     node[key] = value
 
 
-@pytest.mark.parametrize("path", ["grid.nz", "atoms.optical_depth",
-                                  "unitaries.read.seed", "fock.photon_cap"])
-def test_json_bool_rejected_as_number(tmp_path, capsys, path):
-    scenario = {"unitaries": "random_3mode", "fock": "klm_cz"}.get(path.split(".")[0],
-                                                                   "fifty_mhz_margins")
-    cfg = json.loads(cli.scenario_path(scenario).read_text())
-    set_entry(cfg, path, True)
-    bad = tmp_path / "bool.json"
-    bad.write_text(json.dumps(cfg))
+SCENARIO_OF_TYPE = {"network": "random_3mode", "eq5_sweep": "eq5_regime_sweep",
+                    "fock": "klm_cz"}
+
+
+def scalar_entries(schema, path=""):
+    """(dotted path, type) of every value a schema allows, list entries at index 0."""
+    if isinstance(schema, tuple):
+        for form in schema:
+            yield from scalar_entries(form, path)
+    elif isinstance(schema, dict):
+        for key, sub in schema.items():
+            yield from scalar_entries(sub, f"{path}.{key}" if path else key)
+    elif isinstance(schema, list):
+        yield from scalar_entries(schema[0], f"{path}.0")
+    elif isinstance(schema, type):
+        yield path, schema
+
+
+def with_entry(node, parts, value):
+    """``node`` with the entry at ``parts`` set to ``value``; a section or list
+    missing on the way, or another value in its place, is made anew."""
+    if not parts:
+        return value
+    head, *rest = parts
+    if head == "0":
+        node = list(node) if isinstance(node, list) and node else [None]
+        node[0] = with_entry(node[0], rest, value)
+    else:
+        node = dict(node) if isinstance(node, dict) else {}
+        node[head] = with_entry(node.get(head), rest, value)
+    return node
+
+
+def wrong_typed_entries():
+    """A bool where a number or string belongs and a string where a switch
+    belongs, for every value of every config type; a path seen under an earlier
+    type is named with its type."""
+    seen = set()
+    for kind, schema in cli.SCHEMAS.items():
+        for path, typ in scalar_entries(schema):
+            name = f"{kind}:{path}" if path in seen else path
+            seen.add(path)
+            yield pytest.param(kind, path, "true" if typ is bool else True, id=name)
+    yield pytest.param("network", "label", 5, id="label_int")
+    yield pytest.param("network", "type", [], id="type_list")
+
+
+@pytest.mark.parametrize("kind, path, value", list(wrong_typed_entries()))
+def test_json_bool_rejected_as_number(tmp_path, capsys, kind, path, value):
+    """Every entry is checked against the type its schema gives, read or not."""
+    cfg = json.loads(cli.scenario_path(SCENARIO_OF_TYPE[kind]).read_text())
+    bad = tmp_path / "wrong.json"
+    bad.write_text(json.dumps(with_entry(cfg, path.split("."), value)))
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
-    assert f"'{path}'" in capsys.readouterr().err
+    assert f"config entry '{path}' must be " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, path", [
@@ -317,9 +361,22 @@ def explicit(re):
     ("klm_cz", {"fock.ancilla_modes": [4, 4, 6, 7]}, "duplicate mode indices"),
     ("klm_cz", {"fock.herald": [1, 0, 1]}, "3 mode indices needed"),
     ("klm_cz", {"fock.ancilla_modes": [4, 5, 6, -1]}, "mode index out of range"),
+    ("klm_cz", {"fock.stages.0.label": "U9"},
+     "fock.stages.0.label 'U9' does not match assembly label 'U1'"),
+    ("klm_cz", {"fock.stages.0.window": 7},
+     "fock.stages.0.window 7 does not match assembly window 0"),
+    ("fifty_mhz_margins", {"spectrum.n_modes": 3, "spectrum.spacing_mhz": 15},
+     "'spectrum.n_modes' is ignored"),
+    ("fifty_mhz_margins", {"spectrum.spacing_mhz": 15}, "'spectrum.spacing_mhz' is ignored"),
+    ("hadamard_2mode", {"unitaries.write.seed": 3}, "'unitaries.write.seed' is ignored"),
+    ("random_3mode", {"unitaries.read.re": np.eye(3).tolist()},
+     "'unitaries.read.re' is ignored"),
+    ("identity_1mode", {"unitaries.read.im": [[0.0]]}, "'unitaries.read.im' is ignored"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
         "string_entry", "bool_stage_entry", "echo_outside_windows",
-        "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative"])
+        "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
+        "stage_label", "stage_window", "n_modes_beside_detunings",
+        "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())
@@ -351,6 +408,32 @@ def test_fock_policy_error_names_entry(tmp_path, capsys, path, value):
     for command in (["validate", bad], ["fock-verify", bad, "--out", tmp_path / "o"]):
         assert run_cli(command) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: config entry '{path}': ")
+
+
+def test_bundled_configs_load_as_parsed():
+    """load_config coerces nothing and fills in nothing, so the hash is the file's."""
+    for name in cli.bundled_scenarios():
+        parsed = json.loads(cli.scenario_path(name).read_text())
+        assert cli.config_hash(cli.load_config(name)) == cli.config_hash(parsed), name
+
+
+def test_float_entries_written_as_integers_report_as_floats(tmp_path):
+    """A float entry written as a JSON integer runs and reports as the float would."""
+    def integral_as_int(text):
+        return int(float(text)) if float(text).is_integer() else float(text)
+
+    cfg = json.loads(cli.scenario_path("identity_1mode").read_text(),
+                     parse_float=integral_as_int)
+    assert type(cfg["grid"]["window_us"]) is int and type(cfg["atoms"]["Gamma_mhz"]) is int
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(cfg))
+    reports = []
+    for config in ("identity_1mode", path):
+        assert run_cli(["run", config, "--out", tmp_path / "o"]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        reports.append({k: v for k, v in report.items()
+                        if k not in ("config_hash", "wall_time_s")})
+    assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
 
 def test_import_leaves_scipy_solvers_unloaded():
