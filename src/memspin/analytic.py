@@ -242,16 +242,3 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
     return np.fromiter((s for s, _ in rk4(rhs, complex(sigma0), t_grid)), dtype=complex,
                        count=t_grid.size)
 
-
-def perturbation_magnitude(coupling: CouplingVector, spectrum: ModeSpectrum) -> float:
-    """Quadrature sum of the pair cross terms, sqrt(sum |W_k W_j / (D d_kj)|^2).
-
-    This is the quantity the first spacing inequality bounds; it vanishes
-    for a single mode and halves when all spacings double.
-    """
-    if spectrum.n_modes < 2:
-        return 0.0
-    if len(coupling) != spectrum.n_modes:
-        raise ValidationError("coupling length must match the spectrum")
-    w_kj, d_kj = _pairs(coupling.amplitudes, spectrum.detunings)
-    return float(np.linalg.norm(w_kj / (spectrum.mean_detuning * d_kj)))

@@ -197,6 +197,9 @@ def build_spectrum(cfg: dict) -> core.ModeSpectrum:
     mean = _require(cfg, "spectrum.mean_mhz")
     n = _require(cfg, "spectrum.n_modes")
     if n == 1:
+        if "spacing_mhz" in sc:
+            raise ConfigError("config entry 'spectrum.spacing_mhz' is ignored where "
+                              "'spectrum.n_modes' is 1")
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(np.array([mean])), guard=guard)
     spacing = _require(cfg, "spectrum.spacing_mhz")
@@ -239,7 +242,7 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
 
 
 def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
-    """The complex matrix ``<path>.re + i <path>.im``; a missing optional ``im`` is zero."""
+    """The complex array ``<path>.re + i <path>.im``; a missing optional ``im`` is zero."""
     re = np.array(_require(cfg, f"{path}.re"), dtype=float)
     if not (im_required or "im" in _require(cfg, path)):
         return re.astype(complex)
@@ -270,9 +273,7 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
     if amps_cfg == "uniform":
         amps = np.ones(n, dtype=complex) / math.sqrt(n)
     else:
-        re = _require(cfg, "pulse.mode_amplitudes.re")
-        im = amps_cfg.get("im", [0.0] * len(re))
-        amps = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        amps = _complex_matrix(cfg, "pulse.mode_amplitudes", im_required=False)
         if amps.size != n:
             raise ConfigError("pulse.mode_amplitudes length must equal the mode count")
     return pde.GaussianPulse(fwhm=fwhm, center=center, mode_amplitudes=amps)
@@ -349,8 +350,8 @@ def run_network(setup: NetworkSetup, transfer: bool = False):
     """
     result, *probes, echo = pde._simulate_batch(setup.chains(transfer), setup.grid)
     psi = pde.echo_mode(echo)
-    ideal_m = compiler.ideal_transfer(setup.u_in, setup.u_out).matrix
-    ideal = pde.ideal_output(ideal_m, setup.pulse.mode_amplitudes, psi,
+    ideal = pde.ideal_output(compiler.ideal_transfer(setup.u_in, setup.u_out),
+                             setup.pulse.mode_amplitudes, psi,
                              setup.pulse.mode_energy())
     result.efficiency, result.overlap = pde.efficiency_and_overlap(result, ideal)
     matrix = (pde.transfer_from_probes(probes, psi, setup.schedule, setup.grid, setup.pulse)
@@ -514,8 +515,7 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
     for i, case in enumerate(cases):
         eff_multi, eff_single, dev = deviations[i]
         cell, sp, entries = case["cell"], case["spectrum"], case["entries"]
-        m9 = core.check_inequality_9(sp, core.effective_rates(entries[0].coupling, sp,
-                                                              cell.atoms))
+        m9 = core.margin_report(sp, entries[0].coupling, cell.atoms).margin9
         results.append({
             "label": case["label"],
             "spacing_mhz": case["spacing_mhz"],

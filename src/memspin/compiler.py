@@ -9,6 +9,7 @@ so the total coupling power per memory is independent of the mode count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,7 @@ from .core import (
     MarginReport,
     ModeSpectrum,
     ValidationError,
-    effective_rates,
-    check_inequality_7,
-    check_inequality_9,
+    margin_report,
     omega_tilde,
     MARGIN_THRESHOLD,
 )
@@ -91,26 +90,8 @@ class CouplingPlan:
         return cls(memories=mems, omega_tilde_target=float(data["omega_tilde"]), label=label)
 
 
-class WritePlan(CouplingPlan):
-    """Coupling plan applied while storing: memory j absorbs row j of the target."""
-
-
-class ReadPlan(CouplingPlan):
-    """Coupling plan applied while recalling: the chain emits through the
-    adjoint of the target matrix."""
-
-
-@dataclass(frozen=True)
-class IdealTransfer:
-    """Loss-scaled mode-transfer matrix expected from a write/read pair."""
-
-    matrix: np.ndarray
-    write_efficiency: float
-    read_efficiency: float
-
-
 def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float,
-             cls, label_prefix: str):
+             label_prefix: str) -> CouplingPlan:
     if u.n != spectrum.n_modes:
         raise ValidationError(
             f"target is {u.n}x{u.n} but the spectrum has {spectrum.n_modes} modes"
@@ -121,24 +102,24 @@ def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float,
         CouplingVector(omega_tilde_target * spectrum.detunings * np.conj(u.matrix[j]))
         for j in range(u.n)
     )
-    return cls(memories=rows, omega_tilde_target=float(omega_tilde_target),
-               label=f"{label_prefix}:{u.label}" if u.label else label_prefix)
+    return CouplingPlan(memories=rows, omega_tilde_target=float(omega_tilde_target),
+                        label=f"{label_prefix}:{u.label}" if u.label else label_prefix)
 
 
 def compile_write(u: UnitarySpec, spectrum: ModeSpectrum,
-                  omega_tilde_target: float) -> WritePlan:
+                  omega_tilde_target: float) -> CouplingPlan:
     """Couplings W_{j,k} = W~ * D_k * conj(U_{jk}) so cell j stores row j."""
-    return _compile(u, spectrum, omega_tilde_target, WritePlan, "write")
+    return _compile(u, spectrum, omega_tilde_target, "write")
 
 
 def compile_read(u: UnitarySpec, spectrum: ModeSpectrum,
-                 omega_tilde_target: float) -> ReadPlan:
+                 omega_tilde_target: float) -> CouplingPlan:
     """Same row construction as the write compile, applied during recall.
 
     With these couplings the spin-to-field transfer of the chain is the
     adjoint of the matrix: mode k receives sum_j conj(U_{jk}) S_j.
     """
-    return _compile(u, spectrum, omega_tilde_target, ReadPlan, "read")
+    return _compile(u, spectrum, omega_tilde_target, "read")
 
 
 def reconstruct_matrix(plan: CouplingPlan, spectrum: ModeSpectrum) -> np.ndarray:
@@ -150,28 +131,20 @@ def reconstruct_matrix(plan: CouplingPlan, spectrum: ModeSpectrum) -> np.ndarray
     return np.asarray(rows)
 
 
-def ideal_transfer(u_in: UnitarySpec, u_out: UnitarySpec,
-                   eta_w: float = 1.0, eta_r: float = 1.0) -> IdealTransfer:
-    """Loss-scaled composition sqrt(eta_w * eta_r) * adj(U_out) @ U_in."""
-    if not (0.0 <= eta_w <= 1.0 and 0.0 <= eta_r <= 1.0):
-        raise ValidationError("efficiencies must lie in [0, 1]")
+def ideal_transfer(u_in: UnitarySpec, u_out: UnitarySpec) -> np.ndarray:
+    """The lossless mode-transfer matrix of a write/read pair, adj(U_out) @ U_in."""
     if u_in.n != u_out.n:
         raise ValidationError("write and read targets must have equal size")
-    m = np.sqrt(eta_w * eta_r) * (u_out.matrix.conj().T @ u_in.matrix)
-    return IdealTransfer(matrix=m, write_efficiency=eta_w, read_efficiency=eta_r)
+    return u_out.matrix.conj().T @ u_in.matrix
 
 
 def validate_plan(plan: CouplingPlan, spectrum: ModeSpectrum, atoms: AtomicParams,
                   threshold: float = MARGIN_THRESHOLD) -> MarginReport:
     """Worst-case validity margins over all memories in the plan."""
-    worst7 = np.inf
-    worst9 = np.inf
-    for cv in plan.memories:
-        ot = omega_tilde(cv, spectrum)
-        rates = effective_rates(cv, spectrum, atoms)
-        worst7 = min(worst7, check_inequality_7(spectrum, ot))
-        worst9 = min(worst9, check_inequality_9(spectrum, rates))
-    return MarginReport(margin7=float(worst7), margin9=float(worst9), threshold=threshold)
+    reps = [margin_report(spectrum, cv, atoms) for cv in plan.memories]
+    return MarginReport(margin7=min((r.margin7 for r in reps), default=math.inf),
+                        margin9=min((r.margin9 for r in reps), default=math.inf),
+                        threshold=threshold)
 
 
 def haar_random_unitary(n: int, seed: int, label: str = "") -> UnitarySpec:

@@ -1,9 +1,9 @@
 """Unit conventions, mode algebra and validity-regime checks.
 
 All rates and detunings are stored internally as angular frequencies in
-rad/us.  Configuration files quote linear frequencies in MHz; the pair of
-helpers :func:`angular_from_mhz` / :func:`mhz_from_angular` convert by 2*pi
-so that a single convention holds everywhere downstream.
+rad/us.  Configuration files quote linear frequencies in MHz;
+:func:`angular_from_mhz` converts them by 2*pi so that a single convention
+holds everywhere downstream.
 
 The light-atom coupling constant is fixed to g = 1 and the effective linear
 atomic density to N = beta * Gamma / L (with L = 1), so the resonant optical
@@ -65,11 +65,6 @@ class StepSizeError(MemspinError):
 def angular_from_mhz(f_mhz):
     """Convert a linear frequency in MHz to an angular rate in rad/us."""
     return TWO_PI * np.asarray(f_mhz, dtype=float) if np.ndim(f_mhz) else TWO_PI * float(f_mhz)
-
-
-def mhz_from_angular(w):
-    """Convert an angular rate in rad/us back to a linear frequency in MHz."""
-    return np.asarray(w, dtype=float) / TWO_PI if np.ndim(w) else float(w) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -273,15 +268,6 @@ def effective_rates(coupling: CouplingVector, spectrum: ModeSpectrum,
     return EffectiveRates(gamma_eff=gamma_eff, delta_eff=delta_eff)
 
 
-def effective_optical_depth(atoms: AtomicParams, omega_tilde_value: float) -> float:
-    """Two-photon-line optical depth beta_eff = beta * W~^2 * Gamma / gamma."""
-    if atoms.gamma == 0.0:
-        if omega_tilde_value == 0.0:
-            return 0.0
-        return math.inf
-    return atoms.beta * omega_tilde_value ** 2 * atoms.Gamma / atoms.gamma
-
-
 def dispersion_phase(atoms: AtomicParams, spectrum: ModeSpectrum, z: float) -> np.ndarray:
     """Per-mode envelope phase phi_k(z) = -beta * Gamma * z / D_k.
 
@@ -292,12 +278,6 @@ def dispersion_phase(atoms: AtomicParams, spectrum: ModeSpectrum, z: float) -> n
     if not 0.0 <= z <= 1.0:
         raise ValidationError("z must lie in [0, 1]")
     return -atoms.beta * atoms.Gamma * z / spectrum.detunings
-
-
-def dispersion_spread(atoms: AtomicParams, spectrum: ModeSpectrum) -> float:
-    """Spread of the per-mode dispersion phases over a full cell (rad)."""
-    phases = dispersion_phase(atoms, spectrum, 1.0)
-    return float(np.max(phases) - np.min(phases))
 
 
 def check_inequality_7(spectrum: ModeSpectrum, omega_tilde_value: float) -> float:
@@ -312,20 +292,18 @@ def check_inequality_7(spectrum: ModeSpectrum, omega_tilde_value: float) -> floa
     return spectrum.min_spacing() / denom
 
 
-def check_inequality_9(spectrum: ModeSpectrum, rates: EffectiveRates,
-                       n: int | None = None) -> float:
+def check_inequality_9(spectrum: ModeSpectrum, rates: EffectiveRates) -> float:
     """Margin of the mode spacing against the broadened memory linewidth.
 
     margin = min_{j!=k} |D_j - D_k| / (sqrt(N) * max(gamma', |delta'|)).
     Infinite when both effective rates vanish or for a single mode.
     """
-    n_modes = spectrum.n_modes if n is None else int(n)
     if spectrum.n_modes < 2:
         return math.inf
     scale = max(rates.gamma_eff, abs(rates.delta_eff))
     if scale == 0.0:
         return math.inf
-    return spectrum.min_spacing() / (math.sqrt(n_modes) * scale)
+    return spectrum.min_spacing() / (math.sqrt(spectrum.n_modes) * scale)
 
 
 def margin_report(spectrum: ModeSpectrum, coupling: CouplingVector, atoms: AtomicParams,

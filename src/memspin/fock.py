@@ -49,7 +49,7 @@ class CapacityError(MemspinError):
 
 
 class ConditioningError(MemspinError):
-    """Conditioning on a measurement pattern of zero probability."""
+    """A heralded run has no single success branch to condition on."""
 
 
 class PolicyError(MemspinError):
@@ -165,9 +165,6 @@ class FockState:
             return 0.0
         return abs(self.inner(other)) ** 2 / denom ** 2
 
-    def total_photons(self) -> set[int]:
-        return {sum(occ) for occ in self.amplitudes}
-
 
 def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
     """Act with a linear-optical unitary on a subset of modes.
@@ -208,20 +205,6 @@ class MeasurementOutcome:
     probability: float
     conditioned_state: FockState | None
     success: bool = True
-
-
-def measure_and_condition(state: FockState, modes, pattern) -> MeasurementOutcome:
-    """Project the given modes onto a photon-count pattern.
-
-    The measured modes are removed; the returned state lives on the
-    remaining modes and is renormalised.
-    """
-    pattern = tuple(int(p) for p in pattern)
-    modes = _checked_modes(modes, state.n_modes, arity=len(pattern))
-    for outcome in measurement_distribution(state, modes):
-        if outcome.pattern == pattern:
-            return outcome
-    raise ConditioningError(f"pattern {pattern} has zero probability")
 
 
 def measurement_distribution(state: FockState, modes) -> list[MeasurementOutcome]:
@@ -269,9 +252,9 @@ def embed_unitary(u: np.ndarray, modes, n_total: int) -> np.ndarray:
     return full
 
 
-def beamsplitter(theta: float = math.pi / 4) -> UnitarySpec:
-    """Real symmetric two-mode mixer; theta = pi/4 gives the balanced case."""
-    c, s = math.cos(theta), math.sin(theta)
+def beamsplitter() -> UnitarySpec:
+    """Balanced real symmetric two-mode mixer, the rotation by pi/4."""
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     return UnitarySpec(matrix=np.array([[c, s], [s, -c]]), label="bs")
 
 

@@ -227,9 +227,8 @@ class GaussianPulse:
     """Gaussian input pulse shared by all modes, |envelope|^2 FWHM = fwhm.
 
     ``center`` is window-local time in us; ``mode_amplitudes`` are the
-    complex per-mode weights, (n_modes,), or (P, n_modes) for a batch of P
-    pulses that share the envelope (the basis probes).  Called on an array
-    of times, it returns the inflows at each, (*times.shape, *amplitudes.shape).
+    complex per-mode weights, (n_modes,).  Called on an array of times, it
+    returns the inflows at each, (*times.shape, n_modes).
     """
 
     fwhm: float
@@ -242,10 +241,6 @@ class GaussianPulse:
         if self.fwhm <= 0:
             raise ValidationError("pulse fwhm must be positive")
 
-    @property
-    def n_modes(self) -> int:
-        return int(self.mode_amplitudes.shape[-1])
-
     def envelope(self, t) -> np.ndarray:
         return np.exp(-2.0 * math.log(2.0) * ((np.asarray(t) - self.center) / self.fwhm) ** 2)
 
@@ -257,7 +252,7 @@ class GaussianPulse:
         return self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
 
     def energy(self) -> float:
-        """sum_k |amp_k|^2 times :meth:`mode_energy` (summed over a batch)."""
+        """sum_k |amp_k|^2 times :meth:`mode_energy`."""
         return float(np.sum(np.abs(self.mode_amplitudes) ** 2)) * self.mode_energy()
 
 
@@ -733,13 +728,12 @@ def simulate_cell(cell: MemoryCell, entry: ScheduleEntry, pulse, grid: Grid,
     return result.outputs[0], result.residual_spins[0]
 
 
-def echo_center(schedule: Schedule, grid: Grid, pulse_center: float,
-                store_window: int = 0) -> tuple[int, float]:
+def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[int, float]:
     """Predict (window, window-local time) of the gradient-echo re-emission.
 
-    Tracks the signed dephasing accumulated from the pulse centre onwards
-    and finds where it returns to zero.  Requires uniform gradient signs
-    across cells within each window.
+    Tracks the signed dephasing accumulated from the centre of a pulse stored
+    in window 0 onwards and finds where it returns to zero.  Requires uniform
+    gradient signs across cells within each window.
     """
     signs = []
     for w in range(schedule.n_windows):
@@ -747,8 +741,8 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float,
         if len(col) != 1:
             raise ScheduleError("echo prediction requires uniform gradient signs per window")
         signs.append(col.pop())
-    acc = signs[store_window] * (grid.window - pulse_center)
-    for w in range(store_window + 1, schedule.n_windows):
+    acc = signs[0] * (grid.window - pulse_center)
+    for w in range(1, schedule.n_windows):
         s = signs[w]
         if s != 0 and 0.0 <= -acc / s <= grid.window:
             return w, -acc / s

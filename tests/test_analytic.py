@@ -227,28 +227,3 @@ class TestOracle:
         with pytest.raises(analytic.StepSizeError):
             analytic.ode_oracle(atoms, cv, sp, None, np.linspace(0, 10, 11))
 
-
-class TestPerturbationMagnitude:
-    def test_single_mode_zero(self):
-        sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=np.array([mhz(250.0)]))
-        assert analytic.perturbation_magnitude(core.CouplingVector([1.0]), sp) == 0.0
-
-    def test_matches_inequality_scale(self):
-        sp = core.ModeSpectrum.equally_spaced(250.0, 15.0, 10, guard=0.35)
-        ot = 0.02
-        cv = core.CouplingVector(ot * sp.detunings / math.sqrt(10))
-        pm = analytic.perturbation_magnitude(cv, sp)
-        scale = sp.mean_detuning * ot ** 2 / (math.sqrt(10) * sp.min_spacing())
-        assert 0.5 <= pm / scale <= 2.0
-
-    def test_halves_when_spacings_double(self):
-        amps = np.array([1.0, -0.5 + 0.2j, 0.3j])
-        a = analytic.perturbation_magnitude(
-            core.CouplingVector(amps),
-            core.ModeSpectrum(mean_detuning=mhz(250.0),
-                              detunings=mhz(250.0) + np.array([-6.0, 1.0, 7.0])))
-        b = analytic.perturbation_magnitude(
-            core.CouplingVector(amps),
-            core.ModeSpectrum(mean_detuning=mhz(250.0),
-                              detunings=mhz(250.0) + 2 * np.array([-6.0, 1.0, 7.0])))
-        assert a == pytest.approx(2 * b, rel=1e-12)

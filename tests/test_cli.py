@@ -372,11 +372,18 @@ def explicit(re):
     ("random_3mode", {"unitaries.read.re": np.eye(3).tolist()},
      "'unitaries.read.re' is ignored"),
     ("identity_1mode", {"unitaries.read.im": [[0.0]]}, "'unitaries.read.im' is ignored"),
+    ("identity_1mode", {"spectrum.spacing_mhz": 15.0},
+     "config entry 'spectrum.spacing_mhz' is ignored where 'spectrum.n_modes' is 1"),
+    ("hadamard_2mode", {"pulse.mode_amplitudes": {"re": [1, 0], "im": [0]}},
+     "'pulse.mode_amplitudes.im' differ in shape"),
+    ("hadamard_2mode", {"pulse.mode_amplitudes": {"re": [1, 0], "im": [0, 0, 0]}},
+     "'pulse.mode_amplitudes.im' differ in shape"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
         "string_entry", "bool_stage_entry", "echo_outside_windows",
         "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
         "stage_label", "stage_window", "n_modes_beside_detunings",
-        "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit"])
+        "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit",
+        "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())

@@ -125,7 +125,7 @@ class TestApplyUnitary:
         st = fock.FockState(amplitudes=amps, n_modes=3).normalized()
         out = fock.apply_unitary(st, u, (0, 1, 2))
         assert out.norm() == pytest.approx(1.0, abs=1e-10)
-        assert out.total_photons() == {3}
+        assert {sum(occ) for occ in out.amplitudes} == {3}
 
     def test_matches_operator_expansion(self):
         """Permanent amplitudes equal direct polynomial expansion exhaustively."""
@@ -238,36 +238,37 @@ def per_pattern_scan(state, modes, pattern):
     return prob, {k: v * scale for k, v in reduced.items()}
 
 
+def pattern_outcome(outcomes, pattern):
+    """The outcome of ``pattern`` in a measurement distribution."""
+    (out,) = [o for o in outcomes if o.pattern == pattern]
+    return out
+
+
 class TestMeasurement:
     def test_full_measurement_certain(self):
         st = fock.FockState.from_occupation((1, 0))
-        out = fock.measure_and_condition(st, (0, 1), (1, 0))
+        (out,) = fock.measurement_distribution(st, (0, 1))
+        assert out.pattern == (1, 0)
         assert out.probability == pytest.approx(1.0)
         assert out.conditioned_state.n_modes == 0
 
     def test_partial_measurement(self):
         st = fock.FockState(amplitudes={(1, 0): 1 / math.sqrt(2),
                                         (0, 1): 1 / math.sqrt(2)}, n_modes=2)
-        out = fock.measure_and_condition(st, (1,), (0,))
+        out = pattern_outcome(fock.measurement_distribution(st, (1,)), (0,))
         assert out.probability == pytest.approx(0.5)
         assert out.conditioned_state.amplitudes[(1,)] == pytest.approx(1.0)
 
     def test_zero_probability_rejected(self):
+        """A pattern of zero probability is not among the outcomes."""
         st = fock.FockState.from_occupation((1, 0))
-        with pytest.raises(fock.ConditioningError):
-            fock.measure_and_condition(st, (0,), (3,))
+        assert [o.pattern for o in fock.measurement_distribution(st, (0,))] == [(1,)]
         stored_zero = fock.FockState(amplitudes={(1, 0): 1.0, (0, 1): 0.0}, n_modes=2)
         assert [o.pattern for o in fock.measurement_distribution(stored_zero, (0,))] == [(1,)]
-        with pytest.raises(fock.ConditioningError):
-            fock.measure_and_condition(stored_zero, (0,), (0,))
 
     def test_mode_validation(self):
         st = fock.FockState.from_occupation((1, 0, 1))
-        for modes, pattern in (((0, 3), (1, 0)), ((-1,), (1,)), ((0, 0), (1, 1)),
-                               ((0, 1), (1,))):
-            with pytest.raises(core.ValidationError):
-                fock.measure_and_condition(st, modes, pattern)
-        for modes in ((3,), (-1,), (2, 2)):
+        for modes in ((0, 3), (3,), (-1,), (2, 2)):
             with pytest.raises(core.ValidationError):
                 fock.measurement_distribution(st, modes)
 
@@ -282,10 +283,8 @@ class TestMeasurement:
         assert [o.pattern for o in outs] == patterns
         for out in outs:
             prob, amps = per_pattern_scan(st, modes, out.pattern)
-            single = fock.measure_and_condition(st, modes, out.pattern)
-            for got in (out, single):
-                assert got.probability == prob
-                assert list(got.conditioned_state.amplitudes.items()) == list(amps.items())
+            assert out.probability == prob
+            assert list(out.conditioned_state.amplitudes.items()) == list(amps.items())
 
     def test_distribution_sums_to_one(self):
         bs = fock.beamsplitter()
@@ -308,7 +307,7 @@ class TestNsGate:
         for n in range(3):
             st = fock.FockState.from_occupation((n, 1, 0))
             out = fock.apply_unitary(st, ns, (0, 1, 2))
-            res = fock.measure_and_condition(out, (1, 2), (1, 0))
+            res = pattern_outcome(fock.measurement_distribution(out, (1, 2)), (1, 0))
             assert res.probability == pytest.approx(0.25, abs=1e-10)
 
     def test_unitary(self):

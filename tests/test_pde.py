@@ -283,7 +283,7 @@ class TestNetwork:
         psi = pde.echo_mode(pde._simulate_batch(
             [pde.reference_echo(cells, sched, sp, pulse, OPTS)], grid)[0])
         e1 = pde.GaussianPulse(FWHM, CENTER, np.array([1.0])).energy()
-        ideal_m = compiler.ideal_transfer(u_in, u_out).matrix
+        ideal_m = compiler.ideal_transfer(u_in, u_out)
         ideal = pde.ideal_output(ideal_m, pulse.mode_amplitudes, psi, e1)
         res = pde.simulate_network(cells, sched, {0: pulse}, grid, sp, OPTS, ideal=ideal)
         assert res.overlap >= 0.98
@@ -410,7 +410,7 @@ class TestTransferExtraction:
         u_out = compiler.haar_random_unitary(3, seed=22)
         sp, cells, sched, grid, pulse = two_op_network(3, u_in, u_out, nz=128)
         m = pde.extract_transfer_matrix(cells, sched, grid, sp, pulse, OPTS)
-        ideal = compiler.ideal_transfer(u_in, u_out).matrix
+        ideal = compiler.ideal_transfer(u_in, u_out)
         ratio = m / ideal
         ratio = ratio * np.exp(-1j * np.angle(ratio[0, 0]))
         assert np.max(np.abs(np.angle(ratio))) <= 0.1
