@@ -191,16 +191,14 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
         ds/dt = -(gamma + i delta + (Gamma + i D) |W(t)|^2 / D^2) s
                 + i (W(t)* / D) E(t)
 
-    where E(t) = sum_k E_k(t) exp(i (D_k - D) t).  ``fields`` may be None
-    (undriven), a constant per-mode vector, or a callable t -> vector.
-    The grid must resolve the fastest beat with at least 20 points per
-    period.  Keeps the bare rates: this is the reference the closed forms
-    are judged against.
+    where E(t) = sum_k E_k exp(i (D_k - D) t).  ``fields`` is None
+    (undriven) or a constant per-mode vector.  The grid must resolve the
+    fastest beat with at least 20 points per period.  Keeps the bare rates:
+    this is the reference the closed forms are judged against.
 
     The equation reads ds/dt = a(t) s + b(t).  Both coefficients are
-    tabulated on the RK4 stage times one block at a time, a callable
-    ``fields`` being called once per stage time inside the block, so each
-    RHS evaluation is scalar arithmetic.
+    tabulated on the RK4 stage times one block at a time, so each RHS
+    evaluation is scalar arithmetic.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -214,22 +212,14 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
     d = spectrum.mean_detuning
     bare_rate = atoms.gamma + 1j * atoms.delta
     stark_rate = atoms.Gamma + 1j * d
-    if fields is not None and not callable(fields):
+    if fields is not None:
         fields = np.atleast_1d(np.asarray(fields, dtype=complex))
         if fields.shape != beats.shape:
             raise ValidationError("one probe envelope per mode required")
 
     def coefficients(t):
         om = beat_sum(amps, beats, t)
-        if fields is None:
-            e = np.zeros_like(om)
-        elif callable(fields):
-            values = np.array([np.asarray(fields(tk), dtype=complex) for tk in t.tolist()])
-            if values.shape != t.shape + beats.shape:
-                raise ValidationError("fields(t) must return one probe envelope per mode")
-            e = beat_sum(values, beats, t)
-        else:
-            e = beat_sum(fields, beats, t)
+        e = np.zeros_like(om) if fields is None else beat_sum(fields, beats, t)
         decay = bare_rate + stark_rate * np.abs(om) ** 2 / d ** 2
         return np.stack([-decay, 1j * (np.conj(om) / d) * e], axis=1)
 

@@ -140,7 +140,8 @@ def load_config(path_or_name: str) -> dict:
     has been checked against the schema of its ``type``."""
     candidate = scenario_path(path_or_name)
     if os.path.exists(path_or_name):
-        text = open(path_or_name, "r", encoding="utf-8").read()
+        with open(path_or_name, "r", encoding="utf-8") as fh:
+            text = fh.read()
     elif candidate.is_file():
         text = candidate.read_text(encoding="utf-8")
     else:
@@ -663,6 +664,9 @@ COMMANDS = {
     "extract-transfer": cmd_extract_transfer,
 }
 
+# the one config type a command takes; run and validate take every type
+COMMAND_TYPES = {"fock-verify": "fock", "extract-transfer": "network"}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -678,6 +682,9 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get("MEMSPIN_OUT", "memspin_out")
     try:
         cfg = load_config(args.config)
+        needed = COMMAND_TYPES.get(args.command, cfg.get("type", "network"))
+        if cfg.get("type", "network") != needed:
+            raise ConfigError(f"{args.command} needs a config of type '{needed}'")
         return COMMANDS[args.command](cfg, out_dir, args)
     except (core.StepSizeError, pde.DivergenceError, pde.UndefinedOverlapError,
             fock.ConditioningError, fock.DerivationError) as exc:

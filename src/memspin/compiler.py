@@ -62,7 +62,6 @@ class CouplingPlan:
 
     memories: tuple[CouplingVector, ...]
     omega_tilde_target: float
-    label: str = ""
 
     @property
     def n_memories(self) -> int:
@@ -82,16 +81,15 @@ class CouplingPlan:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, label: str = "") -> "CouplingPlan":
+    def from_json_dict(cls, data: dict) -> "CouplingPlan":
         mems = tuple(
             CouplingVector(np.asarray(m["omega_re"]) + 1j * np.asarray(m["omega_im"]))
             for m in data["memories"]
         )
-        return cls(memories=mems, omega_tilde_target=float(data["omega_tilde"]), label=label)
+        return cls(memories=mems, omega_tilde_target=float(data["omega_tilde"]))
 
 
-def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float,
-             label_prefix: str) -> CouplingPlan:
+def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float) -> CouplingPlan:
     if u.n != spectrum.n_modes:
         raise ValidationError(
             f"target is {u.n}x{u.n} but the spectrum has {spectrum.n_modes} modes"
@@ -102,14 +100,13 @@ def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float,
         CouplingVector(omega_tilde_target * spectrum.detunings * np.conj(u.matrix[j]))
         for j in range(u.n)
     )
-    return CouplingPlan(memories=rows, omega_tilde_target=float(omega_tilde_target),
-                        label=f"{label_prefix}:{u.label}" if u.label else label_prefix)
+    return CouplingPlan(memories=rows, omega_tilde_target=float(omega_tilde_target))
 
 
 def compile_write(u: UnitarySpec, spectrum: ModeSpectrum,
                   omega_tilde_target: float) -> CouplingPlan:
     """Couplings W_{j,k} = W~ * D_k * conj(U_{jk}) so cell j stores row j."""
-    return _compile(u, spectrum, omega_tilde_target, "write")
+    return _compile(u, spectrum, omega_tilde_target)
 
 
 def compile_read(u: UnitarySpec, spectrum: ModeSpectrum,
@@ -119,7 +116,7 @@ def compile_read(u: UnitarySpec, spectrum: ModeSpectrum,
     With these couplings the spin-to-field transfer of the chain is the
     adjoint of the matrix: mode k receives sum_j conj(U_{jk}) S_j.
     """
-    return _compile(u, spectrum, omega_tilde_target, "read")
+    return _compile(u, spectrum, omega_tilde_target)
 
 
 def reconstruct_matrix(plan: CouplingPlan, spectrum: ModeSpectrum) -> np.ndarray:

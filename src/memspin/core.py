@@ -5,9 +5,9 @@ rad/us.  Configuration files quote linear frequencies in MHz;
 :func:`angular_from_mhz` converts them by 2*pi so that a single convention
 holds everywhere downstream.
 
-The light-atom coupling constant is fixed to g = 1 and the effective linear
-atomic density to N = beta * Gamma / L (with L = 1), so the resonant optical
-depth ``beta`` is the single depth parameter of the model.
+The light-atom coupling constant is fixed to g = 1 and the cell length to 1,
+so the effective linear atomic density is N = beta * Gamma and the resonant
+optical depth ``beta`` is the single depth parameter of the model.
 
 The time integrators of :mod:`memspin.pde` and :mod:`memspin.analytic` share
 the RK4 stepper :func:`rk4`, the error :class:`StepSizeError` and the beat
@@ -134,14 +134,13 @@ class AtomicParams:
     """Atomic ensemble parameters in angular units (rad/us).
 
     ``beta`` is the resonant optical depth; the coupling density
-    N = beta * Gamma / length is derived from it with g = 1.
+    N = beta * Gamma is derived from it with g = 1 over a unit length.
     """
 
     Gamma: float
     gamma: float = 0.0
     delta: float = 0.0
     beta: float = 1.0
-    length: float = 1.0
 
     def __post_init__(self):
         if self.Gamma <= 0:
@@ -150,13 +149,11 @@ class AtomicParams:
             raise ValidationError("spin dephasing gamma must be non-negative")
         if self.beta <= 0:
             raise ValidationError("optical depth beta must be positive")
-        if self.length <= 0:
-            raise ValidationError("length must be positive")
 
     @property
     def coupling_density(self) -> float:
-        """Effective linear atomic density N = beta * Gamma / L (g = 1)."""
-        return self.beta * self.Gamma / self.length
+        """Effective linear atomic density N = beta * Gamma (g = 1, L = 1)."""
+        return self.beta * self.Gamma
 
 
 @dataclass(frozen=True)
@@ -336,13 +333,13 @@ def check_beat_resolution(spectrum: ModeSpectrum, step: float) -> None:
 def beat_sum(amplitudes, beats, t, envelope=1.0) -> np.ndarray:
     """sum_k amplitudes_k * envelope * exp(i beats_k t) on the times ``t``.
 
-    ``amplitudes`` is (n_modes,), or (t.size, n_modes) for weights that
-    change with time; ``envelope`` is a scalar or one value per time.  The
-    sum runs over the few modes, so no (times, modes) array is built.
+    ``amplitudes`` holds one weight per mode; ``envelope`` is a scalar or one
+    value per time.  The sum runs over the few modes, so no (times, modes)
+    array is built.
     """
     total = np.zeros(np.shape(t), dtype=complex)
-    for k, beat in enumerate(beats):
-        total += (amplitudes[..., k] * envelope) * np.exp(1j * (beat * t))
+    for amplitude, beat in zip(amplitudes, beats):
+        total += (amplitude * envelope) * np.exp(1j * (beat * t))
     return total
 
 

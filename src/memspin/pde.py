@@ -39,8 +39,11 @@ superposition holds to rounding error.
 
 Every op is one integration of a batch (:func:`_simulate_batch`): chains
 (:class:`Chain`) laid end to end on one cell axis, each with its own cells,
-schedule, spectrum, inflow and starting spins, so G is block-diagonal and
-each chain has its own outflow.  A run carries its reference echo, a
+schedule, spectrum and inflow, so G is block-diagonal and each chain has its
+own outflow.  Every chain starts from zero spin: its memories are empty
+until a store window fills them.  Before integrating, the batch warns once
+for each distinct coupling that fails the validity margins, the first such
+coupling of each chain.  A run carries its reference echo, a
 transfer extraction its N basis probes and the echo, and an eq5 sweep
 both models of every case on a grid.  The inflow drive i B e is tabulated
 on the RK4 stage times a block at a time (:func:`memspin.core.stage_table`),
@@ -182,10 +185,10 @@ class Schedule:
             if len(row) != n_windows:
                 raise ScheduleError("all cells must cover the same windows")
 
-    def check_causality(self, preloaded=frozenset()):
-        """A cell may only recall after it stored (or was seeded with spin)."""
+    def check_causality(self):
+        """A cell may only recall after it stored."""
         for c, row in enumerate(self.entries):
-            stored = c in preloaded
+            stored = False
             for w, entry in enumerate(row):
                 if entry.event == "store":
                     stored = True
@@ -299,7 +302,6 @@ class SimOptions:
     power_broadening: bool = True
     compensate_dispersion: bool = True
     auto_two_photon: bool = True
-    check_margins: bool = True
     margin_threshold: float = MARGIN_THRESHOLD
     record_heatmap: bool = False
 
@@ -323,17 +325,23 @@ class NetworkResult:
 @dataclass(frozen=True)
 class Chain:
     """One run of a batch (:func:`_simulate_batch`): ``cells`` run ``schedule``
-    under ``spectrum``, fed ``inputs`` (window -> pulse), from ``spins``
-    ((n_cells, nz), zero if None); a ``single_excited`` chain is one cell
-    under the model of eq. 5 (:class:`_Eq5Operator`)."""
+    under ``spectrum``, fed ``inputs`` (window -> pulse), from zero spin; a
+    ``single_excited`` chain is one cell under the model of eq. 5
+    (:class:`_Eq5Operator`)."""
 
     cells: list
     schedule: Schedule
     spectrum: ModeSpectrum
     inputs: dict
     options: SimOptions = SimOptions()
-    spins: np.ndarray | None = None
     single_excited: bool = False
+
+
+def _check_step(dt: float, rate: float) -> None:
+    """Reject a step ``dt`` that is too large for the fastest rate of a window."""
+    if dt * rate > 0.5:
+        raise StepSizeError(f"dt = {dt} too large for dynamics rate {rate:.3g} rad/us "
+                            f"(dt * rate = {dt * rate:.2f} > 0.5)")
 
 
 def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
@@ -391,13 +399,8 @@ class _ChainOperator:
                 phase[c + 1] *= disp
                 upstream[c + 1] *= disp[:, None]
         absorb = ncal * np.sum(np.abs(ratios) ** 2, axis=1)
-        rate = float(np.max(gamma_eff + np.abs([cell.gradient_eta for cell in cells]) / 2.0
-                            + absorb))
-        if grid.dt * rate > 0.5:
-            raise StepSizeError(
-                f"dt = {grid.dt} too large for dynamics rate {rate:.3g} rad/us "
-                f"(dt * rate = {grid.dt * rate:.2f} > 0.5)"
-            )
+        _check_step(grid.dt, float(np.max(
+            gamma_eff + np.abs([cell.gradient_eta for cell in cells]) / 2.0 + absorb)))
         self.absorb = absorb[:, None]
         self.decay = -(gamma_eff[:, None] + 1j * delta_z)
         self.emit = 1j * ncal[:, None] * ratios
@@ -494,7 +497,8 @@ class _Eq5Operator:
     oscillate, (Gamma + i D) |W(t)|^2 / D^2, instead of being folded into
     constant rates.  The gradient is the static decay; the rate, the drive
     i conj(r) E and the absorption N |r|^2 (r = W / D) are tabulated, and
-    the outflow is E + i N r S(1).
+    the outflow is E + i N r S(1).  The step guard takes the peak rate,
+    with |W(t)| at its bound sum_k |W_k|.
     """
 
     iG = None
@@ -517,6 +521,9 @@ class _Eq5Operator:
         self.decay = -(1j * (delta + offset + grad))[None, :]
         self.absorb = np.zeros((1, 1))
         self.stark = (1.0 if options.power_broadening else 0.0) * cell.atoms.Gamma + 1j * self.d
+        peak = float(np.sum(np.abs(self.amps))) ** 2 / self.d ** 2
+        _check_step(grid.dt, cell.atoms.gamma + (self.stark.real + cell.atoms.coupling_density)
+                    * peak + abs(cell.gradient_eta) / 2.0)
 
     def inflow(self, t, pulse) -> np.ndarray:
         """The composite probe E(t) at the times ``t``, (t.size, 1), zero without ``pulse``."""
@@ -542,36 +549,28 @@ class _Eq5Operator:
 
 def window_operators(chains, grid: Grid):
     """Check a batch of chains and build its operators: per window, the
-    joined operator and each chain's own; and the starting state.  The
-    step-size guards (the chain rate, the eq5 beat) run here, so this
+    joined operator and each chain's own; and the starting state, zero spin.
+    The step-size guards (the rate, the eq5 beat) run here, so this
     validates a batch without integrating it."""
     if len({chain.schedule.n_windows for chain in chains}) != 1:
         raise ValidationError("the chains of a batch must cover the same windows")
-    starts = []
     for chain in chains:
-        shape = (len(chain.cells), grid.nz)
         if len(chain.cells) != chain.schedule.n_cells:
-            raise ScheduleError(f"{shape[0]} cells supplied for a schedule with "
+            raise ScheduleError(f"{len(chain.cells)} cells supplied for a schedule with "
                                 f"{chain.schedule.n_cells} rows")
-        spins = np.zeros(shape, complex) if chain.spins is None else np.array(chain.spins, complex)
-        if spins.shape != shape:
-            raise ValidationError("initial_spins must have shape (n_cells, nz)")
-        chain.schedule.check_causality(preloaded={c for c in range(shape[0]) if np.any(spins[c])})
-        starts.append(spins)
+        chain.schedule.check_causality()
     windows = []
     for w in range(chains[0].schedule.n_windows):
         parts = [(_Eq5Operator if chain.single_excited else _ChainOperator)(
             chain.cells, chain.schedule, w, chain.spectrum, grid, chain.options)
             for chain in chains]
         windows.append((_ChainOperator.joined(parts), parts))
-    return windows, np.concatenate(starts)
+    return windows, np.zeros((sum(len(chain.cells) for chain in chains), grid.nz), complex)
 
 
 def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
-                     spectrum: ModeSpectrum, options: SimOptions = SimOptions(),
-                     ideal: list[FieldState] | None = None,
-                     initial_spins: np.ndarray | None = None) -> NetworkResult:
-    """Run a schedule over a chain of cells.
+                     spectrum: ModeSpectrum, options: SimOptions = SimOptions()) -> NetworkResult:
+    """Run a schedule over a chain of cells, from zero spin.
 
     Parameters
     ----------
@@ -581,16 +580,8 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
         Mapping window index -> pulse callable.  A pulse takes an array of
         window-local times and returns the inflow amplitudes at each,
         (*times.shape, n_modes), as :class:`GaussianPulse` does.
-    ideal:
-        Optional per-output-window ideal envelopes; when given, the overlap
-        is computed and stored on the result.
-    initial_spins:
-        Optional (n_cells, nz) starting spin grids (default all zero).
     """
-    (result,) = _simulate_batch([Chain(cells, schedule, spectrum, inputs, options,
-                                       initial_spins)], grid)
-    if ideal is not None:
-        result.efficiency, result.overlap = efficiency_and_overlap(result, ideal)
+    (result,) = _simulate_batch([Chain(cells, schedule, spectrum, inputs, options)], grid)
     return result
 
 
@@ -604,9 +595,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     each chain's outflow and input power are formed from it afterwards.
     """
     windows, sig = window_operators(chains, grid)
-    for chain in chains:
-        if chain.options.check_margins:
-            _warn_on_margins(chain.cells, chain.schedule, chain.spectrum, chain.options)
+    _warn_on_margins(chains)
     bounds = np.cumsum([0] + [len(chain.cells) for chain in chains])
     rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     timed = any(chain.single_excited for chain in chains)
@@ -687,44 +676,40 @@ def _check_finite(series: np.ndarray, sig: np.ndarray, window: int, times: np.nd
         raise DivergenceError(f"non-finite spin state after window {window}")
 
 
-def _warn_on_margins(cells, schedule, spectrum, options):
-    if spectrum.n_modes < 2:
-        return
-    for cell, row in zip(cells, schedule.entries):
+def _margin_failure(chain: Chain) -> str | None:
+    """The warning for the first coupling of ``chain`` that fails the validity
+    margins, None if every coupling passes (as a single mode always does)."""
+    for cell, row in zip(chain.cells, chain.schedule.entries):
         for entry in row:
             if entry.coupling is None or not np.any(entry.coupling.amplitudes):
                 continue
-            report = margin_report(spectrum, entry.coupling, cell.atoms,
-                                   threshold=options.margin_threshold)
+            report = margin_report(chain.spectrum, entry.coupling, cell.atoms,
+                                   threshold=chain.options.margin_threshold)
             if not (report.pass7 and report.pass9):
-                # attributed to the first frame outside this module, whatever the entry point
-                frame, level = sys._getframe(), 1
-                while frame.f_globals.get("__name__") == __name__:
-                    frame, level = frame.f_back, level + 1
-                warnings.warn(
-                    f"cell '{cell.id}': validity margins below threshold "
-                    f"(margin7 = {report.margin7:.3g}, margin9 = {report.margin9:.3g})",
-                    RuntimeWarning,
-                    stacklevel=level,
-                )
-                return
+                return (f"cell '{cell.id}': validity margins below threshold "
+                        f"(margin7 = {report.margin7:.3g}, margin9 = {report.margin9:.3g})")
+    return None
+
+
+def _warn_on_margins(chains) -> None:
+    """Warn once for each distinct failing coupling of a batch, the first of
+    each chain, so a network and its probes or eq5 twin share one warning."""
+    failures = dict.fromkeys(filter(None, map(_margin_failure, chains)))
+    # attributed to the first frame outside this module, whatever the entry point
+    frame, level = sys._getframe(), 1
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    for message in failures:
+        warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def simulate_cell(cell: MemoryCell, entry: ScheduleEntry, pulse, grid: Grid,
-                  spectrum: ModeSpectrum, options: SimOptions = SimOptions(),
-                  initial_spin: np.ndarray | None = None):
-    """Single cell, single window; returns (output FieldState, SpinState).
-
-    ``pulse`` may be None for a window without inflow (for example recall).
-    Seed ``initial_spin`` (shape (nz,)) to chain windows manually.
+                  spectrum: ModeSpectrum, options: SimOptions = SimOptions()):
+    """Single cell, single window from zero spin; returns (output FieldState,
+    SpinState).  ``pulse`` may be None for a window without inflow.
     """
-    schedule = Schedule(entries=((entry,),))
-    inputs = {0: pulse} if pulse is not None else {}
-    seed = None
-    if initial_spin is not None:
-        seed = np.asarray(initial_spin, dtype=complex)[None, :]
-    result = simulate_network([cell], schedule, inputs, grid, spectrum, options,
-                              initial_spins=seed)
+    result = simulate_network([cell], Schedule(entries=((entry,),)), {0: pulse}, grid,
+                              spectrum, options)
     return result.outputs[0], result.residual_spins[0]
 
 
@@ -794,7 +779,7 @@ def reference_echo(cells, schedule: Schedule, spectrum: ModeSpectrum, pulse: Gau
                  ModeSpectrum(mean_detuning=d, detunings=np.array([d])),
                  {0: GaussianPulse(fwhm=pulse.fwhm, center=pulse.center,
                                    mode_amplitudes=np.array([1.0]))},
-                 replace(options, record_heatmap=False, check_margins=False))
+                 replace(options, record_heatmap=False))
 
 
 def echo_mode(result: NetworkResult) -> FieldState:
@@ -826,7 +811,7 @@ def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,
     weight on mode j only, in mode order.  Fails unless the gradient echo
     lands inside the scheduled windows, where the extraction reads it."""
     echo_center(schedule, grid, pulse.center)
-    probe_options = replace(options, record_heatmap=False, check_margins=False)
+    probe_options = replace(options, record_heatmap=False)
     return [Chain(cells, schedule, spectrum, {0: replace(pulse, mode_amplitudes=weights)},
                   probe_options) for weights in np.eye(spectrum.n_modes)]
 
@@ -860,12 +845,11 @@ def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,
 def eq5_chains(cell: MemoryCell, entries, pulse: GaussianPulse, spectra,
                options: SimOptions = SimOptions()) -> list[Chain]:
     """Both models of every eq5 case: the multi-transition chains of the cases,
-    then their single-excited chains, which do not warn on margins."""
+    then their single-excited chains."""
     if len(spectra) != len(entries):
         raise ValidationError("one spectrum needed for every case")
-    single_options = replace(options, check_margins=False)
-    return [Chain([cell], Schedule(entries=(tuple(row),)), spectrum, {0: pulse},
-                  single_options if single else options, single_excited=single)
+    return [Chain([cell], Schedule(entries=(tuple(row),)), spectrum, {0: pulse}, options,
+                  single_excited=single)
             for single in (False, True) for row, spectrum in zip(entries, spectra)]
 
 

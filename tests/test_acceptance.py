@@ -17,7 +17,7 @@ from memspin.core import angular_from_mhz as mhz
 
 GAMMA = mhz(6.0)
 ETA = 2.2 * 4 * math.log(2) / 10.0
-OPTS = pde.SimOptions(check_margins=False)
+OPTS = pde.SimOptions()
 
 
 def _report(n, detail):
@@ -272,7 +272,7 @@ def test_criterion_8_conservation_and_convergence(golden_run):
     cv = core.CouplingVector(np.array([ot * mhz(250.0)]))
     grid = pde.Grid(nz=256, dt=0.02, window=40.0)
     pulse = pde.GaussianPulse(10.0, 20.0, np.array([1.0]))
-    lossless = pde.SimOptions(check_margins=False, power_broadening=False)
+    lossless = pde.SimOptions(power_broadening=False)
     out, spin = pde.simulate_cell(cell, pde.ScheduleEntry("store", cv, 1), pulse,
                                   grid, sp, lossless)
     balance = abs(out.energy() + spin.energy_norm(atoms) - pulse.energy()) / pulse.energy()

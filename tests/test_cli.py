@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -478,7 +479,9 @@ def edited(tmp_path, scenario, edits):
     ("eq5_regime_sweep", {"cases.0.dt_us": 0.2},
      "time step 0.2 does not resolve the fastest beat (need <= 0.025)"),
     ("identity_1mode", {"grid.dt_us": 1.0}, "(dt * rate = 0.92 > 0.5)"),
-], ids=["eq5_beat", "chain_rate"])
+    ("eq5_regime_sweep", {"cases": [{"label": "margin_1", "spacing_mhz": 0.019068,
+                                     "dt_us": 0.4}]}, "(dt * rate = 0.61 > 0.5)"),
+], ids=["eq5_beat", "chain_rate", "eq5_rate"])
 def test_validate_runs_the_step_size_guards(tmp_path, capsys, scenario, edits, message):
     """validate builds the window operators of every chain run would build, so
     a step run rejects exits 3 in validate too, with run's message."""
@@ -550,3 +553,41 @@ def test_grid_scale_does_not_lift_an_invalid_base_grid(tmp_path, capsys):
     small = edited(tmp_path, "identity_1mode", {"grid.nz": 48})
     assert run_cli(["validate", small, "--grid-scale", "2"]) == cli.EXIT_CONFIG
     assert "nz must be at least 64" in capsys.readouterr().err
+
+
+def test_load_config_closes_the_file(tmp_path):
+    """A config given by path is read and closed: no ResourceWarning."""
+    path = edited(tmp_path, "identity_1mode", {})
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        cli.load_config(str(path))
+        gc.collect()
+    assert [w for w in record if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("command, scenario, needed", [
+    ("fock-verify", "ten_mode_two_ops", "fock"),
+    ("fock-verify", "eq5_regime_sweep", "fock"),
+    ("extract-transfer", "eq5_regime_sweep", "network"),
+    ("extract-transfer", "klm_cz", "network"),
+])
+def test_command_refuses_a_config_of_another_type(tmp_path, capsys, command, scenario, needed):
+    assert run_cli([command, scenario, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: {command} needs a config of type "
+                                       f"'{needed}'\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("extract-transfer", {}),
+    ("run", {"outputs.transfer": True}),
+], ids=["extract_transfer", "run_transfer"])
+def test_failed_margins_warn_once_per_op(tmp_path, command, edits):
+    """A network and its basis probes share their couplings, so an op whose
+    margins fail warns once, from the line in cli that integrates."""
+    path = edited(tmp_path, "random_3mode", {"margin_threshold": 1e12, **edits})
+    with pytest.warns(RuntimeWarning, match="validity margins below threshold") as record:
+        assert run_cli([command, path, "--out", tmp_path / "o",
+                        "--grid-scale", "0.5"]) == cli.EXIT_OK
+    margins = [w for w in record if issubclass(w.category, RuntimeWarning)]
+    assert [Path(w.filename).name for w in margins] == ["cli.py"]
