@@ -34,9 +34,7 @@ from .core import (
     AtomicParams,
     CouplingVector,
     EffectiveRates,
-    MemspinError,
     ModeSpectrum,
-    StepSizeError,  # noqa: F401  (re-exported: the oracle raises it)
     ValidationError,
     beat_sum,
     check_beat_resolution,
@@ -44,14 +42,6 @@ from .core import (
     stage_table,
     stage_times,
 )
-
-
-class SingularityError(MemspinError):
-    """Degenerate mode detunings make the pair product singular."""
-
-
-class ResonancePoleError(MemspinError):
-    """A driving term sits exactly on the broadened resonance pole."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ def _pairs(amps: np.ndarray, det: np.ndarray):
     mask = kk != jj
     d_kj = det[kk[mask]] - det[jj[mask]]
     if np.any(d_kj == 0):
-        raise SingularityError("degenerate detunings in the pair product")
+        raise ValidationError("degenerate detunings in the pair product")
     w_kj = amps[kk[mask]] * np.conj(amps[jj[mask]])
     return w_kj, d_kj
 
@@ -165,7 +155,7 @@ def driven_spin_solution(sol: AnalyticSpinSolution, fields, t):
     if e_k.size != sol.spectrum.n_modes:
         raise ValidationError("one probe envelope per mode required")
     if gp == 0 and dp == 0:
-        raise ResonancePoleError("gamma' + i delta' vanishes; steady term undefined")
+        raise ValidationError("gamma' + i delta' vanishes; steady term undefined")
     out = sol.alpha * np.exp(-(gp + 1j * dp) * t)
     out = out + (1j / (gp + 1j * dp)) * np.sum(np.conj(amps) / d * e_k)
     n = det.size
@@ -176,7 +166,7 @@ def driven_spin_solution(sol: AnalyticSpinSolution, fields, t):
             d_kj = det[k] - det[j]
             pole = gp + 1j * (dp + d_kj)
             if abs(pole) < 1e-12:
-                raise ResonancePoleError(
+                raise ValidationError(
                     f"driving term for pair ({k}, {j}) sits on the resonance pole")
             out = out + 1j * (np.conj(amps[j]) / d) * e_k[k] * np.exp(1j * d_kj * t) / pole
     return out[0] if t_in.ndim == 0 else out

@@ -14,9 +14,10 @@ included, without the dynamics.  Every entry is checked when the config is
 loaded, against the schema of its ``type``: a key the schema does not list,
 or a value not of the type the schema gives it, is an error.
 
-Exit codes: 0 success, 2 configuration/validation error (``validate`` also
-exits 2 when a validity margin fails), 3 numerical error (a step too large
-for the dynamics, or divergence).
+Exit codes: 0 success; 2 on a :class:`~memspin.core.ValidationError` (and from
+``validate`` when a validity margin fails); 3 on a
+:class:`~memspin.core.NumericalError` (a step too coarse, a divergence, a
+zero-energy ideal, a herald without one success branch, or a bad NS gate).
 """
 
 from __future__ import annotations
@@ -33,15 +34,11 @@ from importlib import resources
 import numpy as np
 
 from . import compiler, core, fock, pde
-from .core import MemspinError, ValidationError, angular_from_mhz
+from .core import MemspinError, NumericalError, ValidationError, angular_from_mhz
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(ValidationError):
-    """Configuration file failed validation; message names the bad path."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +99,37 @@ SCHEMAS = {
 
 
 def _check(node, schema, path: str) -> None:
-    """Raise ConfigError at the first entry of ``node`` that ``schema`` does not
-    allow, naming it by its dotted path (list entries by index)."""
+    """Raise ValidationError at the first entry of ``node`` that ``schema``
+    does not allow, naming it by its dotted path (list entries by index)."""
     if isinstance(schema, tuple):
         if node in schema:
             return
         sections = [form for form in schema if isinstance(form, dict)]
         if not (sections and isinstance(node, dict)):
             forms = " or ".join(repr(form) if isinstance(form, str) else "dict" for form in schema)
-            raise ConfigError(f"config entry '{path}' must be {forms}")
+            raise ValidationError(f"config entry '{path}' must be {forms}")
         schema = sections[0]
     if isinstance(schema, dict):
         if not isinstance(node, dict):
-            raise ConfigError(f"config entry '{path}' must be dict")
+            raise ValidationError(f"config entry '{path}' must be dict")
         for key, value in node.items():
             where = f"{path}.{key}" if path else key
             if key not in schema:
-                raise ConfigError(f"unknown config entry '{where}'")
+                raise ValidationError(f"unknown config entry '{where}'")
             _check(value, schema[key], where)
     elif isinstance(schema, list):
         if not isinstance(node, list):
-            raise ConfigError(f"config entry '{path}' must be list")
+            raise ValidationError(f"config entry '{path}' must be list")
         for i, entry in enumerate(node):
             _check(entry, schema[0], f"{path}.{i}")
             if isinstance(entry, list) and len(entry) != len(node[0]):
-                raise ConfigError(f"config entry '{path}.{i}' has {len(entry)} entries, "
-                                  f"row 0 has {len(node[0])}")
+                raise ValidationError(f"config entry '{path}.{i}' has {len(entry)} entries, "
+                                      f"row 0 has {len(node[0])}")
     # bool subclasses int, so JSON true/false would otherwise pass as a number
     elif isinstance(node, bool) and schema is not bool:
-        raise ConfigError(f"config entry '{path}' must be {schema.__name__}, not a boolean")
+        raise ValidationError(f"config entry '{path}' must be {schema.__name__}, not a boolean")
     elif not isinstance(node, (int, float) if schema is float else schema):
-        raise ConfigError(f"config entry '{path}' must be {schema.__name__}")
+        raise ValidationError(f"config entry '{path}' must be {schema.__name__}")
 
 
 def load_config(path_or_name: str) -> dict:
@@ -145,16 +142,16 @@ def load_config(path_or_name: str) -> dict:
     elif candidate.is_file():
         text = candidate.read_text(encoding="utf-8")
     else:
-        raise ConfigError(f"config '{path_or_name}' not found (not a file or bundled name)")
+        raise ValidationError(f"config '{path_or_name}' not found (not a file or bundled name)")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
+        raise ValidationError("config root must be an object")
     kind = cfg.get("type", "network")
     if not (isinstance(kind, str) and kind in SCHEMAS):
-        raise ConfigError(f"config entry 'type' must be one of {', '.join(sorted(SCHEMAS))}")
+        raise ValidationError(f"config entry 'type' must be one of {', '.join(sorted(SCHEMAS))}")
     _check(cfg, SCHEMAS[kind], "")
     return cfg
 
@@ -170,7 +167,7 @@ def _require(cfg: dict, path: str):
         elif part in node:
             node = node[part]
         else:
-            raise ConfigError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
+            raise ValidationError(f"missing config entry '{'.'.join(parts[:i + 1])}'")
     return node
 
 
@@ -189,8 +186,8 @@ def build_spectrum(cfg: dict) -> core.ModeSpectrum:
     if "detunings_mhz" in sc:
         for key in ("n_modes", "spacing_mhz"):
             if key in sc:
-                raise ConfigError(f"config entry 'spectrum.{key}' is ignored where "
-                                  f"'spectrum.detunings_mhz' is given")
+                raise ValidationError(f"config entry 'spectrum.{key}' is ignored where "
+                                      f"'spectrum.detunings_mhz' is given")
         det = np.asarray(sc["detunings_mhz"], dtype=float)
         mean = sc.get("mean_mhz", float(det.mean()))
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
@@ -199,8 +196,8 @@ def build_spectrum(cfg: dict) -> core.ModeSpectrum:
     n = _require(cfg, "spectrum.n_modes")
     if n == 1:
         if "spacing_mhz" in sc:
-            raise ConfigError("config entry 'spectrum.spacing_mhz' is ignored where "
-                              "'spectrum.n_modes' is 1")
+            raise ValidationError("config entry 'spectrum.spacing_mhz' is ignored where "
+                                  "'spectrum.n_modes' is 1")
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(np.array([mean])), guard=guard)
     spacing = _require(cfg, "spectrum.spacing_mhz")
@@ -224,22 +221,22 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
     kind = section.get("kind", "explicit")
     for key, reader in (("seed", "haar"), ("re", "explicit"), ("im", "explicit")):
         if key in section and kind != reader:
-            raise ConfigError(f"config entry '{path}.{key}' is ignored unless kind is "
-                              f"'{reader}'")
+            raise ValidationError(f"config entry '{path}.{key}' is ignored unless kind is "
+                                  f"'{reader}'")
     if kind == "identity":
         return compiler.UnitarySpec(np.eye(n), label=label)
     if kind == "dft":
         return compiler.dft_unitary(n, label=label)
     if kind == "hadamard2":
         if n != 2:
-            raise ConfigError(f"unitaries.{label}: hadamard2 needs exactly 2 modes")
+            raise ValidationError(f"unitaries.{label}: hadamard2 needs exactly 2 modes")
         return compiler.UnitarySpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2), label=label)
     if kind == "haar":
         return compiler.haar_random_unitary(n, seed=_require(cfg, f"{path}.seed"), label=label)
     if kind == "explicit":
         return compiler.UnitarySpec(_complex_matrix(cfg, path, im_required=True),
                                     label=label)
-    raise ConfigError(f"unitaries.{label}: unknown kind '{kind}'")
+    raise ValidationError(f"unitaries.{label}: unknown kind '{kind}'")
 
 
 def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
@@ -249,8 +246,8 @@ def _complex_matrix(cfg: dict, path: str, im_required: bool) -> np.ndarray:
         return re.astype(complex)
     im = np.array(_require(cfg, f"{path}.im"), dtype=float)
     if im.shape != re.shape:
-        raise ConfigError(f"config entries '{path}.re' and '{path}.im' differ in shape "
-                          f"({re.shape} against {im.shape})")
+        raise ValidationError(f"config entries '{path}.re' and '{path}.im' differ in shape "
+                              f"({re.shape} against {im.shape})")
     return re + 1j * im
 
 
@@ -267,7 +264,7 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
     pulse = cfg.get("pulse", {})
     shape = pulse.get("shape", "gaussian")
     if shape != "gaussian":
-        raise ConfigError(f"pulse.shape '{shape}' unsupported (gaussian only)")
+        raise ValidationError(f"pulse.shape '{shape}' unsupported (gaussian only)")
     fwhm = _require(cfg, "pulse.fwhm_us")
     center = _require(cfg, "pulse.center_us")
     amps_cfg = pulse.get("mode_amplitudes", "uniform")
@@ -276,7 +273,7 @@ def build_pulse(cfg: dict, n: int) -> pde.GaussianPulse:
     else:
         amps = _complex_matrix(cfg, "pulse.mode_amplitudes", im_required=False)
         if amps.size != n:
-            raise ConfigError("pulse.mode_amplitudes length must equal the mode count")
+            raise ValidationError("pulse.mode_amplitudes length must equal the mode count")
     return pde.GaussianPulse(fwhm=fwhm, center=center, mode_amplitudes=amps)
 
 
@@ -306,7 +303,7 @@ class NetworkSetup:
         self.atoms = build_atoms(cfg)
         n_cells = cfg.get("cells", {}).get("count", n)
         if n_cells != n:
-            raise ConfigError("cells.count must equal the mode count for compiled plans")
+            raise ValidationError("cells.count must equal the mode count for compiled plans")
         gradient = angular_from_mhz(_require(cfg, "cells.gradient_mhz"))
         self.cells = [pde.MemoryCell(atoms=self.atoms, gradient_eta=gradient, id=f"m{j}")
                       for j in range(n)]
@@ -543,18 +540,18 @@ def build_fock_network(cfg: dict):
     cap = fc.get("photon_cap", fock.DEFAULT_PHOTON_CAP)
     assembly = fc.get("assembly", "cz")
     if assembly != "cz":
-        raise ConfigError(f"fock.assembly '{assembly}' unknown (only 'cz' bundled)")
+        raise ValidationError(f"fock.assembly '{assembly}' unknown (only 'cz' bundled)")
     stages = fock.cz_network()
     if "stages" in fc:
         if len(fc["stages"]) != len(stages):
-            raise ConfigError("fock.stages must list one entry per assembly stage")
+            raise ValidationError("fock.stages must list one entry per assembly stage")
         rebuilt = []
         for i, (entry, stage) in enumerate(zip(fc["stages"], stages)):
             where = f"fock.stages.{i}"
             for key, want in (("role", stage.role), ("label", stage.label), ("window", i)):
                 if entry.get(key) != want:
-                    raise ConfigError(f"{where}.{key} {entry.get(key)!r} does not match "
-                                      f"assembly {key} {want!r}")
+                    raise ValidationError(f"{where}.{key} {entry.get(key)!r} does not match "
+                                          f"assembly {key} {want!r}")
             if "re" in entry or "im" in entry:
                 # explicit override of one stage's unitary (validated here)
                 m = _complex_matrix(cfg, where, im_required=False)
@@ -570,7 +567,7 @@ def build_fock_network(cfg: dict):
     except ValidationError as exc:
         # the mode check tests the herald's length first, then the modes themselves
         where = "fock.herald" if len(herald) != len(ancilla) else "fock.ancilla_modes"
-        raise ConfigError(f"config entry '{where}': {exc}") from exc
+        raise ValidationError(f"config entry '{where}': {exc}") from exc
     return stages, (policy, cap, fc)
 
 
@@ -581,7 +578,7 @@ def _parse_qubit_label(label: str):
         "-": (1.0 / math.sqrt(2), -1.0 / math.sqrt(2)),
     }
     if len(label) != 2 or label[0] not in table or label[1] not in table:
-        raise ConfigError(f"fock input label '{label}' not recognised")
+        raise ValidationError(f"fock input label '{label}' not recognised")
     return table[label[0]], table[label[1]]
 
 
@@ -613,7 +610,7 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
         outcomes = fock.run_with_feedforward(stages, state, policy)
         succ = [o for o in outcomes if o.success]
         if len(succ) != 1:
-            raise fock.ConditioningError(f"input {label}: expected one success branch")
+            raise NumericalError(f"input {label}: expected one success branch")
         ideal = fock.dual_rail_cz_ideal(q1, q2, photon_cap=cap)
         fidelity = succ[0].conditioned_state.normalized().fidelity(ideal)
         fail_p = sum(o.probability for o in outcomes if not o.success)
@@ -684,10 +681,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         needed = COMMAND_TYPES.get(args.command, cfg.get("type", "network"))
         if cfg.get("type", "network") != needed:
-            raise ConfigError(f"{args.command} needs a config of type '{needed}'")
+            raise ValidationError(f"{args.command} needs a config of type '{needed}'")
         return COMMANDS[args.command](cfg, out_dir, args)
-    except (core.StepSizeError, pde.DivergenceError, pde.UndefinedOverlapError,
-            fock.ConditioningError, fock.DerivationError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemspinError as exc:

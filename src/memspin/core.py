@@ -10,9 +10,9 @@ so the effective linear atomic density is N = beta * Gamma and the resonant
 optical depth ``beta`` is the single depth parameter of the model.
 
 The time integrators of :mod:`memspin.pde` and :mod:`memspin.analytic` share
-the RK4 stepper :func:`rk4`, the error :class:`StepSizeError` and the beat
-guard :func:`check_beat_resolution` defined here.  The stepper hands its
-right-hand side a stage index, not a time: index k points into
+the RK4 stepper :func:`rk4` and the beat guard :func:`check_beat_resolution`
+defined here; a step too coarse raises :class:`NumericalError`.  The stepper
+hands its right-hand side a stage index, not a time: index k points into
 :func:`stage_times`, the grid times interleaved with the step midpoints.  An
 integrator whose coefficients are known functions of time tabulates them on
 those stage times with :func:`stage_table`, vectorised over one block of
@@ -43,23 +43,20 @@ STAGE_BLOCK = 512
 
 
 class MemspinError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors; the CLI exits 2 unless NumericalError."""
 
 
 class ValidationError(MemspinError):
-    """Invalid input data (bad shapes, non-physical parameters, schemas)."""
+    """The input is wrong (CLI exit 2): a bad config entry, shape or value, an
+    inconsistent schedule, degenerate detunings or couplings, a drive on the
+    resonance pole, a Fock state over its caps, or an unhandled herald pattern."""
 
 
-class DimensionMismatchError(ValidationError):
-    """Vector/matrix sizes do not agree with the mode spectrum."""
-
-
-class DegenerateCouplingError(MemspinError):
-    """Operation undefined because the total coupling weight vanishes."""
-
-
-class StepSizeError(MemspinError):
-    """The requested time step cannot resolve the fastest dynamics."""
+class NumericalError(MemspinError):
+    """The numbers cannot be trusted (CLI exit 3): a time step too coarse for
+    the fastest rate or beat, a divergent integration, an overlap against a
+    zero-energy ideal, a heralded run without exactly one success branch, or
+    a derived nonlinear-sign gate that misses its constraints."""
 
 
 def angular_from_mhz(f_mhz):
@@ -199,7 +196,7 @@ class MarginReport:
 
 def _weights(coupling: CouplingVector, spectrum: ModeSpectrum) -> np.ndarray:
     if len(coupling) != spectrum.n_modes:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"coupling has {len(coupling)} entries for {spectrum.n_modes} modes"
         )
     return coupling.amplitudes / spectrum.detunings
@@ -219,7 +216,7 @@ def bright_mode_coefficients(coupling: CouplingVector, spectrum: ModeSpectrum) -
     ratios = np.conj(_weights(coupling, spectrum))
     norm = np.linalg.norm(ratios)
     if norm == 0.0:
-        raise DegenerateCouplingError("all coupling weights vanish; bright mode undefined")
+        raise ValidationError("all coupling weights vanish; bright mode undefined")
     return ratios / norm
 
 
@@ -326,7 +323,7 @@ def check_beat_resolution(spectrum: ModeSpectrum, step: float) -> None:
     fastest = float(np.max(spectrum.detunings) - np.min(spectrum.detunings))
     limit = TWO_PI / (20.0 * fastest)
     if step > limit:
-        raise StepSizeError(
+        raise NumericalError(
             f"time step {step:.4g} does not resolve the fastest beat (need <= {limit:.4g})")
 
 

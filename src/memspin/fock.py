@@ -35,29 +35,13 @@ from functools import lru_cache
 import numpy as np
 
 from .compiler import UnitarySpec, compile_write
-from .core import MemspinError, ModeSpectrum, ValidationError
+from .core import ModeSpectrum, NumericalError, ValidationError
 
 PERMANENT_CAP = 6
 DEFAULT_PHOTON_CAP = 4
 MODE_CAP = 10
 MEMO_SIZE = 64  # distinct unitaries, and (photons, modes) pairs, memoised per process
 ROLES = ("prepare", "measure", "write", "transfer", "feedforward")
-
-
-class CapacityError(MemspinError):
-    """Photon number or matrix size beyond the configured caps."""
-
-
-class ConditioningError(MemspinError):
-    """A heralded run has no single success branch to condition on."""
-
-
-class PolicyError(MemspinError):
-    """A measured pattern has no branch in the feed-forward policy."""
-
-
-class DerivationError(MemspinError):
-    """A derived gate misses its heralding constraints or is not unitary."""
 
 
 @lru_cache(maxsize=PERMANENT_CAP)
@@ -74,7 +58,7 @@ def permanent(matrix: np.ndarray) -> complex:
         raise ValidationError("permanent requires a square matrix")
     n = a.shape[0]
     if n > PERMANENT_CAP:
-        raise CapacityError(f"permanent limited to n <= {PERMANENT_CAP}, got {n}")
+        raise ValidationError(f"permanent limited to n <= {PERMANENT_CAP}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
     mask, sign = _ryser_subsets(n)
@@ -128,12 +112,12 @@ class FockState:
 
     def __post_init__(self):
         if self.n_modes > MODE_CAP:
-            raise CapacityError(f"{self.n_modes} modes exceed the mode cap {MODE_CAP}")
+            raise ValidationError(f"{self.n_modes} modes exceed the mode cap {MODE_CAP}")
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.n_modes:
                 raise ValidationError(f"occupation {occ} does not span {self.n_modes} modes")
             if any(n < 0 or n > self.photon_cap for n in occ):
-                raise CapacityError(f"occupation {occ} exceeds photon cap {self.photon_cap}")
+                raise ValidationError(f"occupation {occ} exceeds photon cap {self.photon_cap}")
 
     @classmethod
     def from_occupation(cls, occ, photon_cap: int = DEFAULT_PHOTON_CAP) -> "FockState":
@@ -179,7 +163,7 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
         n_sub = tuple(occ[m] for m in modes)
         p = sum(n_sub)
         if p > state.photon_cap:
-            raise CapacityError(
+            raise ValidationError(
                 f"{p} photons on the acted modes exceed photon cap {state.photon_cap}")
         if p == 0:
             out[occ] = out.get(occ, 0.0 + 0.0j) + amp
@@ -295,7 +279,7 @@ def ns_gate() -> UnitarySpec:
     miss = max(np.max(np.abs(_ns_amplitudes(u) - _NS_TARGET)),
                np.max(np.abs(u.conj().T @ u - np.eye(3))))
     if not miss <= 1e-12:
-        raise DerivationError(f"nonlinear-sign gate misses its constraints by {miss:.3g}")
+        raise NumericalError(f"nonlinear-sign gate misses its constraints by {miss:.3g}")
     return UnitarySpec(matrix=u, label="ns")
 
 
@@ -331,7 +315,7 @@ def run_with_feedforward(stages, input_state: FockState,
     for base in measurement_distribution(state, policy.measure_modes):
         branch = policy.branches.get(base.pattern, policy.default)
         if branch is None:
-            raise PolicyError(f"no policy branch for measured pattern {base.pattern}")
+            raise ValidationError(f"no policy branch for measured pattern {base.pattern}")
         branch_stages, success = branch
         final = base.conditioned_state
         for stage in branch_stages:

@@ -74,9 +74,8 @@ import numpy as np
 from .core import (
     AtomicParams,
     CouplingVector,
-    MemspinError,
     ModeSpectrum,
-    StepSizeError,
+    NumericalError,
     ValidationError,
     MARGIN_THRESHOLD,
     beat_sum,
@@ -88,18 +87,6 @@ from .core import (
     stage_table,
     stage_times,
 )
-
-
-class DivergenceError(MemspinError):
-    """The integration produced non-finite values."""
-
-
-class ScheduleError(MemspinError):
-    """The storage/recall schedule is inconsistent."""
-
-
-class UndefinedOverlapError(MemspinError):
-    """Overlap requested against an ideal output with zero energy."""
 
 
 EVENTS = ("store", "recall", "hold")
@@ -163,12 +150,12 @@ class ScheduleEntry:
 
     def __post_init__(self):
         if self.event not in EVENTS:
-            raise ScheduleError(f"unknown event '{self.event}'")
+            raise ValidationError(f"unknown event '{self.event}'")
         if self.event in ("store", "recall"):
             if self.coupling is None or not np.any(self.coupling.amplitudes):
-                raise ScheduleError(f"{self.event} window requires a nonzero coupling")
+                raise ValidationError(f"{self.event} window requires a nonzero coupling")
         if self.gradient_sign not in (1, -1):
-            raise ScheduleError("gradient_sign must be +1 or -1")
+            raise ValidationError("gradient_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -179,11 +166,11 @@ class Schedule:
 
     def __post_init__(self):
         if not self.entries:
-            raise ScheduleError("schedule must contain at least one cell row")
+            raise ValidationError("schedule must contain at least one cell row")
         n_windows = len(self.entries[0])
         for row in self.entries:
             if len(row) != n_windows:
-                raise ScheduleError("all cells must cover the same windows")
+                raise ValidationError("all cells must cover the same windows")
 
     def check_causality(self):
         """A cell may only recall after it stored."""
@@ -193,7 +180,7 @@ class Schedule:
                 if entry.event == "store":
                     stored = True
                 elif entry.event == "recall" and not stored:
-                    raise ScheduleError(f"cell {c} recalls in window {w} before storing")
+                    raise ValidationError(f"cell {c} recalls in window {w} before storing")
 
     @property
     def n_cells(self) -> int:
@@ -214,7 +201,7 @@ class Schedule:
 def store_recall_schedule(write_plan, read_plan) -> Schedule:
     """Two-window schedule: every cell stores, then every cell recalls."""
     if write_plan.n_memories != read_plan.n_memories:
-        raise ScheduleError("write and read plans must address the same cells")
+        raise ValidationError("write and read plans must address the same cells")
     rows = tuple(
         (
             ScheduleEntry(event="store", coupling=wv, gradient_sign=1),
@@ -340,8 +327,8 @@ class Chain:
 def _check_step(dt: float, rate: float) -> None:
     """Reject a step ``dt`` that is too large for the fastest rate of a window."""
     if dt * rate > 0.5:
-        raise StepSizeError(f"dt = {dt} too large for dynamics rate {rate:.3g} rad/us "
-                            f"(dt * rate = {dt * rate:.2f} > 0.5)")
+        raise NumericalError(f"dt = {dt} too large for dynamics rate {rate:.3g} rad/us "
+                             f"(dt * rate = {dt * rate:.2f} > 0.5)")
 
 
 def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
@@ -381,7 +368,7 @@ class _ChainOperator:
         for c, (cell, row) in enumerate(zip(cells, schedule.entries)):
             entry = row[window]
             if entry.event in ("store", "recall") and cell.gradient_eta == 0.0:
-                raise ScheduleError(f"cell '{cell.id}' needs a nonzero gradient to {entry.event}")
+                raise ValidationError(f"cell '{cell.id}' needs a nonzero gradient to {entry.event}")
             grad = entry.gradient_sign * cell.gradient_eta * (z - 0.5)
             delta_z[c] = cell.atoms.delta + grad
             if entry.coupling is not None and np.any(entry.coupling.amplitudes):
@@ -556,8 +543,8 @@ def window_operators(chains, grid: Grid):
         raise ValidationError("the chains of a batch must cover the same windows")
     for chain in chains:
         if len(chain.cells) != chain.schedule.n_cells:
-            raise ScheduleError(f"{len(chain.cells)} cells supplied for a schedule with "
-                                f"{chain.schedule.n_cells} rows")
+            raise ValidationError(f"{len(chain.cells)} cells supplied for a schedule with "
+                                  f"{chain.schedule.n_cells} rows")
         chain.schedule.check_causality()
     windows = []
     for w in range(chains[0].schedule.n_windows):
@@ -646,7 +633,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
         output_energy = sum(energies[c][w]["output"] for w in out_windows)
         efficiency = output_energy / input_energy if input_energy > 0 else 0.0
         if efficiency > 1.0 + 1e-3:
-            raise DivergenceError(f"efficiency {efficiency:.4f} exceeds unity beyond tolerance")
+            raise NumericalError(f"efficiency {efficiency:.4f} exceeds unity beyond tolerance")
         result = NetworkResult(
             outputs=[FieldState(envelopes=out, times=times.copy()) for out in outputs[c]],
             residual_spins=[SpinState(sigma=spin.copy(), z=grid.z, cell_id=cell.id)
@@ -671,9 +658,9 @@ def _check_finite(series: np.ndarray, sig: np.ndarray, window: int, times: np.nd
     bad = ~np.isfinite(series.reshape(-1, times.size)).all(axis=0)
     if bad.any():
         n = int(np.argmax(bad))
-        raise DivergenceError(f"non-finite state in window {window} at t = {times[n]:g} us")
+        raise NumericalError(f"non-finite state in window {window} at t = {times[n]:g} us")
     if not np.all(np.isfinite(sig)):
-        raise DivergenceError(f"non-finite spin state after window {window}")
+        raise NumericalError(f"non-finite spin state after window {window}")
 
 
 def _margin_failure(chain: Chain) -> str | None:
@@ -693,8 +680,11 @@ def _margin_failure(chain: Chain) -> str | None:
 
 def _warn_on_margins(chains) -> None:
     """Warn once for each distinct failing coupling of a batch, the first of
-    each chain, so a network and its probes or eq5 twin share one warning."""
-    failures = dict.fromkeys(filter(None, map(_margin_failure, chains)))
+    each chain, so a network and its probes or eq5 twin share one warning.
+    Probes share their network's cells, schedule and spectrum: checked once."""
+    distinct = {(id(chain.cells), id(chain.schedule), id(chain.spectrum),
+                 chain.options.margin_threshold): chain for chain in chains}
+    failures = dict.fromkeys(filter(None, map(_margin_failure, distinct.values())))
     # attributed to the first frame outside this module, whatever the entry point
     frame, level = sys._getframe(), 1
     while frame.f_globals.get("__name__") == __name__:
@@ -724,7 +714,7 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[in
     for w in range(schedule.n_windows):
         col = {row[w].gradient_sign for row in schedule.entries}
         if len(col) != 1:
-            raise ScheduleError("echo prediction requires uniform gradient signs per window")
+            raise ValidationError("echo prediction requires uniform gradient signs per window")
         signs.append(col.pop())
     acc = signs[0] * (grid.window - pulse_center)
     for w in range(1, schedule.n_windows):
@@ -732,7 +722,7 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[in
         if s != 0 and 0.0 <= -acc / s <= grid.window:
             return w, -acc / s
         acc += s * grid.window
-    raise ScheduleError("no rephasing point inside the scheduled windows")
+    raise ValidationError("no rephasing point inside the scheduled windows")
 
 
 def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
@@ -743,7 +733,7 @@ def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
     e_out = sum(o.energy() for o in outputs)
     e_ideal = sum(i.energy() for i in ideal)
     if e_ideal <= 0:
-        raise UndefinedOverlapError("ideal output has zero energy")
+        raise NumericalError("ideal output has zero energy")
     inner = 0.0 + 0.0j
     for o, i in zip(outputs, ideal):
         if o.envelopes.shape != i.envelopes.shape:
@@ -769,7 +759,7 @@ def reference_echo(cells, schedule: Schedule, spectrum: ModeSpectrum, pulse: Gau
         (row[w].coupling for row in schedule.entries
          for w in range(schedule.n_windows) if row[w].event == "store"), None)
     if first_store is None:
-        raise ScheduleError("schedule contains no store event")
+        raise ValidationError("schedule contains no store event")
     d = spectrum.mean_detuning
     cv = CouplingVector(np.array([float(np.linalg.norm(first_store.amplitudes
                                                        / spectrum.detunings)) * d]))

@@ -66,7 +66,7 @@ class TestUndrivenExact:
             coupling=sol.coupling, atoms=sol.atoms)
         object.__setattr__(bad.spectrum, "detunings",
                            np.array([mhz(250.0), mhz(250.0)]))
-        with pytest.raises(analytic.SingularityError):
+        with pytest.raises(core.ValidationError, match=r"degenerate detunings"):
             analytic.undriven_spin_exact(bad, 1.0)
 
 
@@ -172,7 +172,7 @@ class TestDriven:
             alpha=sol0.alpha,
             rates=core.EffectiveRates(gamma_eff=0.0, delta_eff=0.5),
             spectrum=sp, coupling=cv, atoms=atoms)
-        with pytest.raises(analytic.ResonancePoleError):
+        with pytest.raises(core.ValidationError, match=r"sits on the resonance pole"):
             analytic.driven_spin_solution(sol, [1.0, 1.0], 0.0)
 
 
@@ -203,6 +203,6 @@ class TestOracle:
         sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=det)
         cv = core.CouplingVector(np.ones(2))
         atoms = core.AtomicParams(Gamma=GAMMA, beta=100.0)
-        with pytest.raises(analytic.StepSizeError):
+        with pytest.raises(core.NumericalError, match=r"does not resolve the fastest beat"):
             analytic.ode_oracle(atoms, cv, sp, None, np.linspace(0, 10, 11))
 

@@ -145,6 +145,17 @@ def test_corrupted_stage_unitary_exits_2(tmp_path):
     assert run_cli(["fock-verify", bad, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
 
 
+def test_herald_that_never_fires_exits_3(tmp_path, capsys):
+    """A U1 override that swaps ancilla modes 4 and 5 (rows 2 and 3 of its six
+    modes) leaves fock-verify no success branch to condition on."""
+    cfg = json.loads(cli.scenario_path("klm_cz").read_text())
+    cfg["fock"]["stages"][0]["re"] = np.eye(6)[[0, 1, 3, 2, 4, 5]].tolist()
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(cfg))
+    assert run_cli(["fock-verify", bad, "--out", tmp_path / "o"]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical error: input 00: expected one success branch\n"
+
+
 def test_stage_override_round_trip(tmp_path):
     """An explicit (unitary) stage override is accepted and used."""
     cfg = json.loads(cli.scenario_path("klm_cz").read_text())
@@ -591,3 +602,30 @@ def test_failed_margins_warn_once_per_op(tmp_path, command, edits):
                         "--grid-scale", "0.5"]) == cli.EXIT_OK
     margins = [w for w in record if issubclass(w.category, RuntimeWarning)]
     assert [Path(w.filename).name for w in margins] == ["cli.py"]
+
+
+@pytest.mark.parametrize("command, scenario, edits, calls", [
+    ("extract-transfer", "random_3mode", {}, 6 + 2),
+    ("run", "random_3mode", {"outputs.transfer": True}, 6 + 2),
+    ("run", "ten_mode_two_ops", {"outputs.heatmap": False}, 20 + 2),
+    ("run", "eq5_regime_sweep", {}, 6),
+], ids=["extract_transfer", "run_transfer", "run_golden", "eq5"])
+def test_margins_checked_once_per_distinct_chain(tmp_path, monkeypatch, command, scenario,
+                                                 edits, calls):
+    """The basis probes share the network's cells, schedule, spectrum and
+    threshold, so their couplings are checked with the network's: one
+    margin_report per coupling of each distinct chain (the reference echo's
+    two, a network's two per cell, and an eq5 sweep's one per model of a case)."""
+    counted = []
+    report = pde.margin_report
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "margin_report", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # margin_1 fails the margins
+        assert run_cli([command, edited(tmp_path, scenario, edits), "--out", tmp_path / "o",
+                        "--grid-scale", "0.5"]) == cli.EXIT_OK
+    assert len(counted) == calls

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,13 +41,13 @@ class TestGridAndSchedule:
         assert r.nz == 256 and r.dt == 0.01
 
     def test_entry_validation(self):
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"unknown event 'stash'"):
             pde.ScheduleEntry(event="stash")
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"store window requires a nonzero"):
             pde.ScheduleEntry(event="store", coupling=None)
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"store window requires a nonzero"):
             pde.ScheduleEntry(event="store", coupling=core.CouplingVector(np.zeros(2)))
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"gradient_sign must be \+1 or -1"):
             pde.ScheduleEntry(event="hold", gradient_sign=0)
 
     def test_recall_before_store(self):
@@ -55,13 +56,13 @@ class TestGridAndSchedule:
             pde.ScheduleEntry(event="recall", coupling=cv, gradient_sign=-1),
             pde.ScheduleEntry(event="store", coupling=cv, gradient_sign=1),
         ),))
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"cell 0 recalls in window 0 before"):
             sched.check_causality()
 
     def test_ragged_rows_rejected(self):
         cv = core.CouplingVector(np.ones(1))
         a = pde.ScheduleEntry(event="store", coupling=cv, gradient_sign=1)
-        with pytest.raises(pde.ScheduleError):
+        with pytest.raises(core.ValidationError, match=r"all cells must cover the same windows"):
             pde.Schedule(entries=((a, a), (a,)))
 
     def test_output_windows(self):
@@ -152,7 +153,7 @@ class TestSingleCell:
     def test_step_size_guard(self):
         sp, atoms, cell, cv, grid, pulse = single_mode_setup()
         big = pde.MemoryCell(atoms=atoms, gradient_eta=80.0, id="fast")
-        with pytest.raises(pde.StepSizeError):
+        with pytest.raises(core.NumericalError, match=r"too large for dynamics rate"):
             pde.simulate_cell(big, pde.ScheduleEntry("store", cv, 1), pulse,
                               pde.Grid(nz=128, dt=0.02, window=WINDOW), sp, OPTS)
 
@@ -384,7 +385,7 @@ class TestEfficiencyOverlap:
     def test_zero_ideal_rejected(self):
         t = np.linspace(0, 40, 401)
         zero = pde.FieldState(envelopes=np.zeros((1, t.size)), times=t)
-        with pytest.raises(pde.UndefinedOverlapError):
+        with pytest.raises(core.NumericalError, match=r"ideal output has zero energy"):
             pde.efficiency_and_overlap(self._result([zero], 1.0), [zero])
 
 
@@ -489,25 +490,30 @@ class TestEq5:
         assert abs(eff5 - eff1) / eff1 <= 0.01
 
     def test_negative_control_out_of_regime(self):
-        m9, eff1, eff5 = self._deviation(0.019068)
+        with pytest.warns(RuntimeWarning, match="validity margins below threshold"):
+            m9, eff1, eff5 = self._deviation(0.019068)
         assert m9 <= 1.5
         assert abs(eff5 - eff1) / eff1 > 0.05
 
     def test_batched_deviation_matches_per_case_calls(self):
         setups = [self._setup(spacing, dt=0.02, nz=64) for spacing in (1.0, 0.3, 0.05)]
         sp, cell, cv, grid, pulse, entries = setups[0]
-        batched = pde.eq5_deviation(cell, [s[5] for s in setups], pulse, grid,
-                                    [s[0] for s in setups], OPTS)
+        with pytest.warns(RuntimeWarning, match="validity margins below threshold"):
+            batched = pde.eq5_deviation(cell, [s[5] for s in setups], pulse, grid,
+                                        [s[0] for s in setups], OPTS)
         assert len(batched) == 3
-        for got, (sp, cell, cv, grid, pulse, entries) in zip(batched, setups):
-            (ref,) = pde.eq5_deviation(cell, [entries], pulse, grid, [sp], OPTS)
-            npt.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        with warnings.catch_warnings():
+            # only some of the cases, called alone, fail the margins
+            warnings.filterwarnings("ignore", "cell 'eq5': validity margins", RuntimeWarning)
+            for got, (sp, cell, cv, grid, pulse, entries) in zip(batched, setups):
+                (ref,) = pde.eq5_deviation(cell, [entries], pulse, grid, [sp], OPTS)
+                npt.assert_allclose(got, ref, rtol=1e-12, atol=0)
         assert abs(batched[0][2] - batched[2][2]) > 1e-3
 
     def test_beat_resolution_guard(self):
         sp, cell, cv, grid, pulse, entries = self._setup(2.0)
         coarse = pde.Grid(nz=128, dt=0.2, window=WINDOW)
-        with pytest.raises(pde.StepSizeError):
+        with pytest.raises(core.NumericalError, match=r"does not resolve the fastest beat"):
             pde.simulate_eq5(cell, [entries], pulse, coarse, [sp], OPTS)
 
     def test_step_size_guard(self):
@@ -515,7 +521,7 @@ class TestEq5:
         the chain operator refuses it."""
         sp, cell, cv, grid, pulse, entries = self._setup(0.019068, dt=1.0, nz=64)
         core.check_beat_resolution(sp, grid.dt)
-        with pytest.raises(pde.StepSizeError, match=r"dt \* rate = 1\.53 > 0\.5"):
+        with pytest.raises(core.NumericalError, match=r"dt \* rate = 1\.53 > 0\.5"):
             pde.simulate_eq5(cell, [entries], pulse, grid, [sp], OPTS)
 
 
@@ -741,7 +747,7 @@ def test_divergence_names_the_first_non_finite_grid_time():
         # the inflow turns NaN from t = 10 us on
         return np.where(np.asarray(t) >= 10.0, np.nan, 1.0)[..., None] * pulse(t)
 
-    with pytest.raises(pde.DivergenceError, match=r"window 0 at t = 10 us"):
+    with pytest.raises(core.NumericalError, match=r"window 0 at t = 10 us"):
         pde.simulate_network([cell], sched, {0: poisoned}, grid, sp, OPTS)
 
 
