@@ -21,21 +21,41 @@ sign is flipped to trigger re-emission.  Cells are chained in series; in the
 moving frame the outflow of one cell is the inflow of the next within the
 same time step.
 
-Numerical scheme: method of lines, classical RK4 in t on the spin grids
-(the stepper :func:`memspin.core.rk4`), with the envelopes slaved to the
-spin along z.  A coupled cell absorbs light only through its bright mode
-r = W / D, so inside it
+Numerical scheme: method of lines, classical RK4 in t on the spin grids,
+with the envelopes slaved to the spin along z.  A coupled cell absorbs
+light only through its bright mode r = W / D, so inside it
 
     E_k(z) = e_k + i * N * r_k * S(z),   S(z) = integral_0^z s(z') dz'
 
-with e the cell's inflow and S the cumulative trapezoid of its spin.  One
-(n_cells, nz) cumulative sum per evaluation therefore serves every cell,
-and the chain enters only through small matrices built once per window:
-the inflow projected onto each cell's bright mode (B), the strictly lower
-cell-to-cell coupling through the end values S(1) (G), and the maps from
-inflow and S(1) to the outflow (C, H), with the uncompensated dispersion
-phases folded into all four.  The scheme is linear in the state, so
-superposition holds to rounding error.
+with e the cell's inflow and S = T s the cumulative trapezoid of its spin
+(T lower triangular).  The chain enters only through small matrices built
+once per window: the inflow projected onto each cell's bright mode (B), the
+strictly lower cell-to-cell coupling through the end values S(1) (G), and
+the maps from inflow and S(1) to the outflow (C, H), with the uncompensated
+dispersion phases folded into all four.  Within a window each cell's spins
+therefore obey
+
+    ds/dt = A s + u(t),   A = diag(-(gamma' + i dtot(z))) - N |r|^2 T,
+
+with A fixed and lower triangular, and u, the inflow drive i B e plus
+(i G S(1))_c, one scalar per cell, uniform in z.  Its eigenvalues are its
+diagonal, distinct when the cell has a gradient, as storing and recalling
+require; forward substitution gives A = V diag(lam) V^-1
+(:class:`_CellModes`).  In the coordinates a = V^-1 s the same RK4 map is
+
+    a <- a + (P(h lam) - 1) a + sum_s w_s(h lam) u_s,
+
+with P the degree-4 Taylor polynomial of exp and u_s the drive of RK4 stage
+s, whose S(1) = T[-1] V a comes from one product of a with four fixed rows
+(:class:`_ModalBlock`).  A step of this modal path is a few small products;
+a step in real space is four evaluations of :meth:`_ChainOperator.derivative`,
+each a cumulative sum and a dozen array operations.  The path is chosen per
+chain in each window.  Real space (:func:`memspin.core.rk4`) is kept for a
+single-excited chain, whose absorption changes in time, and for a chain
+with a cell whose V has a condition number above MODAL_COND_LIMIT: the
+modal step errs by about that many rounding units a step, the real-space
+step by one.  Both are linear in the state, so superposition holds to
+rounding error.
 
 Every op is one integration of a batch (:func:`_simulate_batch`): chains
 (:class:`Chain`) laid end to end on one cell axis, each with its own cells,
@@ -47,12 +67,12 @@ coupling of each chain.  A run carries its reference echo, a
 transfer extraction its N basis probes and the echo, and an eq5 sweep
 both models of every case on a grid.  The inflow drive i B e is tabulated
 on the RK4 stage times a block at a time (:func:`memspin.core.stage_table`),
-so the RHS is arithmetic on the spin grids only; each chain's outflow and
+so a step is arithmetic on the spin grids only; each chain's outflow and
 input power are formed after each window from the recorded S(1) series.
 The single-excited-state model of eq. 5 is a one-cell chain with one
 composite mode whose coupling W(t) beats in time; its rate, drive and
-absorption are tabulated on the same stage times, and the RHS reads those
-tables only in a batch that holds such a chain.
+absorption are tabulated on the same stage times, and the real-space
+step reads those tables only when it holds such a chain.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -90,6 +110,11 @@ from .core import (
 
 
 EVENTS = ("store", "recall", "hold")
+
+#: Largest condition number ||V||_1 ||V^-1||_1 of a cell's eigenvector matrix
+#: for which its chain takes the modal step: that step errs by about this
+#: many rounding units per step, and the real-space step does not.
+MODAL_COND_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -534,11 +559,209 @@ class _Eq5Operator:
         return e + 1j * self.atoms.coupling_density * ratio * s1
 
 
+class _CellModes:
+    """One cell's window operator A = diag(decay) - absorb T, T the cumulative
+    trapezoid matrix, as A = V diag(lam) V^-1, with the rows the modal step
+    reads: psi = T[-1] V, the S(1) of each mode, and beta = V^-1 1, the
+    uniform drive in modal coordinates.
+
+    A is lower triangular, so lam is its diagonal, and V and V^-1 are unit
+    lower triangular: column k of V and row k of V^-1 are the right and left
+    eigenvectors of lam_k, found by forward and backward substitution with
+    T's running sums, one grid point at a time (:meth:`_vectors`).  Neither
+    nz x nz matrix is kept: :meth:`matrix` builds one where it is used.  A
+    nonzero gradient makes lam distinct; without one the substitution fails
+    and ``cond``, the 1-norm condition number ||V||_1 ||V^-1||_1, is not
+    finite.  An uncoupled cell's operator is diagonal and its V the identity.
+    """
+
+    def __init__(self, decay: np.ndarray, absorb: float, half_dz: float):
+        n = decay.size
+        self.absorb, self.V = absorb, None
+        self.weights = np.full(n, 2.0 * half_dz)  # T[i, j] for j < i
+        self.weights[0] = half_dz
+        last = self.weights.copy()  # T[-1]
+        last[-1] = half_dz
+        if absorb == 0.0:
+            self.lam, self.cond = decay, 1.0
+            self.psi, self.beta = last.astype(complex), np.ones(n, dtype=complex)
+            return
+        self.lam = decay - absorb * half_dz
+        self.lam[0] = decay[0]
+        self.psi, self.beta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        column_sums, inverse_norm = np.zeros(n), 0.0
+        with np.errstate(all="ignore"):
+            for i, row in self._vectors(inverse=False):
+                self.psi += last[i] * row
+                column_sums += np.abs(row)
+            for _, column in self._vectors(inverse=True):
+                self.beta += column
+                inverse_norm = np.maximum(inverse_norm, np.sum(np.abs(column)))
+            self.cond = float(np.max(column_sums) * inverse_norm)
+
+    def _vectors(self, inverse: bool):
+        """Rows i of V, first to last, or columns j of V^-1, last to first:
+        (lam_i - lam_k) V[i, k] = absorb sum_{k <= j < i} T[i, j] V[j, k] and
+        (lam_j - lam_k) V^-1[k, j] = absorb T[., j] sum_{j < i <= k} V^-1[k, i]."""
+        n = self.lam.size
+        acc = np.zeros(n, dtype=complex)
+        for i in (range(n - 1, -1, -1) if inverse else range(n)):
+            gap = self.lam[i] - self.lam
+            gap[i] = 1.0
+            vec = self.absorb * (self.weights[i] if inverse else 1.0) * acc / gap
+            vec[i] = 1.0
+            acc += vec if inverse else self.weights[i] * vec
+            yield i, vec
+
+    def matrix(self, inverse: bool = False) -> np.ndarray:
+        """V, or V^-1, in full."""
+        out = np.empty((self.lam.size, self.lam.size), dtype=complex)
+        rows = out.T if inverse else out
+        for i, vec in self._vectors(inverse):
+            rows[i] = vec
+        return out
+
+
+def _window_modes(chains, parts, half_dz: float) -> list:
+    """Per chain, its cells' :class:`_CellModes` if it takes the modal step in
+    this window, else None: a single-excited chain, or one with a cell whose
+    condition number exceeds MODAL_COND_LIMIT.  Cells with equal operators,
+    in any chain of the batch, share one decomposition."""
+    cache = {}
+
+    def modes(part, c):
+        key = (part.decay[c].tobytes(), part.absorb.item(c))
+        if key not in cache:
+            cache[key] = _CellModes(part.decay[c], key[1], half_dz)
+        return cache[key]
+
+    chosen = []
+    for chain, part in zip(chains, parts):
+        cells = [] if chain.single_excited else [modes(part, c) for c in range(len(chain.cells))]
+        chosen.append(cells if cells and all(m.cond <= MODAL_COND_LIMIT for m in cells)
+                      else None)
+    return chosen
+
+
+class _ModalBlock:
+    """Chains of one size stepped together in their cells' eigen-coordinates
+    a = V^-1 y through one window (see the module docstring).
+
+    The stage drives u_s are four per-cell scalars: the inflow drive d_s plus
+    i G S(1) of stage s.  Stage s's S(1) is m_s + sum_{r<s} Q_sr u_r, with
+    m = R a (R's rows psi p_s(h lam)) and Q fixed per cell, so over the
+    four stages u = L d + K m, with L = (I - G Q)^-1 and K = L G per chain.
+    The step is then a <- a + (P(h lam) - 1) a + W u.  Arrays run (chains,
+    cells, ...) and every product is one per chain, so a chain's numbers do
+    not depend on the chains beside it.  A one-cell chain has no G: u = d.
+    The chains in ``heat`` keep their cells' V for the window.
+    """
+
+    def __init__(self, parts, modes, pulses, heat, h: float, stages: np.ndarray):
+        g, n = len(parts), len(modes[0])
+        self.parts, self.modes, self.pulses, self.heat = parts, modes, pulses, heat
+        self.stages = stages
+        # the coupled operators, each with the cells of every chain it serves
+        self.users = {}
+        for j, chain in enumerate(modes):
+            for c, m in enumerate(chain):
+                if m.absorb != 0.0:
+                    self.users.setdefault(m, {}).setdefault(j, []).append(c)
+        for m, users in self.users.items():
+            if m.V is None and any(j in users for j in heat):
+                m.V = m.matrix()
+
+        def per_cell(name):
+            return np.stack([getattr(m, name) for chain in modes for m in chain]).reshape(g, n, -1)
+
+        z = h * per_cell("lam")
+        psi, beta = per_cell("psi"), per_cell("beta")
+        z2 = z * z
+        ones = np.ones_like(z)
+        p4 = 1.0 + z + z2 / 2.0 + z2 * z / 4.0
+        # P(h lam) - 1: a + (P - 1) a rounds the step, not P, so no rounding
+        # of P compounds over the steps
+        self.P1 = z * (1.0 + z / 2.0 + z2 / 6.0 + z2 * z / 24.0)
+        # rows s: S(1) of stage s's part in a, and the weight of u_s in the step
+        self.R = psi[..., None, :] * np.stack([ones, 1.0 + z / 2.0, 1.0 + z / 2.0 + z2 / 4.0, p4],
+                                              axis=-2)
+        self.W = (h / 6.0) * beta[..., None, :] * np.stack(
+            [p4, 2.0 + z + z2 / 2.0, 2.0 + z, ones], axis=-2)
+        self.L = self.K = None
+        if n > 1:
+            qb, qzb, qzzb = (np.sum(psi * zk * beta, axis=-1) for zk in (ones, z, z2))
+            Q = np.zeros((g, n, 4, 4), dtype=complex)
+            Q[..., 1, 0], Q[..., 2, 1] = h / 2.0 * qb, h / 2.0 * qb
+            Q[..., 2, 0], Q[..., 3, 1] = h / 4.0 * qzb, h / 2.0 * qzb
+            Q[..., 3, 0], Q[..., 3, 2] = h / 4.0 * qzzb, h * qb
+            G = np.einsum("gcd,sr->gcsdr", np.stack([part.iG for part in parts]),
+                          np.eye(4)).reshape(g, 4 * n, 4 * n)
+            Q = np.einsum("gcsr,cd->gcsdr", Q, np.eye(n)).reshape(g, 4 * n, 4 * n)
+            self.L = np.linalg.inv(np.eye(4 * n) - G @ Q)
+            self.K = self.L @ G
+
+    def map(self, y: np.ndarray, inverse: bool) -> np.ndarray:
+        """V y (V^-1 y if ``inverse``) on each cell row of ``y`` (chains, cells,
+        nz): one matrix per operator at a time, one product per chain."""
+        out = y.copy()
+        for m, users in self.users.items():
+            matrix = m.V if m.V is not None and not inverse else m.matrix(inverse)
+            for j, cells in users.items():
+                out[j, cells] = y[j, cells] @ matrix.T
+        return out
+
+    def spins(self, j: int, a: np.ndarray) -> np.ndarray:
+        """Chain j's spins y = V a, from its modal state ``a`` (cells, nz)."""
+        y = a.copy()
+        for m, users in self.users.items():
+            if j in users:
+                y[users[j]] = a[users[j]] @ m.V.T
+        return y
+
+    def drives(self, steps: np.ndarray) -> np.ndarray:
+        """L d for the RK4 steps ``steps``, (steps, chains, 4 cells, 1): the
+        inflow drives at each step's four stages, mapped through L."""
+        t = self.stages[2 * steps[0]:2 * steps[-1] + 3]
+        d = np.stack([part.inflow_drive(part.inflow(t, pulse))[..., 0]
+                      for part, pulse in zip(self.parts, self.pulses)], axis=1)
+        d = np.stack([d[:-2:2], d[1::2], d[1::2], d[2::2]], axis=-1)
+        d = d.reshape(len(steps), len(self.parts), -1, 1)
+        return d if self.L is None else self.L @ d
+
+    def run(self, spins: np.ndarray, nt: int, stride: int, record):
+        """Step ``spins`` (chains, cells, nz) through ``nt`` steps; returns the
+        S(1) series (chains, cells, nt + 1) and the final spins.  Before every
+        ``stride``-th step i, ``record(j, i, y)`` gets the spins of each chain
+        j in ``heat``."""
+        a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
+        g, n, _ = a.shape
+        # the drive is tabulated a block of steps at a time
+        table = (stage_table(self.drives, np.arange(nt))
+                 if any(pulse is not None for pulse in self.pulses) else None)
+        s1 = np.empty((nt + 1, g, n), dtype=complex)
+        for i in range(nt + 1):
+            m = (self.R @ a[..., None])[..., 0]
+            s1[i] = m[..., 0]
+            if i == nt:
+                break
+            if self.heat and i % stride == 0:
+                for j in self.heat:
+                    record(j, i, self.spins(j, a[j]))
+            u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
+            if table is not None:
+                u = table(i) if u is None else u + table(i)
+            step = self.P1 * a
+            if u is not None:
+                step += (u.reshape(g, n, 1, 4) @ self.W)[..., 0, :]
+            a = a + step
+        return np.moveaxis(s1, 0, -1), self.map(a, False)
+
+
 def window_operators(chains, grid: Grid):
-    """Check a batch of chains and build its operators: per window, the
-    joined operator and each chain's own; and the starting state, zero spin.
-    The step-size guards (the rate, the eq5 beat) run here, so this
-    validates a batch without integrating it."""
+    """Check a batch of chains and build its operators: per window, each
+    chain's own; and the starting state, zero spin.  The step-size guards
+    (the rate, the eq5 beat) run here, so this validates a batch without
+    integrating it."""
     if len({chain.schedule.n_windows for chain in chains}) != 1:
         raise ValidationError("the chains of a batch must cover the same windows")
     for chain in chains:
@@ -546,12 +769,9 @@ def window_operators(chains, grid: Grid):
             raise ValidationError(f"{len(chain.cells)} cells supplied for a schedule with "
                                   f"{chain.schedule.n_cells} rows")
         chain.schedule.check_causality()
-    windows = []
-    for w in range(chains[0].schedule.n_windows):
-        parts = [(_Eq5Operator if chain.single_excited else _ChainOperator)(
-            chain.cells, chain.schedule, w, chain.spectrum, grid, chain.options)
-            for chain in chains]
-        windows.append((_ChainOperator.joined(parts), parts))
+    windows = [[(_Eq5Operator if chain.single_excited else _ChainOperator)(
+        chain.cells, chain.schedule, w, chain.spectrum, grid, chain.options)
+        for chain in chains] for w in range(chains[0].schedule.n_windows)]
     return windows, np.zeros((sum(len(chain.cells) for chain in chains), grid.nz), complex)
 
 
@@ -576,44 +796,63 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     """Run a batch of :class:`Chain` in one integration; one result per chain.
 
     The chains lie end to end on the cell axis of one state (total cells,
-    nz) and share the grid and the number of windows.  Per window, every
-    chain's drive (and a single-excited chain's rate and absorption) is
-    tabulated on the RK4 stage times, S(1) is recorded per grid time, and
-    each chain's outflow and input power are formed from it afterwards.
+    nz) and share the grid and the number of windows.  Per window, each
+    chain takes the modal step (:class:`_ModalBlock`, chains of one size
+    together) or, if :func:`_window_modes` says so, the real-space step (all
+    such chains joined in one :func:`memspin.core.rk4` run); every chain's
+    drive (and a single-excited chain's rate and absorption) is tabulated on
+    the RK4 stage times, S(1) is recorded per grid time, and each chain's
+    outflow and input power are formed from it afterwards.
     """
     windows, sig = window_operators(chains, grid)
     _warn_on_margins(chains)
     bounds = np.cumsum([0] + [len(chain.cells) for chain in chains])
     rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    timed = any(chain.single_excited for chain in chains)
     heat = [c for c, chain in enumerate(chains) if chain.options.record_heatmap]
     times = grid.times
     stages = stage_times(times)
     stride = max(1, grid.nt // 200)
     outputs = [[] for _ in chains]  # (n_modes, nt + 1) per window
     energies = [[] for _ in chains]
-    heat_field, heat_spin, heat_t = [[] for _ in chains], [[] for _ in chains], []
+    # heatmap rows: every stride-th grid time of every window
+    samples = len(range(0, grid.nt, stride))
+    heat_t = (np.arange(len(windows))[:, None] * grid.window
+              + times[:grid.nt:stride]).reshape(-1)
+    heat_field, heat_spin = ({c: np.empty((heat_t.size, len(chains[c].cells) * grid.nz))
+                              for c in heat} for _ in range(2))
 
-    for w, (op, parts) in enumerate(windows):
+    for w, parts in enumerate(windows):
         pulses = [chain.inputs.get(w) for chain in chains]
-        table = None
-        if timed or any(pulse is not None for pulse in pulses):
-            table = stage_table(lambda t, parts=parts, pulses=pulses: np.concatenate(
-                [part.coefficients(t, pulse, timed) for part, pulse in zip(parts, pulses)],
-                axis=-2), stages)
 
-        def rhs(y, k, op=op, table=table):
-            return op.derivative(y, *(table(k) if table is not None else (None,)))
+        def record(c, n, spins, acc=None, w=w, parts=parts, pulses=pulses):
+            acc = _cumtrapz(spins, parts[c].half_dz) if acc is None else acc
+            row = w * samples + n // stride
+            heat_field[c][row] = parts[c].field_norms(parts[c].inflow(times[n], pulses[c]), acc)
+            heat_spin[c][row] = np.abs(spins).reshape(-1)
 
         s1 = np.empty((len(sig), grid.nt + 1), dtype=complex)
-        for n, (sig, acc) in enumerate(rk4(rhs, sig, times)):
-            s1[:, n] = acc[:, -1]
-            if heat and n < grid.nt and n % stride == 0:
-                for c in heat:
-                    inflow = parts[c].inflow(times[n], pulses[c])
-                    heat_field[c].append(parts[c].field_norms(inflow, acc[rows[c]]))
-                    heat_spin[c].append(np.abs(sig[rows[c]]).reshape(-1))
-                heat_t.append(w * grid.window + times[n])
+        modes = _window_modes(chains, parts, 0.5 / (grid.nz - 1))
+        real = [c for c, m in enumerate(modes) if m is None]
+        if real:
+            idx = np.concatenate([np.arange(bounds[c], bounds[c + 1]) for c in real])
+            s1[idx], sig[idx] = _real_space_run(
+                [parts[c] for c in real], [pulses[c] for c in real],
+                any(chains[c].single_excited for c in real), sig[idx], times, stages, stride,
+                [j for j, c in enumerate(real) if c in heat],
+                lambda j, n, y, acc, real=real: record(real[j], n, y, acc))
+        by_size = {}
+        for c, m in enumerate(modes):
+            if m is not None:
+                by_size.setdefault(len(m), []).append(c)
+        for members in by_size.values():
+            series, spins = _ModalBlock(
+                [parts[c] for c in members], [modes[c] for c in members],
+                [pulses[c] for c in members], [j for j, c in enumerate(members) if c in heat],
+                grid.dt, stages).run(
+                np.stack([sig[rows[c]] for c in members]), grid.nt, stride,
+                lambda j, n, y, members=members: record(members[j], n, y))
+            for c, each, y in zip(members, series, spins):
+                s1[rows[c]], sig[rows[c]] = each, y
         _check_finite(s1, sig, w, times)
         # series run along a contiguous last axis, so the energy sums are pairwise
         for c, (part, pulse) in enumerate(zip(parts, pulses)):
@@ -624,7 +863,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
                 "window": w,
                 "input": float(np.trapezoid(np.sum(np.abs(e) ** 2, axis=-1), times)),
                 "output": float(np.trapezoid(np.sum(np.abs(out) ** 2, axis=-2), times))})
-        del s1  # freed before the next window allocates its own
+        del s1, modes  # freed before the next window allocates its own
 
     results = []
     for c, chain in enumerate(chains):
@@ -644,12 +883,40 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
             window_energies=energies[c],
             output_windows=out_windows,
         )
-        if c in heat and heat_t:
-            result.heatmap_field = np.asarray(heat_field[c]).T
-            result.heatmap_spin = np.asarray(heat_spin[c]).T
-            result.heatmap_times = np.asarray(heat_t)
+        if c in heat:
+            result.heatmap_field, result.heatmap_spin = heat_field[c].T, heat_spin[c].T
+            result.heatmap_times = heat_t
         results.append(result)
     return results
+
+
+def _real_space_run(parts, pulses, timed: bool, spins: np.ndarray, times: np.ndarray,
+                    stages: np.ndarray, stride: int, heat, record):
+    """Step the chains of ``parts``, joined on one cell axis, in real space
+    with :func:`memspin.core.rk4` from ``spins`` (cells, nz); returns the S(1)
+    series (cells, times) and the final spins.  A ``timed`` run also tabulates
+    the single-excited chains' rate and absorption.  Before every
+    ``stride``-th step n, ``record(j, n, y, S)`` gets the spins and their
+    cumulative trapezoid of each chain j in ``heat``."""
+    op = _ChainOperator.joined(parts)
+    starts = np.cumsum([0] + [part.decay.shape[0] for part in parts])
+    table = None
+    if timed or any(pulse is not None for pulse in pulses):
+        table = stage_table(lambda t: np.concatenate(
+            [part.coefficients(t, pulse, timed) for part, pulse in zip(parts, pulses)],
+            axis=-2), stages)
+
+    def rhs(y, k):
+        return op.derivative(y, *(table(k) if table is not None else (None,)))
+
+    series = np.empty((spins.shape[0], times.size), dtype=complex)
+    for n, (y, acc) in enumerate(rk4(rhs, spins, times)):
+        series[:, n] = acc[:, -1]
+        if heat and n < times.size - 1 and n % stride == 0:
+            for j in heat:
+                cells = slice(starts[j], starts[j + 1])
+                record(j, n, y[cells], acc[cells])
+    return series, y
 
 
 def _check_finite(series: np.ndarray, sig: np.ndarray, window: int, times: np.ndarray):

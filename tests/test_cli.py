@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memspin import cli, pde
+from memspin import cli, compiler, pde
 
 
 def run_cli(args):
@@ -629,3 +629,30 @@ def test_margins_checked_once_per_distinct_chain(tmp_path, monkeypatch, command,
         assert run_cli([command, edited(tmp_path, scenario, edits), "--out", tmp_path / "o",
                         "--grid-scale", "0.5"]) == cli.EXIT_OK
     assert len(counted) == calls
+
+
+def test_golden_run_keeps_the_seed_values():
+    """ten_mode_two_ops, heatmaps off, against the efficiency and overlap of the
+    seed to 1e-10 relative."""
+    result, _, _ = cli.run_network(cli.NetworkSetup(cli.load_config("ten_mode_two_ops")))
+    assert result.efficiency == pytest.approx(0.9092112727234078, rel=1e-10, abs=0)
+    assert result.overlap == pytest.approx(0.9999999999999998, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_realised_transfer_is_the_echo_times_the_compiled_unitary(n):
+    """Seeded Haar write and read plans on random_3mode physics at grid scale
+    0.5: the extracted transfer T is tau U for the ideal transfer U, and the
+    network loses what its reference echo loses."""
+    cfg = cli.load_config("random_3mode")
+    cfg["cells"]["count"] = cfg["spectrum"]["n_modes"] = n
+    cfg["unitaries"] = {"write": {"kind": "haar", "seed": 100 + n},
+                        "read": {"kind": "haar", "seed": 200 + n}}
+    setup = cli.NetworkSetup(cfg, grid_scale=0.5)
+    network, *probes, echo = pde._simulate_batch(setup.chains(True), setup.grid)
+    t = pde.transfer_from_probes(probes, pde.echo_mode(echo), setup.schedule, setup.grid,
+                                 setup.pulse)
+    u = compiler.ideal_transfer(setup.u_in, setup.u_out)
+    tau = np.trace(u.conj().T @ t) / n
+    assert np.linalg.norm(t - tau * u) <= 1e-11 * np.linalg.norm(t)
+    assert abs(network.efficiency - echo.efficiency) <= 1e-11

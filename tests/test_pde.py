@@ -812,3 +812,74 @@ def test_echo_pads_to_the_schedule_windows():
     with pytest.raises(core.ValidationError, match="same windows"):
         pde._simulate_batch([pde.Chain([cell], three, sp, {0: pulse}, OPTS),
                              pde.reference_echo([cell], two, sp, pulse, OPTS)], grid)
+
+
+def uncompensated_batch():
+    """The uncompensated 3-cell chain fed a seeded pulse, and its reference echo."""
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    rng = np.random.default_rng(17)
+    pulse = pde.GaussianPulse(FWHM, CENTER, rng.normal(size=3) + 1j * rng.normal(size=3))
+    return [pde.Chain(cells, sched, sp, {0: pulse}, opts),
+            pde.reference_echo(cells, sched, sp, pulse, opts)], sched, grid
+
+
+def worst_conditioning(chain, grid):
+    """The largest condition number of the eigenvectors of ``chain``'s cell operators."""
+    windows, _ = pde.window_operators([chain], grid)
+    return max(pde._CellModes(part.decay[c], part.absorb.item(c), 0.5 / (grid.nz - 1)).cond
+               for (part,) in windows for c in range(len(chain.cells)))
+
+
+def counted_derivatives(monkeypatch) -> list:
+    """Monkeypatch _ChainOperator.derivative to log each call of the real-space stepper."""
+    calls, derivative = [], pde._ChainOperator.derivative
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return derivative(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde._ChainOperator, "derivative", counting)
+    return calls
+
+
+def test_modal_step_matches_the_real_space_step(monkeypatch):
+    """The uncompensated chain and its echo take the modal step; with the
+    conditioning limit at 0 both keep the real-space stepper.  The two runs
+    agree to 1e-11 of the largest output and 1e-10 of the largest final spin."""
+    chains, sched, grid = uncompensated_batch()
+    assert worst_conditioning(chains[0], grid) <= pde.MODAL_COND_LIMIT
+    calls = counted_derivatives(monkeypatch)
+    modal = pde._simulate_batch(chains, grid)
+    assert calls == []
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
+    real = pde._simulate_batch(chains, grid)
+    # one joined real-space run per window: four evaluations a step, one at the end
+    assert len(calls) == sched.n_windows * (4 * grid.nt + 1)
+    for res, ref in zip(modal, real):
+        for out, ref_out in zip(res.outputs, ref.outputs):
+            scale = np.max(np.abs(ref_out.envelopes))
+            assert np.max(np.abs(out.envelopes - ref_out.envelopes)) <= 1e-11 * scale
+        for spin, ref_spin in zip(res.residual_spins, ref.residual_spins):
+            assert np.max(np.abs(spin.sigma - ref_spin.sigma)) \
+                <= 1e-10 * np.max(np.abs(ref_spin.sigma))
+        assert abs(res.efficiency - ref.efficiency) <= 1e-11 * ref.efficiency
+
+
+def test_conditioning_limit_is_applied_per_chain(monkeypatch):
+    """With the limit between the echo's conditioning and the chain's, only the
+    chain falls back to real space; the echo beside it steps as it does alone."""
+    chains, sched, grid = uncompensated_batch()
+    network, echo = (worst_conditioning(chain, grid) for chain in chains)
+    assert echo < network
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", math.sqrt(echo * network))
+    calls = counted_derivatives(monkeypatch)
+    res_network, res_echo = pde._simulate_batch(chains, grid)
+    assert {op.decay.shape[0] for op in calls} == {len(chains[0].cells)}
+    calls.clear()
+    (alone,) = pde._simulate_batch([chains[1]], grid)
+    assert calls == []
+    for out, ref_out in zip(res_echo.outputs, alone.outputs):
+        npt.assert_array_equal(out.envelopes, ref_out.envelopes)
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
+    (real,) = pde._simulate_batch([chains[0]], grid)
+    assert_same_run(res_network, real, sched.n_windows)
