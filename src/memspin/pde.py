@@ -569,7 +569,8 @@ class _CellModes:
     lower triangular: column k of V and row k of V^-1 are the right and left
     eigenvectors of lam_k, found by forward and backward substitution with
     T's running sums, one grid point at a time (:meth:`_vectors`).  Neither
-    nz x nz matrix is kept: :meth:`matrix` builds one where it is used.  A
+    nz x nz matrix is kept: :meth:`apply` maps vectors in one pass, and
+    :meth:`matrix` builds V only where it is used at every sample.  A
     nonzero gradient makes lam distinct; without one the substitution fails
     and ``cond``, the 1-norm condition number ||V||_1 ||V^-1||_1, is not
     finite.  An uncoupled cell's operator is diagonal and its V the identity.
@@ -613,12 +614,22 @@ class _CellModes:
             acc += vec if inverse else self.weights[i] * vec
             yield i, vec
 
-    def matrix(self, inverse: bool = False) -> np.ndarray:
-        """V, or V^-1, in full."""
+    def matrix(self) -> np.ndarray:
+        """V in full."""
         out = np.empty((self.lam.size, self.lam.size), dtype=complex)
-        rows = out.T if inverse else out
+        for i, row in self._vectors(inverse=False):
+            out[i] = row
+        return out
+
+    def apply(self, y: np.ndarray, inverse: bool) -> np.ndarray:
+        """V y, or V^-1 y, for the rows of ``y`` (vectors, nz), in one pass of
+        the substitution, row by row of V or column by column of V^-1."""
+        out = np.zeros_like(y)
         for i, vec in self._vectors(inverse):
-            rows[i] = vec
+            if inverse:
+                out += y[:, i, None] * vec
+            else:
+                out[:, i] = np.sum(y * vec, axis=-1)
         return out
 
 
@@ -702,12 +713,11 @@ class _ModalBlock:
 
     def map(self, y: np.ndarray, inverse: bool) -> np.ndarray:
         """V y (V^-1 y if ``inverse``) on each cell row of ``y`` (chains, cells,
-        nz): one matrix per operator at a time, one product per chain."""
+        nz), one pass per operator for all the cells it serves."""
         out = y.copy()
         for m, users in self.users.items():
-            matrix = m.V if m.V is not None and not inverse else m.matrix(inverse)
-            for j, cells in users.items():
-                out[j, cells] = y[j, cells] @ matrix.T
+            rows = tuple(zip(*[(j, c) for j, cells in users.items() for c in cells]))
+            out[rows] = m.apply(y[rows], inverse)
         return out
 
     def spins(self, j: int, a: np.ndarray) -> np.ndarray:
