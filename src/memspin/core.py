@@ -354,15 +354,15 @@ def stage_times(times) -> np.ndarray:
     return stages
 
 
-def stage_table(fn, stages: np.ndarray):
+def stage_table(fn, stages: np.ndarray, block: int = STAGE_BLOCK):
     """Forward-only lookup of ``fn`` on ``stages``, tabulated a block at a time.
 
     ``fn(t)`` maps a 1-d array of stage times to an array whose first axis
     runs over them.  The returned ``row(k)`` gives entry k of that table; a
-    call past the current block tabulates the next :data:`STAGE_BLOCK`
-    stages from k on, so only one block is held at a time.  The index may
-    repeat but must not move back before the current block, which is the
-    access pattern of :func:`rk4`.
+    call past the current block tabulates the next ``block`` stages from k
+    on, so only one block is held at a time.  The index may repeat but must
+    not move back before the current block, which is the access pattern of
+    :func:`rk4`.
     """
     start, stop, rows = 0, 0, []
 
@@ -371,7 +371,7 @@ def stage_table(fn, stages: np.ndarray):
         if not start <= k < stop:
             if k < start:
                 raise ValueError(f"stage {k} lies before the current block at {start}")
-            start, stop = k, min(k + STAGE_BLOCK, stages.size)
+            start, stop = k, min(k + block, stages.size)
             rows = fn(stages[start:stop])
         return rows[k - start]
 

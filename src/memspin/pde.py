@@ -98,6 +98,7 @@ from .core import (
     NumericalError,
     ValidationError,
     MARGIN_THRESHOLD,
+    STAGE_BLOCK,
     beat_sum,
     check_beat_resolution,
     dispersion_phase,
@@ -745,8 +746,8 @@ class _ModalBlock:
         j in ``heat``."""
         a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
         g, n, _ = a.shape
-        # the drive is tabulated a block of steps at a time
-        table = (stage_table(self.drives, np.arange(nt))
+        # tabulated a block of steps at a time, as many stages as rk4's blocks
+        table = (stage_table(self.drives, np.arange(nt), block=STAGE_BLOCK // 4)
                  if any(pulse is not None for pulse in self.pulses) else None)
         s1 = np.empty((nt + 1, g, n), dtype=complex)
         for i in range(nt + 1):
