@@ -604,7 +604,8 @@ class _CellModes:
     def _vectors(self, inverse: bool):
         """Rows i of V, first to last, or columns j of V^-1, last to first:
         (lam_i - lam_k) V[i, k] = absorb sum_{k <= j < i} T[i, j] V[j, k] and
-        (lam_j - lam_k) V^-1[k, j] = absorb T[., j] sum_{j < i <= k} V^-1[k, i]."""
+        (lam_j - lam_k) V^-1[k, j] = absorb t_j sum_{j < i <= k} V^-1[k, i],
+        where t_j = T[i, j] for every i > j."""
         n = self.lam.size
         acc = np.zeros(n, dtype=complex)
         for i in (range(n - 1, -1, -1) if inverse else range(n)):
