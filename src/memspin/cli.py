@@ -130,6 +130,9 @@ def _check(node, schema, path: str) -> None:
         raise ValidationError(f"config entry '{path}' must be {schema.__name__}, not a boolean")
     elif not isinstance(node, (int, float) if schema is float else schema):
         raise ValidationError(f"config entry '{path}' must be {schema.__name__}")
+    # json reads NaN, Infinity and -Infinity as floats
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ValidationError(f"config entry '{path}' must be finite")
 
 
 def load_config(path_or_name: str) -> dict:

@@ -57,22 +57,22 @@ modal step errs by about that many rounding units a step, the real-space
 step by one.  Both are linear in the state, so superposition holds to
 rounding error.
 
-Every op is one integration of a batch (:func:`_simulate_batch`): chains
-(:class:`Chain`) laid end to end on one cell axis, each with its own cells,
-schedule, spectrum and inflow, so G is block-diagonal and each chain has its
-own outflow.  Every chain starts from zero spin: its memories are empty
-until a store window fills them.  Before integrating, the batch warns once
-for each distinct coupling that fails the validity margins, the first such
-coupling of each chain.  A run carries its reference echo, a
-transfer extraction its N basis probes and the echo, and an eq5 sweep
-both models of every case on a grid.  The inflow drive i B e is tabulated
-on the RK4 stage times a block at a time (:func:`memspin.core.stage_table`),
-so a step is arithmetic on the spin grids only; each chain's outflow and
-input power are formed after each window from the recorded S(1) series.
-The single-excited-state model of eq. 5 is a one-cell chain with one
-composite mode whose coupling W(t) beats in time; its rate, drive and
-absorption are tabulated on the same stage times, and the real-space
-step reads those tables only when it holds such a chain.
+Every op is one integration of a batch (:func:`_simulate_batch`) of chains
+(:class:`Chain`), each with its own cells, schedule, spectrum, inflow and
+outflow.  Every chain starts from zero spin: its memories are empty until a
+store window fills them.  Before integrating, the batch warns once for each
+distinct coupling that fails the validity margins, the first such coupling
+of each chain.  A run carries its reference echo, a transfer extraction its
+N basis probes and the echo, and an eq5 sweep both models of every case on
+a grid.  In each window the chains of one path, kind and size step together
+as one block, stacked on a leading axis, (chains, cells, nz), with every
+product taken per chain.  The inflow drive i B e is tabulated on the RK4
+stage times a block at a time (:func:`memspin.core.stage_table`), so a step
+is arithmetic on the spin grids only; each chain's outflow and input power
+are formed after each window from the recorded S(1) series.  The
+single-excited-state model of eq. 5 is a one-cell chain with one composite
+mode whose coupling W(t) beats in time; its rate, drive and absorption are
+tabulated on the same stage times.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -154,6 +154,8 @@ class Grid:
 
     def refined(self, factor: float = 2.0) -> "Grid":
         """Refine space and time together (for convergence studies)."""
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValidationError(f"grid scale must be finite and positive, not {factor}")
         return Grid(nz=int(round(self.nz * factor)), dt=self.dt / factor, window=self.window)
 
 
@@ -422,24 +424,17 @@ class _ChainOperator:
         # i G: cell to cell through S(1), which a one-cell chain does not have
         self.iG = (1j * np.einsum("ck,ckd->cd", np.conj(ratios), self.upstream)
                    if n_cells > 1 else None)
-        self.hi, self.window = n_cells, window  # G acts on cells [0, hi)
-        self.C, self.H = phase[-1], upstream[-1]
+        self.C, self.H, self.window = phase[-1], upstream[-1], window
 
     @classmethod
-    def joined(cls, ops) -> "_ChainOperator":
-        """The operator of chains laid end to end on one cell axis: decay and
-        absorption are concatenated, and G is block-diagonal over the cells
-        up to the end of the last chain that has cell-to-cell coupling."""
+    def stacked(cls, parts) -> "_ChainOperator":
+        """The operator of chains of one size stacked on a leading axis,
+        (chains, cells, ...).  Single-excited chains (:class:`_Eq5Operator`)
+        have no static absorption: theirs is tabulated with their drive."""
         op = cls.__new__(cls)
-        op.half_dz = ops[0].half_dz
-        op.decay = np.concatenate([each.decay for each in ops])
-        op.absorb = np.concatenate([each.absorb for each in ops])
-        bounds = np.cumsum([0] + [each.decay.shape[0] for each in ops])
-        coupled = [i for i, each in enumerate(ops) if each.iG is not None]
-        op.hi = int(bounds[coupled[-1] + 1]) if coupled else 0
-        op.iG = np.zeros((op.hi, op.hi), dtype=complex) if coupled else None
-        for i in coupled:
-            op.iG[bounds[i]:bounds[i + 1], bounds[i]:bounds[i + 1]] = ops[i].iG
+        op.half_dz, op.decay = parts[0].half_dz, np.stack([part.decay for part in parts])
+        op.absorb = np.stack([part.absorb for part in parts]) if isinstance(parts[0], cls) else None
+        op.iG = None if parts[0].iG is None else np.stack([part.iG for part in parts])
         return op
 
     def inflow(self, t, pulse) -> np.ndarray:
@@ -457,29 +452,20 @@ class _ChainOperator:
         """i B e, (..., n_cells, 1), for chain inflows ``e`` (..., n_modes)."""
         return self.iB @ e[..., None]
 
-    def coefficients(self, t: np.ndarray, pulse, timed: bool) -> np.ndarray:
-        """The RHS tables on the stage times ``t``, (t.size, fields, n_cells, 1):
-        the inflow drive, then in a ``timed`` batch a zero rate and the absorption."""
-        drive = self.inflow_drive(self.inflow(t, pulse))
-        if not timed:
-            return drive[:, None]
-        return np.stack([drive, np.zeros_like(drive),
-                         np.broadcast_to(self.absorb, drive.shape)], axis=1)
+    def coefficients(self, t: np.ndarray, pulse) -> np.ndarray:
+        """The inflow drive on the stage times ``t``, (t.size, 1, n_cells, 1)."""
+        return self.inflow_drive(self.inflow(t, pulse))[:, None]
 
     def derivative(self, sig: np.ndarray, drive: np.ndarray | None, rate=None, absorb=None):
         """(dsig/dt, S) for spin grids ``sig`` (..., n_cells, nz) and the
-        inflow drive ``drive`` (..., n_cells, 1), None without inflow.  A
-        batch with single-excited chains also passes every cell's tabulated
-        ``rate`` (added to the static decay) and ``absorb``."""
+        inflow drive ``drive`` (..., n_cells, 1), None without inflow.
+        Single-excited chains also pass their tabulated ``rate`` (added to
+        the static decay) and ``absorb``."""
         acc = _cumtrapz(sig, self.half_dz)
         dsig = (self.decay if rate is None else self.decay + rate) * sig
         if self.iG is not None:
-            chain = self.iG @ acc[..., :self.hi, -1:]
-            if drive is None:
-                dsig[..., :self.hi, :] += chain
-            else:
-                drive = np.concatenate([drive[..., :self.hi, :] + chain,
-                                        drive[..., self.hi:, :]], axis=-2)
+            chain = self.iG @ acc[..., -1:]
+            drive = chain if drive is None else drive + chain
         if drive is not None:
             dsig += drive
         dsig -= (self.absorb if absorb is None else absorb) * acc
@@ -532,7 +518,6 @@ class _Eq5Operator:
         offset = -static_shift if options.auto_two_photon else 0.0
         grad = entry.gradient_sign * cell.gradient_eta * (grid.z - 0.5)
         self.decay = -(1j * (delta + offset + grad))[None, :]
-        self.absorb = np.zeros((1, 1))
         self.stark = (1.0 if options.power_broadening else 0.0) * cell.atoms.Gamma + 1j * self.d
         peak = float(np.sum(np.abs(self.amps))) ** 2 / self.d ** 2
         _check_step(grid.dt, cell.atoms.gamma + (self.stark.real + cell.atoms.coupling_density)
@@ -545,7 +530,7 @@ class _Eq5Operator:
         return beat_sum(pulse.mode_amplitudes, self.beats, self.t_base + t,
                         pulse.envelope(t))[:, None]
 
-    def coefficients(self, t: np.ndarray, pulse, timed: bool) -> np.ndarray:
+    def coefficients(self, t: np.ndarray, pulse) -> np.ndarray:
         """Drive, rate and absorption on the stage times ``t``, (t.size, 3, 1, 1)."""
         om = beat_sum(self.amps, self.beats, self.t_base + t)
         ratio = om / self.d
@@ -667,13 +652,13 @@ class _ModalBlock:
     The step is then a <- a + (P(h lam) - 1) a + W u.  Arrays run (chains,
     cells, ...) and every product is one per chain, so a chain's numbers do
     not depend on the chains beside it.  A one-cell chain has no G: u = d.
-    The chains in ``heat`` keep their cells' V for the window.
+    The chains in ``heat`` (block index -> batch index) keep their cells' V
+    for the window.
     """
 
-    def __init__(self, parts, modes, pulses, heat, h: float, stages: np.ndarray):
+    def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray, modes):
         g, n = len(parts), len(modes[0])
-        self.parts, self.modes, self.pulses, self.heat = parts, modes, pulses, heat
-        self.stages = stages
+        self.parts, self.pulses, self.heat, self.stages = parts, pulses, heat, stages
         # the coupled operators, each with the cells of every chain it serves
         self.users = {}
         for j, chain in enumerate(modes):
@@ -743,22 +728,22 @@ class _ModalBlock:
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
         """Step ``spins`` (chains, cells, nz) through ``nt`` steps; returns the
         S(1) series (chains, cells, nt + 1) and the final spins.  Before every
-        ``stride``-th step i, ``record(j, i, y)`` gets the spins of each chain
-        j in ``heat``."""
+        ``stride``-th step i, ``record(c, i, y)`` gets the spins y of each
+        chain in ``heat`` under its batch index c."""
         a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
         g, n, _ = a.shape
         # tabulated a block of steps at a time, as many stages as rk4's blocks
         table = (stage_table(self.drives, np.arange(nt), block=STAGE_BLOCK // 4)
                  if any(pulse is not None for pulse in self.pulses) else None)
-        s1 = np.empty((nt + 1, g, n), dtype=complex)
+        s1 = np.empty((g, n, nt + 1), dtype=complex)
         for i in range(nt + 1):
             m = (self.R @ a[..., None])[..., 0]
-            s1[i] = m[..., 0]
+            s1[..., i] = m[..., 0]
             if i == nt:
                 break
-            if self.heat and i % stride == 0:
-                for j in self.heat:
-                    record(j, i, self.spins(j, a[j]))
+            if i % stride == 0:
+                for j, c in self.heat.items():
+                    record(c, i, self.spins(j, a[j]))
             u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
             if table is not None:
                 u = table(i) if u is None else u + table(i)
@@ -766,14 +751,40 @@ class _ModalBlock:
             if u is not None:
                 step += (u.reshape(g, n, 1, 4) @ self.W)[..., 0, :]
             a = a + step
-        return np.moveaxis(s1, 0, -1), self.map(a, False)
+        return s1, self.map(a, False)
+
+
+class _RealSpaceBlock:
+    """Chains of one size and kind stepped together in real space through one
+    window: :func:`memspin.core.rk4` on :meth:`_ChainOperator.derivative` of
+    their stacked operator, arrays (chains, cells, ...) as in
+    :class:`_ModalBlock`.  The drives, and a single-excited chain's rate and
+    absorption, are tabulated on the stage times; without them, no drive."""
+
+    def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray):
+        self.op, self.heat, self.h = _ChainOperator.stacked(parts), heat, h
+        self.table = lambda k: (None,)
+        if self.op.absorb is None or any(pulse is not None for pulse in pulses):
+            self.table = stage_table(lambda t: np.stack(
+                [part.coefficients(t, pulse) for part, pulse in zip(parts, pulses)], axis=2),
+                stages)
+
+    def run(self, spins: np.ndarray, nt: int, stride: int, record):
+        """As :meth:`_ModalBlock.run`."""
+        s1 = np.empty(spins.shape[:-1] + (nt + 1,), dtype=complex)
+        for i, (y, acc) in enumerate(rk4(lambda y, k: self.op.derivative(y, *self.table(k)),
+                                         spins, np.arange(nt + 1) * self.h)):
+            s1[..., i] = acc[..., -1]
+            if i < nt and i % stride == 0:
+                for j, c in self.heat.items():
+                    record(c, i, y[j])
+        return s1, y
 
 
 def window_operators(chains, grid: Grid):
-    """Check a batch of chains and build its operators: per window, each
-    chain's own; and the starting state, zero spin.  The step-size guards
-    (the rate, the eq5 beat) run here, so this validates a batch without
-    integrating it."""
+    """Check a batch of chains and build its operators, per window each
+    chain's own.  The step-size guards (the rate, the eq5 beat) run here, so
+    this validates a batch without integrating it."""
     if len({chain.schedule.n_windows for chain in chains}) != 1:
         raise ValidationError("the chains of a batch must cover the same windows")
     for chain in chains:
@@ -781,10 +792,9 @@ def window_operators(chains, grid: Grid):
             raise ValidationError(f"{len(chain.cells)} cells supplied for a schedule with "
                                   f"{chain.schedule.n_cells} rows")
         chain.schedule.check_causality()
-    windows = [[(_Eq5Operator if chain.single_excited else _ChainOperator)(
+    return [[(_Eq5Operator if chain.single_excited else _ChainOperator)(
         chain.cells, chain.schedule, w, chain.spectrum, grid, chain.options)
         for chain in chains] for w in range(chains[0].schedule.n_windows)]
-    return windows, np.zeros((sum(len(chain.cells) for chain in chains), grid.nz), complex)
 
 
 def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
@@ -807,19 +817,14 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
 def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     """Run a batch of :class:`Chain` in one integration; one result per chain.
 
-    The chains lie end to end on the cell axis of one state (total cells,
-    nz) and share the grid and the number of windows.  Per window, each
-    chain takes the modal step (:class:`_ModalBlock`, chains of one size
-    together) or, if :func:`_window_modes` says so, the real-space step (all
-    such chains joined in one :func:`memspin.core.rk4` run); every chain's
-    drive (and a single-excited chain's rate and absorption) is tabulated on
-    the RK4 stage times, S(1) is recorded per grid time, and each chain's
-    outflow and input power are formed from it afterwards.
+    Each chain keeps its own spins (cells, nz).  Per window, the chains of
+    one step (:func:`_window_modes`), kind and size run as one block
+    (:class:`_ModalBlock`, :class:`_RealSpaceBlock`) that records their S(1)
+    per grid time, from which each chain's outflow and input power follow.
     """
-    windows, sig = window_operators(chains, grid)
+    windows = window_operators(chains, grid)
     _warn_on_margins(chains)
-    bounds = np.cumsum([0] + [len(chain.cells) for chain in chains])
-    rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    sig = [np.zeros((len(chain.cells), grid.nz), complex) for chain in chains]
     heat = [c for c, chain in enumerate(chains) if chain.options.record_heatmap]
     times = grid.times
     stages = stage_times(times)
@@ -836,40 +841,30 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     for w, parts in enumerate(windows):
         pulses = [chain.inputs.get(w) for chain in chains]
 
-        def record(c, n, spins, acc=None, w=w, parts=parts, pulses=pulses):
-            acc = _cumtrapz(spins, parts[c].half_dz) if acc is None else acc
+        def record(c, n, spins):
             row = w * samples + n // stride
-            heat_field[c][row] = parts[c].field_norms(parts[c].inflow(times[n], pulses[c]), acc)
+            heat_field[c][row] = parts[c].field_norms(parts[c].inflow(times[n], pulses[c]),
+                                                      _cumtrapz(spins, parts[c].half_dz))
             heat_spin[c][row] = np.abs(spins).reshape(-1)
 
-        s1 = np.empty((len(sig), grid.nt + 1), dtype=complex)
         modes = _window_modes(chains, parts, 0.5 / (grid.nz - 1))
-        real = [c for c, m in enumerate(modes) if m is None]
-        if real:
-            idx = np.concatenate([np.arange(bounds[c], bounds[c + 1]) for c in real])
-            s1[idx], sig[idx] = _real_space_run(
-                [parts[c] for c in real], [pulses[c] for c in real],
-                any(chains[c].single_excited for c in real), sig[idx], times, stages, stride,
-                [j for j, c in enumerate(real) if c in heat],
-                lambda j, n, y, acc, real=real: record(real[j], n, y, acc))
-        by_size = {}
-        for c, m in enumerate(modes):
-            if m is not None:
-                by_size.setdefault(len(m), []).append(c)
-        for members in by_size.values():
-            series, spins = _ModalBlock(
-                [parts[c] for c in members], [modes[c] for c in members],
-                [pulses[c] for c in members], [j for j, c in enumerate(members) if c in heat],
-                grid.dt, stages).run(
-                np.stack([sig[rows[c]] for c in members]), grid.nt, stride,
-                lambda j, n, y, members=members: record(members[j], n, y))
-            for c, each, y in zip(members, series, spins):
-                s1[rows[c]], sig[rows[c]] = each, y
+        groups = {}
+        for c, (chain, m) in enumerate(zip(chains, modes)):
+            groups.setdefault((m is None, chain.single_excited, len(chain.cells)), []).append(c)
+        s1 = [None] * len(chains)  # S(1) series, (cells, nt + 1) per chain
+        for (real, _, _), members in groups.items():
+            args = ([parts[c] for c in members], [pulses[c] for c in members],
+                    {j: c for j, c in enumerate(members) if c in heat}, grid.dt, stages)
+            block = (_RealSpaceBlock(*args) if real
+                     else _ModalBlock(*args, [modes[c] for c in members]))
+            for c, series, y in zip(members, *block.run(
+                    np.stack([sig[c] for c in members]), grid.nt, stride, record)):
+                s1[c], sig[c] = series, y
         _check_finite(s1, sig, w, times)
         # series run along a contiguous last axis, so the energy sums are pairwise
         for c, (part, pulse) in enumerate(zip(parts, pulses)):
             e = part.inflow(times, pulse)
-            out = part.outflow(np.moveaxis(e, 0, -1), s1[rows[c]])
+            out = part.outflow(np.moveaxis(e, 0, -1), s1[c])
             outputs[c].append(out)
             energies[c].append({
                 "window": w,
@@ -888,7 +883,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
         result = NetworkResult(
             outputs=[FieldState(envelopes=out, times=times.copy()) for out in outputs[c]],
             residual_spins=[SpinState(sigma=spin.copy(), z=grid.z, cell_id=cell.id)
-                            for spin, cell in zip(sig[rows[c]], chain.cells)],
+                            for spin, cell in zip(sig[c], chain.cells)],
             efficiency=float(efficiency),
             overlap=None,
             input_energy=float(input_energy),
@@ -902,43 +897,15 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     return results
 
 
-def _real_space_run(parts, pulses, timed: bool, spins: np.ndarray, times: np.ndarray,
-                    stages: np.ndarray, stride: int, heat, record):
-    """Step the chains of ``parts``, joined on one cell axis, in real space
-    with :func:`memspin.core.rk4` from ``spins`` (cells, nz); returns the S(1)
-    series (cells, times) and the final spins.  A ``timed`` run also tabulates
-    the single-excited chains' rate and absorption.  Before every
-    ``stride``-th step n, ``record(j, n, y, S)`` gets the spins and their
-    cumulative trapezoid of each chain j in ``heat``."""
-    op = _ChainOperator.joined(parts)
-    starts = np.cumsum([0] + [part.decay.shape[0] for part in parts])
-    table = None
-    if timed or any(pulse is not None for pulse in pulses):
-        table = stage_table(lambda t: np.concatenate(
-            [part.coefficients(t, pulse, timed) for part, pulse in zip(parts, pulses)],
-            axis=-2), stages)
-
-    def rhs(y, k):
-        return op.derivative(y, *(table(k) if table is not None else (None,)))
-
-    series = np.empty((spins.shape[0], times.size), dtype=complex)
-    for n, (y, acc) in enumerate(rk4(rhs, spins, times)):
-        series[:, n] = acc[:, -1]
-        if heat and n < times.size - 1 and n % stride == 0:
-            for j in heat:
-                cells = slice(starts[j], starts[j + 1])
-                record(j, n, y[cells], acc[cells])
-    return series, y
-
-
-def _check_finite(series: np.ndarray, sig: np.ndarray, window: int, times: np.ndarray):
-    """Name the first grid time of ``series`` (S(1), which any non-finite spin
-    value reaches; time last) that is non-finite, then check the final spins."""
-    bad = ~np.isfinite(series.reshape(-1, times.size)).all(axis=0)
+def _check_finite(series, sig, window: int, times: np.ndarray):
+    """Name the first grid time at which a chain's S(1) ``series`` (cells,
+    times), which any non-finite spin reaches, is not finite; then check the
+    chains' final spins ``sig``."""
+    bad = ~np.isfinite(np.concatenate(series)).all(axis=0)
     if bad.any():
         n = int(np.argmax(bad))
         raise NumericalError(f"non-finite state in window {window} at t = {times[n]:g} us")
-    if not np.all(np.isfinite(sig)):
+    if not np.isfinite(np.concatenate(sig)).all():
         raise NumericalError(f"non-finite spin state after window {window}")
 
 

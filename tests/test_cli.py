@@ -390,12 +390,22 @@ def explicit(re):
      "'pulse.mode_amplitudes.im' differ in shape"),
     ("hadamard_2mode", {"pulse.mode_amplitudes": {"re": [1, 0], "im": [0, 0, 0]}},
      "'pulse.mode_amplitudes.im' differ in shape"),
+    ("identity_1mode", {"atoms.Gamma_mhz": float("nan")},
+     "config entry 'atoms.Gamma_mhz' must be finite"),
+    ("identity_1mode", {"pulse.fwhm_us": float("nan")},
+     "config entry 'pulse.fwhm_us' must be finite"),
+    ("identity_1mode", {"cells.gradient_mhz": float("nan")},
+     "config entry 'cells.gradient_mhz' must be finite"),
+    ("identity_1mode", {"grid.dt_us": float("nan")}, "config entry 'grid.dt_us' must be finite"),
+    ("identity_1mode", {"grid.window_us": float("inf")},
+     "config entry 'grid.window_us' must be finite"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
         "string_entry", "bool_stage_entry", "echo_outside_windows",
         "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
         "stage_label", "stage_window", "n_modes_beside_detunings",
         "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit",
-        "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re"])
+        "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re",
+        "Gamma_nan", "fwhm_nan", "gradient_nan", "dt_nan", "window_infinity"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())
@@ -564,6 +574,17 @@ def test_grid_scale_does_not_lift_an_invalid_base_grid(tmp_path, capsys):
     small = edited(tmp_path, "identity_1mode", {"grid.nz": 48})
     assert run_cli(["validate", small, "--grid-scale", "2"]) == cli.EXIT_CONFIG
     assert "nz must be at least 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_grid_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
+    """validate and run refuse the scale with exit 2, not a traceback."""
+    for command in (["validate", "identity_1mode"],
+                    ["run", "identity_1mode", "--out", tmp_path / "o"]):
+        assert run_cli([*command, "--grid-scale", scale]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: grid scale must be finite and positive, "
+                                           f"not {float(scale)}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_closes_the_file(tmp_path):

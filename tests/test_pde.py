@@ -767,10 +767,13 @@ def test_transfer_columns_match_basis_probe_runs():
         npt.assert_allclose(m[:, j], column, rtol=0, atol=1e-12)
 
 
-def test_mixed_batch_matches_standalone_runs():
+@pytest.mark.parametrize("limit", [pde.MODAL_COND_LIMIT, 0.0], ids=["default", "real_space"])
+def test_mixed_batch_matches_standalone_runs(monkeypatch, limit):
     """A 3-cell chain with its 1-cell reference echo, and the multi-transition
     and single-excited runs of two eq5 cases, as one batch: each chain against
-    its own standalone run."""
+    its own standalone run.  At a conditioning limit of 0 every chain steps in
+    real space, in blocks of two sizes and both kinds."""
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", limit)
     sp, cells, sched, grid, opts = uncompensated_chain()
     rng = np.random.default_rng(13)
     pulse = pde.GaussianPulse(FWHM, CENTER, rng.normal(size=3) + 1j * rng.normal(size=3))
@@ -825,7 +828,7 @@ def uncompensated_batch():
 
 def worst_conditioning(chain, grid):
     """The largest condition number of the eigenvectors of ``chain``'s cell operators."""
-    windows, _ = pde.window_operators([chain], grid)
+    windows = pde.window_operators([chain], grid)
     return max(pde._CellModes(part.decay[c], part.absorb.item(c), 0.5 / (grid.nz - 1)).cond
                for (part,) in windows for c in range(len(chain.cells)))
 
@@ -853,8 +856,8 @@ def test_modal_step_matches_the_real_space_step(monkeypatch):
     assert calls == []
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
     real = pde._simulate_batch(chains, grid)
-    # one joined real-space run per window: four evaluations a step, one at the end
-    assert len(calls) == sched.n_windows * (4 * grid.nt + 1)
+    # per window one real-space run per chain size: four evaluations a step, one at the end
+    assert len(calls) == sched.n_windows * 2 * (4 * grid.nt + 1)
     for res, ref in zip(modal, real):
         for out, ref_out in zip(res.outputs, ref.outputs):
             scale = np.max(np.abs(ref_out.envelopes))
@@ -874,7 +877,7 @@ def test_conditioning_limit_is_applied_per_chain(monkeypatch):
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", math.sqrt(echo * network))
     calls = counted_derivatives(monkeypatch)
     res_network, res_echo = pde._simulate_batch(chains, grid)
-    assert {op.decay.shape[0] for op in calls} == {len(chains[0].cells)}
+    assert {op.decay.shape[-2] for op in calls} == {len(chains[0].cells)}
     calls.clear()
     (alone,) = pde._simulate_batch([chains[1]], grid)
     assert calls == []
