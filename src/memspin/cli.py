@@ -681,6 +681,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out or os.environ.get("MEMSPIN_OUT", "memspin_out")
     try:
+        pde.check_grid_scale(args.grid_scale)
         cfg = load_config(args.config)
         needed = COMMAND_TYPES.get(args.command, cfg.get("type", "network"))
         if cfg.get("type", "network") != needed:

@@ -40,8 +40,9 @@ therefore obey
 with A fixed and lower triangular, and u, the inflow drive i B e plus
 (i G S(1))_c, one scalar per cell, uniform in z.  Its eigenvalues are its
 diagonal, distinct when the cell has a gradient, as storing and recalling
-require; forward substitution gives A = V diag(lam) V^-1
-(:class:`_CellModes`).  In the coordinates a = V^-1 s the same RK4 map is
+require.  Under the linear gradient, V in A = V diag(lam) V^-1 is Toeplitz
+away from z = 0, in closed form and applied by FFT (:class:`_CellModes`).
+In the coordinates a = V^-1 s the same RK4 map is
 
     a <- a + (P(h lam) - 1) a + sum_s w_s(h lam) u_s,
 
@@ -52,10 +53,10 @@ a step in real space is four evaluations of :meth:`_ChainOperator.derivative`,
 each a cumulative sum and a dozen array operations.  The path is chosen per
 chain in each window.  Real space (:func:`memspin.core.rk4`) is kept for a
 single-excited chain, whose absorption changes in time, and for a chain
-with a cell whose V has a condition number above MODAL_COND_LIMIT: the
-modal step errs by about that many rounding units a step, the real-space
-step by one.  Both are linear in the state, so superposition holds to
-rounding error.
+with a cell whose V has a condition number above MODAL_COND_LIMIT, or none
+in closed form: the modal step errs by about that many rounding units a
+step, the real-space step by one.  Both are linear in the state, so
+superposition holds to rounding error.
 
 Every op is one integration of a batch (:func:`_simulate_batch`) of chains
 (:class:`Chain`), each with its own cells, schedule, spectrum, inflow and
@@ -114,8 +115,15 @@ EVENTS = ("store", "recall", "hold")
 
 #: Largest condition number ||V||_1 ||V^-1||_1 of a cell's eigenvector matrix
 #: for which its chain takes the modal step: that step errs by about this
-#: many rounding units per step, and the real-space step does not.
+#: many rounding units per step, and the real-space step does not.  A cell
+#: with no V in closed form has an infinite one.
 MODAL_COND_LIMIT = 1e3
+
+
+def check_grid_scale(factor: float) -> None:
+    """Refuse a grid scale that is not finite and positive."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValidationError(f"grid scale must be finite and positive, not {factor}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,7 @@ class Grid:
 
     def refined(self, factor: float = 2.0) -> "Grid":
         """Refine space and time together (for convergence studies)."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValidationError(f"grid scale must be finite and positive, not {factor}")
+        check_grid_scale(factor)
         return Grid(nz=int(round(self.nz * factor)), dt=self.dt / factor, window=self.window)
 
 
@@ -551,72 +558,62 @@ class _CellModes:
     reads: psi = T[-1] V, the S(1) of each mode, and beta = V^-1 1, the
     uniform drive in modal coordinates.
 
-    A is lower triangular, so lam is its diagonal, and V and V^-1 are unit
-    lower triangular: column k of V and row k of V^-1 are the right and left
-    eigenvectors of lam_k, found by forward and backward substitution with
-    T's running sums, one grid point at a time (:meth:`_vectors`).  Neither
-    nz x nz matrix is kept: :meth:`apply` maps vectors in one pass, and
-    :meth:`matrix` builds V only where it is used at every sample.  A
-    nonzero gradient makes lam distinct; without one the substitution fails
-    and ``cond``, the 1-norm condition number ||V||_1 ||V^-1||_1, is not
-    finite.  An uncoupled cell's operator is diagonal and its V the identity.
+    A is lower triangular, so lam is its diagonal, lam_i = decay_i - a h
+    (lam_0 = decay_0) with a = absorb and h = half_dz, and V and V^-1 are
+    unit lower triangular.  Under a linear gradient lam_1 ... lam_{n-1} step
+    evenly, so both are Toeplitz apart from column 0.  With G_i = lam_i - lam_0
+    and kappa_m = 2 a h / (lam_{1+m} - lam_1), for k >= 1,
+
+        V[k + m, k] = v_m = kappa_m P_m,      P_{m+1} = P_m (1 + kappa_m),
+        V^-1[k + m, k] = u_m = -kappa_m R_m,  R_{m+1} = R_m (1 - kappa_m),
+        V[i, 0] = a Q_i / G_i,                Q_{i+1} = Q_i (1 + 2 a h / G_i),
+        V^-1[i, 0] = -a h R_i / G_i,
+
+    from v_0 = u_0 = P_1 = R_1 = 1 and Q_1 = h.  :meth:`apply` maps vectors
+    by column 0 and one FFT convolution; neither n x n matrix is formed.
+    Where lam does not step evenly, as without a gradient, ``cond``, the
+    1-norm condition number ||V||_1 ||V^-1||_1, is infinite, so the cell's
+    chain steps in real space.  An uncoupled cell's V is the identity.
     """
 
     def __init__(self, decay: np.ndarray, absorb: float, half_dz: float):
-        n = decay.size
-        self.absorb, self.V = absorb, None
-        self.weights = np.full(n, 2.0 * half_dz)  # T[i, j] for j < i
-        self.weights[0] = half_dz
-        last = self.weights.copy()  # T[-1]
-        last[-1] = half_dz
+        n, h, self.absorb = decay.size, half_dz, absorb
+        last = np.full(n, 2.0 * h)  # T[-1]
+        last[0] = last[-1] = h
         if absorb == 0.0:
             self.lam, self.cond = decay, 1.0
             self.psi, self.beta = last.astype(complex), np.ones(n, dtype=complex)
             return
-        self.lam = decay - absorb * half_dz
+        self.lam = decay - absorb * h
         self.lam[0] = decay[0]
-        self.psi, self.beta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-        column_sums, inverse_norm = np.zeros(n), 0.0
         with np.errstate(all="ignore"):
-            for i, row in self._vectors(inverse=False):
-                self.psi += last[i] * row
-                column_sums += np.abs(row)
-            for _, column in self._vectors(inverse=True):
-                self.beta += column
-                inverse_norm = np.maximum(inverse_norm, np.sum(np.abs(column)))
-            self.cond = float(np.max(column_sums) * inverse_norm)
-
-    def _vectors(self, inverse: bool):
-        """Rows i of V, first to last, or columns j of V^-1, last to first:
-        (lam_i - lam_k) V[i, k] = absorb sum_{k <= j < i} T[i, j] V[j, k] and
-        (lam_j - lam_k) V^-1[k, j] = absorb t_j sum_{j < i <= k} V^-1[k, i],
-        where t_j = T[i, j] for every i > j."""
-        n = self.lam.size
-        acc = np.zeros(n, dtype=complex)
-        for i in (range(n - 1, -1, -1) if inverse else range(n)):
-            gap = self.lam[i] - self.lam
-            gap[i] = 1.0
-            vec = self.absorb * (self.weights[i] if inverse else 1.0) * acc / gap
-            vec[i] = 1.0
-            acc += vec if inverse else self.weights[i] * vec
-            yield i, vec
-
-    def matrix(self) -> np.ndarray:
-        """V in full."""
-        out = np.empty((self.lam.size, self.lam.size), dtype=complex)
-        for i, row in self._vectors(inverse=False):
-            out[i] = row
-        return out
+            kappa = 2.0 * absorb * h / (self.lam[2:] - self.lam[1])
+            p = np.cumprod(np.concatenate(([1.0], 1.0 + kappa[:-1])))
+            r = np.cumprod(np.concatenate(([1.0], 1.0 - kappa)))  # R_1 ... R_{n-1}
+            gaps = self.lam[1:] - self.lam[0]
+            q = h * np.cumprod(np.concatenate(([1.0], 1.0 + 2.0 * absorb * h / gaps[:-1])))
+            v = np.concatenate(([1.0], kappa * p))
+            u = np.concatenate(([1.0], -kappa * r[:-1]))
+            self.columns = (np.concatenate(([1.0], absorb * q / gaps)),
+                            np.concatenate(([1.0], -absorb * h * r / gaps)))
+            sums = 2.0 * h * np.cumsum(v) - h * v
+            self.psi = np.concatenate(([last @ self.columns[0]], sums[::-1]))
+            self.beta = np.concatenate(([1.0], self.columns[1][1:] + r))
+            self.cond = float(max(np.sum(np.abs(self.columns[0])), np.sum(np.abs(v)))
+                              * max(np.sum(np.abs(self.columns[1])), np.sum(np.abs(u))))
+        even = np.max(np.abs(np.diff(self.lam[1:], 2))) <= 1e-9 * abs(self.lam[2] - self.lam[1])
+        if not (even and math.isfinite(self.cond)):
+            self.cond = math.inf
+        # a circular convolution of 2 n - 3 points or more keeps n - 1 unwrapped
+        self.size = 1 << (2 * n - 4).bit_length()
+        self.symbols = (np.fft.fft(v, self.size), np.fft.fft(u, self.size))
 
     def apply(self, y: np.ndarray, inverse: bool) -> np.ndarray:
-        """V y, or V^-1 y, for the rows of ``y`` (vectors, nz), in one pass of
-        the substitution, row by row of V or column by column of V^-1."""
-        out = np.zeros_like(y)
-        for i, vec in self._vectors(inverse):
-            if inverse:
-                out += y[:, i, None] * vec
-            else:
-                out[:, i] = np.sum(y * vec, axis=-1)
+        """V y, or V^-1 y, for the rows of ``y`` (vectors, nz): column 0 times
+        y_0 plus the convolution of y_1 ... y_{n-1} with the symbol."""
+        out = y[:, :1] * self.columns[inverse]
+        conv = np.fft.ifft(np.fft.fft(y[:, 1:], self.size) * self.symbols[inverse])
+        out[:, 1:] += conv[:, :y.shape[1] - 1]
         return out
 
 
@@ -652,8 +649,6 @@ class _ModalBlock:
     The step is then a <- a + (P(h lam) - 1) a + W u.  Arrays run (chains,
     cells, ...) and every product is one per chain, so a chain's numbers do
     not depend on the chains beside it.  A one-cell chain has no G: u = d.
-    The chains in ``heat`` (block index -> batch index) keep their cells' V
-    for the window.
     """
 
     def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray, modes):
@@ -665,9 +660,6 @@ class _ModalBlock:
             for c, m in enumerate(chain):
                 if m.absorb != 0.0:
                     self.users.setdefault(m, {}).setdefault(j, []).append(c)
-        for m, users in self.users.items():
-            if m.V is None and any(j in users for j in heat):
-                m.V = m.matrix()
 
         def per_cell(name):
             return np.stack([getattr(m, name) for chain in modes for m in chain]).reshape(g, n, -1)
@@ -712,7 +704,7 @@ class _ModalBlock:
         y = a.copy()
         for m, users in self.users.items():
             if j in users:
-                y[users[j]] = a[users[j]] @ m.V.T
+                y[users[j]] = m.apply(a[users[j]], False)
         return y
 
     def drives(self, steps: np.ndarray) -> np.ndarray:

@@ -248,6 +248,20 @@ def test_heatmap_rows_match_percent_format(tmp_path):
         assert body == "".join(row_format % tuple(row) for row in matrix.tolist()).encode()
 
 
+def test_modal_heatmaps_match_real_space(monkeypatch):
+    """The heatmaps of a run in modal coordinates, mapped back to the grid at
+    every sample, equal those of the run forced into real space (a
+    conditioning limit of 0) to 1e-12 of their largest entry."""
+    cfg = json.loads(cli.scenario_path("ten_mode_two_ops").read_text())
+    setup = cli.NetworkSetup(cfg, grid_scale=0.5, heatmap=True)
+    modal, *_ = cli.run_network(setup)
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
+    real, *_ = cli.run_network(setup)
+    for name in ("heatmap_field", "heatmap_spin"):
+        ref = getattr(real, name)
+        assert np.max(np.abs(getattr(modal, name) - ref)) <= 1e-12 * np.max(ref)
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("MEMSPIN_OUT", str(tmp_path / "envout"))
     assert run_cli(["run", "identity_1mode"]) == cli.EXIT_OK
@@ -576,11 +590,16 @@ def test_grid_scale_does_not_lift_an_invalid_base_grid(tmp_path, capsys):
     assert "nz must be at least 64" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_grid_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
-    """validate and run refuse the scale with exit 2, not a traceback."""
+    """Every command refuses the scale with exit 2, not a traceback, for every
+    config type, a fock config too, which builds no grid."""
     for command in (["validate", "identity_1mode"],
-                    ["run", "identity_1mode", "--out", tmp_path / "o"]):
+                    ["run", "identity_1mode", "--out", tmp_path / "o"],
+                    ["validate", "eq5_regime_sweep"],
+                    ["extract-transfer", "identity_1mode", "--out", tmp_path / "o"],
+                    ["validate", "klm_cz"],
+                    ["fock-verify", "klm_cz", "--out", tmp_path / "o"]):
         assert run_cli([*command, "--grid-scale", scale]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == ("error: grid scale must be finite and positive, "
                                            f"not {float(scale)}\n")

@@ -886,3 +886,56 @@ def test_conditioning_limit_is_applied_per_chain(monkeypatch):
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
     (real,) = pde._simulate_batch([chains[0]], grid)
     assert_same_run(res_network, real, sched.n_windows)
+
+
+def single_mode_echo(nz):
+    """The single-mode cell storing (gradient sign +1) and recalling (-1) as a
+    chain, and its grid."""
+    sp, atoms, cell, cv, grid, pulse = single_mode_setup(nz=nz)
+    sched = pde.Schedule(entries=((pde.ScheduleEntry("store", cv, 1),
+                                   pde.ScheduleEntry("recall", cv, -1)),))
+    return pde.Chain([cell], sched, sp, {0: pulse}, OPTS), grid
+
+
+@pytest.mark.parametrize("nz", [64, 256])
+@pytest.mark.parametrize("window", [0, 1], ids=["store", "recall"])
+def test_cell_modes_match_a_dense_build(nz, window):
+    """V and V^-1 of the closed form, formed in full by applying them to the
+    identity, against the dense A = diag(decay) - absorb T: A V = V diag(lam)
+    with V unit lower triangular and V V^-1 = I to 1e-12 of the matrix scale,
+    and cond, psi = T[-1] V and beta = V^-1 1 as the dense matrices give them."""
+    chain, grid = single_mode_echo(nz)
+    (part,) = pde.window_operators([chain], grid)[window]
+    decay, absorb, half_dz = part.decay[0], part.absorb.item(0), part.half_dz
+    modes = pde._CellModes(decay, absorb, half_dz)
+    T = pde._cumtrapz(np.eye(nz), half_dz).T
+    A = np.diag(decay) - absorb * T
+    eye = np.eye(nz, dtype=complex)
+    V, V_inv = (modes.apply(eye, inverse).T for inverse in (False, True))
+    npt.assert_allclose(modes.lam, np.diag(A), rtol=0, atol=1e-15 * np.max(np.abs(A)))
+    scale = np.max(np.abs(A)) * np.max(np.abs(V))
+    assert np.max(np.abs(A @ V - V * modes.lam)) <= 1e-12 * scale
+    assert np.max(np.abs(np.triu(V, 1))) <= 1e-12 * np.max(np.abs(V))
+    assert np.max(np.abs(np.diag(V) - 1.0)) <= 1e-12
+    assert np.max(np.abs(V @ V_inv - eye)) <= 1e-12 * np.max(np.abs(V)) * np.max(np.abs(V_inv))
+    rng = np.random.default_rng(nz + window)
+    y = rng.normal(size=(3, nz)) + 1j * rng.normal(size=(3, nz))
+    npt.assert_allclose(modes.apply(modes.apply(y, True), False), y, rtol=0,
+                        atol=1e-12 * np.max(np.abs(y)))
+    cond = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+    assert 1.0 < modes.cond <= pde.MODAL_COND_LIMIT
+    assert abs(modes.cond - cond) <= 1e-12 * cond
+    for row, dense in ((modes.psi, T[-1] @ V), (modes.beta, V_inv @ np.ones(nz))):
+        npt.assert_allclose(row, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+
+
+def test_a_decay_that_is_not_linear_steps_in_real_space():
+    """Eigenvalues that do not step evenly along z break the Toeplitz form: the
+    cell's condition number is not finite and its chain takes real space."""
+    chain, grid = single_mode_echo(64)
+    (part,), _ = pde.window_operators([chain], grid)
+    assert pde._window_modes([chain], [part], part.half_dz) != [None]
+    part.decay = part.decay - 0.1j * ETA * grid.z ** 2
+    assert not math.isfinite(pde._CellModes(part.decay[0], part.absorb.item(0),
+                                            part.half_dz).cond)
+    assert pde._window_modes([chain], [part], part.half_dz) == [None]
