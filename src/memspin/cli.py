@@ -432,7 +432,7 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
         return _run_eq5(cfg, out_dir, args)
     if kind == "fock":
         return cmd_fock_verify(cfg, out_dir, args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
     margins = setup.margin_report()
@@ -450,7 +450,7 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
         "grid": {"nz": setup.grid.nz, "dt_us": setup.grid.dt,
                  "window_us": setup.grid.window},
         "transfer": _complex_matrix_dict(transfer) if transfer is not None else None,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     path = write_report(out_dir, report)
     if transfer is not None:
@@ -507,7 +507,7 @@ def eq5_batches(cases: list[dict]):
 
 
 def _run_eq5(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = build_eq5_cases(cfg, args.grid_scale)
     deviations = {}
     for group, batch in eq5_batches(cases):
@@ -532,7 +532,7 @@ def _run_eq5(cfg: dict, out_dir: str, args) -> int:
         "label": cfg.get("label", ""),
         "config_hash": config_hash(cfg),
         "cases": results,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     write_report(out_dir, report)
     return EXIT_OK
@@ -605,7 +605,7 @@ def build_fock_run(cfg: dict):
 
 
 def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     stages, policy, cap, inputs, plans = build_fock_run(cfg)
     rows = []
     for label, (q1, q2) in inputs:
@@ -630,7 +630,7 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
         "config_hash": config_hash(cfg),
         "gates": rows,
         "stage_labels": [s.label for s in stages],
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     if plans is not None:
         report["stage_plans"] = plans
@@ -639,7 +639,7 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_extract_transfer(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
     matrix = pde.extract_transfer_matrix(
         setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
@@ -649,7 +649,7 @@ def cmd_extract_transfer(cfg: dict, out_dir: str, args) -> int:
         "label": cfg.get("label", ""),
         "config_hash": config_hash(cfg),
         "transfer": _complex_matrix_dict(matrix),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     write_report(out_dir, report)
     path = write_transfer_csv(out_dir, matrix)

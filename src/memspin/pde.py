@@ -28,12 +28,21 @@ light only through its bright mode r = W / D, so inside it
     E_k(z) = e_k + i * N * r_k * S(z),   S(z) = integral_0^z s(z') dz'
 
 with e the cell's inflow and S = T s the cumulative trapezoid of its spin
-(T lower triangular).  The chain enters only through small matrices built
-once per window: the inflow projected onto each cell's bright mode (B), the
-strictly lower cell-to-cell coupling through the end values S(1) (G), and
-the maps from inflow and S(1) to the outflow (C, H), with the uncompensated
-dispersion phases folded into all four.  Within a window each cell's spins
-therefore obey
+(T lower triangular).  Only the bright part of the inflow, alpha = rhat^H e
+on the unit bright mode rhat = i r / |r|, meets the spin; the dark rest
+e_perp = e - alpha rhat passes the cell unchanged, and an uncoupled cell's
+inflow is all dark.  So the field's norm, which the heatmaps record, is
+
+    |E(z)|^2 = |e_perp|^2 + |alpha + N |r| S(z)|^2,
+
+one complex profile per cell (:meth:`_ChainOperator.field_norms`).
+
+The chain enters only through small matrices built once per window: the
+inflow projected onto each cell's bright mode (B), the strictly lower
+cell-to-cell coupling through the end values S(1) (G), and the maps from
+inflow and S(1) to the outflow (C, H), with the uncompensated dispersion
+phases folded into all four.  Within a window each cell's spins therefore
+obey
 
     ds/dt = A s + u(t),   A = diag(-(gamma' + i dtot(z))) - N |r|^2 T,
 
@@ -41,8 +50,9 @@ with A fixed and lower triangular, and u, the inflow drive i B e plus
 (i G S(1))_c, one scalar per cell, uniform in z.  Its eigenvalues are its
 diagonal, distinct when the cell has a gradient, as storing and recalling
 require.  Under the linear gradient, V in A = V diag(lam) V^-1 is Toeplitz
-away from z = 0, in closed form and applied by FFT (:class:`_CellModes`).
-In the coordinates a = V^-1 s the same RK4 map is
+away from z = 0, in closed form and applied by FFT (:class:`_CellModes`),
+one FFT pair for all the coupled cells of a block.  In the coordinates
+a = V^-1 s the same RK4 map is
 
     a <- a + (P(h lam) - 1) a + sum_s w_s(h lam) u_s,
 
@@ -425,7 +435,10 @@ class _ChainOperator:
             gamma_eff + np.abs([cell.gradient_eta for cell in cells]) / 2.0 + absorb)))
         self.absorb = absorb[:, None]
         self.decay = -(gamma_eff[:, None] + 1j * delta_z)
-        self.emit = 1j * ncal[:, None] * ratios
+        emit = 1j * ncal[:, None] * ratios
+        # |emit| and the unit bright mode rhat = emit / |emit|, zero when uncoupled
+        self.gain = np.linalg.norm(emit, axis=1, keepdims=True)
+        self.bright = emit / np.where(self.gain > 0.0, self.gain, 1.0)
         self.phase, self.upstream = phase[:-1], upstream[:-1]
         self.iB = 1j * np.conj(ratios) * self.phase
         # i G: cell to cell through S(1), which a one-cell chain does not have
@@ -480,17 +493,24 @@ class _ChainOperator:
 
     def outflow(self, e: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """C e + H S(1) for series of inflows ``e`` (..., n_modes, times) and end
-        values ``s1`` (..., n_cells, times)."""
-        out = self.H @ s1
+        values ``s1`` (..., n_cells, times).  The product is an einsum, which
+        calls no BLAS, so it wakes no BLAS thread to spin after it."""
+        out = np.einsum("...kc,...ct->...kt", self.H, s1)
         out += self.C[..., None] * e
         return out
 
     def field_norms(self, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        """sqrt(sum_k |E_k(z)|^2) in every cell, concatenated along z."""
+        """sqrt(sum_k |E_k(z)|^2) in every cell, concatenated along z, from the
+        split of each cell's inflow into its bright part alpha on rhat =
+        emit / |emit| and the dark rest e_perp (see the module docstring):
+        |E(z)|^2 = |e_perp|^2 + |alpha + |emit| S(z)|^2, so the (cells,
+        modes, nz) field is never formed."""
         # upstream (n_cells, n_modes, n_cells) times each run's S(1) column
         inflow = self.phase * e[..., None, :] + (self.upstream @ acc[..., None, :, -1:])[..., 0]
-        field = inflow[..., None] + self.emit[..., None] * acc[..., None, :]
-        return np.sqrt(np.sum(np.abs(field) ** 2, axis=-2)).reshape(*acc.shape[:-2], -1)
+        alpha = np.sum(np.conj(self.bright) * inflow, axis=-1, keepdims=True)
+        dark = np.sum(np.abs(inflow - alpha * self.bright) ** 2, axis=-1, keepdims=True)
+        power = dark + np.abs(alpha + self.gain * acc) ** 2
+        return np.sqrt(power).reshape(*acc.shape[:-2], -1)
 
 
 class _Eq5Operator:
@@ -569,8 +589,9 @@ class _CellModes:
         V[i, 0] = a Q_i / G_i,                Q_{i+1} = Q_i (1 + 2 a h / G_i),
         V^-1[i, 0] = -a h R_i / G_i,
 
-    from v_0 = u_0 = P_1 = R_1 = 1 and Q_1 = h.  :meth:`apply` maps vectors
-    by column 0 and one FFT convolution; neither n x n matrix is formed.
+    from v_0 = u_0 = P_1 = R_1 = 1 and Q_1 = h.  ``columns`` and ``symbols``
+    hold column 0 and the FFT of the Toeplitz part, of V and of V^-1, which
+    :func:`_modal_map` applies; neither n x n matrix is formed.
     Where lam does not step evenly, as without a gradient, ``cond``, the
     1-norm condition number ||V||_1 ||V^-1||_1, is infinite, so the cell's
     chain steps in real space.  An uncoupled cell's V is the identity.
@@ -605,16 +626,19 @@ class _CellModes:
         if not (even and math.isfinite(self.cond)):
             self.cond = math.inf
         # a circular convolution of 2 n - 3 points or more keeps n - 1 unwrapped
-        self.size = 1 << (2 * n - 4).bit_length()
-        self.symbols = (np.fft.fft(v, self.size), np.fft.fft(u, self.size))
+        size = 1 << (2 * n - 4).bit_length()
+        self.symbols = (np.fft.fft(v, size), np.fft.fft(u, size))
 
-    def apply(self, y: np.ndarray, inverse: bool) -> np.ndarray:
-        """V y, or V^-1 y, for the rows of ``y`` (vectors, nz): column 0 times
-        y_0 plus the convolution of y_1 ... y_{n-1} with the symbol."""
-        out = y[:, :1] * self.columns[inverse]
-        conv = np.fft.ifft(np.fft.fft(y[:, 1:], self.size) * self.symbols[inverse])
-        out[:, 1:] += conv[:, :y.shape[1] - 1]
-        return out
+
+def _modal_map(y: np.ndarray, column: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """V y for the rows of ``y`` (rows, nz): column 0 of V, ``column`` (nz,),
+    times y_0 plus the convolution of y_1 ... y_{n-1} with the FFT of V's
+    Toeplitz part, ``symbol`` (size,), one FFT pair for all the rows.  Rows
+    with their own V pass one column (rows, nz) and symbol (rows, size) each."""
+    out = y[:, :1] * column
+    conv = np.fft.ifft(np.fft.fft(y[:, 1:], symbol.shape[-1]) * symbol)
+    out[:, 1:] += conv[:, :y.shape[1] - 1]
+    return out
 
 
 def _window_modes(chains, parts, half_dz: float) -> list:
@@ -654,12 +678,16 @@ class _ModalBlock:
     def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray, modes):
         g, n = len(parts), len(modes[0])
         self.parts, self.pulses, self.heat, self.stages = parts, pulses, heat, stages
-        # the coupled operators, each with the cells of every chain it serves
-        self.users = {}
-        for j, chain in enumerate(modes):
-            for c, m in enumerate(chain):
-                if m.absorb != 0.0:
-                    self.users.setdefault(m, {}).setdefault(j, []).append(c)
+        # the coupled (chain, cell) rows, row-major; chain j's are the stacked
+        # rows offsets[j]:offsets[j + 1].  Per row, its V and V^-1 columns 0
+        # and symbols, stacked so that one FFT pair maps every row.
+        self.coupled = np.array([[m.absorb != 0.0 for m in chain] for chain in modes])
+        self.offsets = np.concatenate(([0], np.cumsum(np.sum(self.coupled, axis=1))))
+        rows = [m for chain in modes for m in chain if m.absorb != 0.0]
+        self.columns = self.symbols = None
+        if rows:
+            self.columns = [np.stack([m.columns[k] for m in rows]) for k in (0, 1)]
+            self.symbols = [np.stack([m.symbols[k] for m in rows]) for k in (0, 1)]
 
         def per_cell(name):
             return np.stack([getattr(m, name) for chain in modes for m in chain]).reshape(g, n, -1)
@@ -692,19 +720,19 @@ class _ModalBlock:
 
     def map(self, y: np.ndarray, inverse: bool) -> np.ndarray:
         """V y (V^-1 y if ``inverse``) on each cell row of ``y`` (chains, cells,
-        nz), one pass per operator for all the cells it serves."""
+        nz), one FFT pair for all the coupled rows; uncoupled rows are copied."""
         out = y.copy()
-        for m, users in self.users.items():
-            rows = tuple(zip(*[(j, c) for j, cells in users.items() for c in cells]))
-            out[rows] = m.apply(y[rows], inverse)
+        if self.symbols is not None:
+            out[self.coupled] = _modal_map(y[self.coupled], self.columns[inverse],
+                                           self.symbols[inverse])
         return out
 
     def spins(self, j: int, a: np.ndarray) -> np.ndarray:
         """Chain j's spins y = V a, from its modal state ``a`` (cells, nz)."""
-        y = a.copy()
-        for m, users in self.users.items():
-            if j in users:
-                y[users[j]] = m.apply(a[users[j]], False)
+        y, mine = a.copy(), self.coupled[j]
+        if mine.any():
+            rows = slice(self.offsets[j], self.offsets[j + 1])
+            y[mine] = _modal_map(a[mine], self.columns[0][rows], self.symbols[0][rows])
         return y
 
     def drives(self, steps: np.ndarray) -> np.ndarray:

@@ -911,7 +911,11 @@ def test_cell_modes_match_a_dense_build(nz, window):
     T = pde._cumtrapz(np.eye(nz), half_dz).T
     A = np.diag(decay) - absorb * T
     eye = np.eye(nz, dtype=complex)
-    V, V_inv = (modes.apply(eye, inverse).T for inverse in (False, True))
+
+    def apply(y, inverse):
+        return pde._modal_map(y, modes.columns[inverse], modes.symbols[inverse])
+
+    V, V_inv = (apply(eye, inverse).T for inverse in (False, True))
     npt.assert_allclose(modes.lam, np.diag(A), rtol=0, atol=1e-15 * np.max(np.abs(A)))
     scale = np.max(np.abs(A)) * np.max(np.abs(V))
     assert np.max(np.abs(A @ V - V * modes.lam)) <= 1e-12 * scale
@@ -920,7 +924,7 @@ def test_cell_modes_match_a_dense_build(nz, window):
     assert np.max(np.abs(V @ V_inv - eye)) <= 1e-12 * np.max(np.abs(V)) * np.max(np.abs(V_inv))
     rng = np.random.default_rng(nz + window)
     y = rng.normal(size=(3, nz)) + 1j * rng.normal(size=(3, nz))
-    npt.assert_allclose(modes.apply(modes.apply(y, True), False), y, rtol=0,
+    npt.assert_allclose(apply(apply(y, True), False), y, rtol=0,
                         atol=1e-12 * np.max(np.abs(y)))
     cond = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
     assert 1.0 < modes.cond <= pde.MODAL_COND_LIMIT
@@ -939,3 +943,68 @@ def test_a_decay_that_is_not_linear_steps_in_real_space():
     assert not math.isfinite(pde._CellModes(part.decay[0], part.absorb.item(0),
                                             part.half_dz).cond)
     assert pde._window_modes([chain], [part], part.half_dz) == [None]
+
+
+def held_chain():
+    """The uncompensated 3-cell chain with its middle cell holding, uncoupled,
+    in the recall window."""
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    rows = list(sched.entries)
+    rows[1] = (rows[1][0], pde.ScheduleEntry("hold", gradient_sign=-1))
+    return sp, cells, pde.Schedule(entries=tuple(rows)), grid, opts
+
+
+def test_field_norms_match_the_per_mode_field():
+    """Field norms of the bright/dark split against the explicit per-mode field
+    sqrt(sum_k |e_k + emit_k S(z)|^2) of each cell, with e_k the cell's inflow
+    carried down the chain mode by mode, for a batch of two states of the
+    held chain, to 1e-12 of the largest norm."""
+    sp, cells, sched, grid, opts = held_chain()
+    rng = np.random.default_rng(19)
+    sig = rng.normal(size=(2, 3, grid.nz)) + 1j * rng.normal(size=(2, 3, grid.nz))
+    e = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    op = pde._ChainOperator(cells, sched, 1, sp, grid, opts)
+    acc = pde._cumtrapz(sig, op.half_dz)
+    norms = op.field_norms(e, acc)
+    assert norms.shape == (2, 3 * grid.nz)
+    for b in range(2):
+        inflow, ref = e[b], []
+        for c, (cell, row) in enumerate(zip(cells, sched.entries)):
+            coupling = row[1].coupling
+            emit = (np.zeros(3) if coupling is None else
+                    1j * cell.atoms.coupling_density * coupling.amplitudes / sp.detunings)
+            field = inflow[:, None] + emit[:, None] * acc[b, c][None, :]
+            ref.append(np.sqrt(np.sum(np.abs(field) ** 2, axis=0)))
+            inflow = field[:, -1] * np.exp(1j * core.dispersion_phase(cell.atoms, sp, 1.0))
+        ref = np.concatenate(ref)
+        assert np.max(np.abs(norms[b] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_block_maps_every_row_in_one_pass():
+    """A block of two held chains in the recall window, whose coupled cells
+    have two distinct operators: V^-1 then V returns the spins to 1e-12, the
+    held cell's rows come back bit-equal both ways, and one chain's spins
+    agree with the block map.  The outflow matches H S(1) + C e to 1e-14."""
+    sp, cells, sched, grid, opts = held_chain()
+    chains = [pde.Chain(cells, sched, sp, {}, opts)] * 2
+    parts = pde.window_operators(chains, grid)[1]
+    modes = pde._window_modes(chains, parts, parts[0].half_dz)
+    assert len({m for chain in modes for m in chain if m.absorb != 0.0}) == 2
+    assert [m.absorb for m in modes[0]][1] == 0.0
+    block = pde._ModalBlock(parts, [None, None], {}, grid.dt, core.stage_times(grid.times),
+                            modes)
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=(2, 3, grid.nz)) + 1j * rng.normal(size=(2, 3, grid.nz))
+    a = block.map(y, True)
+    back = block.map(a, False)
+    assert np.max(np.abs(back - y)) <= 1e-12 * np.max(np.abs(y))
+    npt.assert_array_equal(a[:, 1], y[:, 1])
+    npt.assert_array_equal(back[:, 1], y[:, 1])
+    for j in range(2):
+        npt.assert_allclose(block.spins(j, a[j]), back[j], rtol=0,
+                            atol=1e-14 * np.max(np.abs(back)))
+    op = parts[0]
+    e = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
+    s1 = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
+    ref = op.H @ s1 + op.C[..., None] * e
+    assert np.max(np.abs(op.outflow(e, s1) - ref)) <= 1e-14 * np.max(np.abs(ref))
