@@ -25,6 +25,7 @@ P the pair product, not alpha itself.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +39,9 @@ from .core import (
     ValidationError,
     beat_sum,
     check_beat_resolution,
-    rk4,
-    stage_table,
+    RK4_BLOCK,
+    rk4_linear,
+    rk4_stages,
     stage_times,
 )
 
@@ -187,15 +189,21 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
     this is the reference the closed forms are judged against.
 
     The equation reads ds/dt = a(t) s + b(t).  Both coefficients are
-    tabulated on the RK4 stage times one block at a time, so each RHS
-    evaluation is scalar arithmetic.
+    tabulated on the RK4 stage times of a block of RK4_BLOCK steps at a time,
+    which :func:`memspin.core.rk4_linear` steps from the carried value.
+    Non-finite times, fields or ``sigma0`` raise ValidationError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ValidationError("t_grid must be a 1-d array of at least two times")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid must be finite")
     steps = np.diff(t_grid)
     if np.any(steps <= 0):
         raise ValidationError("t_grid must be strictly increasing")
+    sigma0 = complex(sigma0)
+    if not cmath.isfinite(sigma0):
+        raise ValidationError(f"sigma0 must be finite, not {sigma0}")
     check_beat_resolution(spectrum, float(steps.max()))
     beats = spectrum.detunings - spectrum.mean_detuning
     amps = coupling.amplitudes
@@ -206,19 +214,20 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
         fields = np.atleast_1d(np.asarray(fields, dtype=complex))
         if fields.shape != beats.shape:
             raise ValidationError("one probe envelope per mode required")
+        if not np.all(np.isfinite(fields)):
+            raise ValidationError("probe envelopes must be finite")
 
     def coefficients(t):
         om = beat_sum(amps, beats, t)
         e = np.zeros_like(om) if fields is None else beat_sum(fields, beats, t)
         decay = bare_rate + stark_rate * np.abs(om) ** 2 / d ** 2
-        return np.stack([-decay, 1j * (np.conj(om) / d) * e], axis=1)
+        return np.stack([-decay, 1j * (np.conj(om) / d) * e])
 
-    row = stage_table(coefficients, stage_times(t_grid))
-
-    def rhs(s, k):
-        a, b = row(k).tolist()
-        return a * s + b, None
-
-    return np.fromiter((s for s, _ in rk4(rhs, complex(sigma0), t_grid)), dtype=complex,
-                       count=t_grid.size)
-
+    out = np.empty(t_grid.size, dtype=complex)
+    out[0] = sigma0
+    for start in range(0, steps.size, RK4_BLOCK):
+        times = t_grid[start:start + RK4_BLOCK + 1]
+        rows = rk4_stages(coefficients(stage_times(times)))
+        out[start + 1:start + times.size] = rk4_linear(rows[[0, 1, 3], 0], rows[:, 1],
+                                                       np.diff(times), out[start])[1:]
+    return out

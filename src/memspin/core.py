@@ -10,14 +10,16 @@ so the effective linear atomic density is N = beta * Gamma and the resonant
 optical depth ``beta`` is the single depth parameter of the model.
 
 The time integrators of :mod:`memspin.pde` and :mod:`memspin.analytic` share
-the RK4 stepper :func:`rk4` and the beat guard :func:`check_beat_resolution`
-defined here; a step too coarse raises :class:`NumericalError`.  The stepper
-hands its right-hand side a stage index, not a time: index k points into
-:func:`stage_times`, the grid times interleaved with the step midpoints.  An
-integrator whose coefficients are known functions of time tabulates them on
-those stage times with :func:`stage_table`, vectorised over one block of
-:data:`STAGE_BLOCK` stages at a time, and keeps only state arithmetic in
-its right-hand side.
+the beat guard :func:`check_beat_resolution`, and a step too coarse raises
+:class:`NumericalError`.  Their coefficients are tabulated on
+:func:`stage_times`, the grid times interleaved with the step midpoints.
+The real-space chains of :mod:`memspin.pde` and the oracle of
+:mod:`memspin.analytic` step with :func:`rk4_linear`, the classical RK4 map
+of a scalar linear ODE over a block of :data:`RK4_BLOCK` steps, formed for
+all the steps at once and composed by a log-depth scan; :func:`rk4_stages`
+arranges tabulated values by stage.  The modal chains of :mod:`memspin.pde`
+step one at a time and read their drives from a :func:`stage_table`,
+tabulated :data:`STAGE_BLOCK` stages at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ MARGIN_THRESHOLD = 10.0
 #: function: small enough that the tables stay a few kB, large enough that
 #: the vectorised call costs little per stage.
 STAGE_BLOCK = 512
+
+#: Steps per call of :func:`rk4_linear` in the time integrators.  The scan's
+#: depth grows only as the logarithm of this, so shorter blocks pay more call
+#: overhead per step; a block's arrays are what a real-space sweep holds, a
+#: few hundred kB here, where whole windows of steps would hold megabytes.
+RK4_BLOCK = 1024
 
 
 class MemspinError(Exception):
@@ -361,8 +369,8 @@ def stage_table(fn, stages: np.ndarray, block: int = STAGE_BLOCK):
     runs over them.  The returned ``row(k)`` gives entry k of that table; a
     call past the current block tabulates the next ``block`` stages from k
     on, so only one block is held at a time.  The index may repeat but must
-    not move back before the current block, which is the access pattern of
-    :func:`rk4`.
+    not move back before the current block, as it does not in a stepper
+    that reads each stage in turn.
     """
     start, stop, rows = 0, 0, []
 
@@ -378,25 +386,67 @@ def stage_table(fn, stages: np.ndarray, block: int = STAGE_BLOCK):
     return row
 
 
-def rk4(rhs, y, times):
-    """Classical RK4 over the grid ``times``.
+def rk4_stages(values) -> np.ndarray:
+    """Values on the stage times of a block of steps, (..., 2 steps + 1) in the
+    order of :func:`stage_times`, as the four RK4 stages of each step, (4, ...,
+    steps): the step's start, its midpoint twice and its end."""
+    return np.stack([values[..., :-2:2], values[..., 1::2], values[..., 1::2],
+                     values[..., 2::2]])
 
-    ``rhs(y, k)`` returns ``(dy/dt, observable)`` at stage index ``k``, which
-    indexes :func:`stage_times` of the same grid: step i evaluates stages 2i,
-    2i + 1 (twice) and 2i + 2, so the k4 stage reads the next grid time.
-    Indices never decrease, so a right-hand side may read its coefficients
-    from a :func:`stage_table`.  Yields ``(y, observable)`` at every grid
-    time, the observable taken from the first-stage evaluation at that time;
-    the last grid time costs one extra evaluation.
+
+def _affine_scan(m: np.ndarray, c: np.ndarray, y0) -> np.ndarray:
+    """y_0 = ``y0`` (...) and y_{n+1} = m_n y_n + c_n along the last axis of
+    ``m`` and ``c`` (..., steps), (..., steps + 1), by a log-depth
+    (Hillis-Steele) scan that overwrites ``m`` and ``c``: no loop runs over
+    the steps."""
+    # y0 enters through the first map, so the composed maps end on the grid values;
+    # after the pass of span d, entry n holds the composition of maps n - 2d + 1 ... n
+    y0 = np.asarray(y0)
+    c[..., 0] += m[..., 0] * y0
+    n, d = c.shape[-1], 1
+    while d < n:
+        c[..., d:] += m[..., d:] * c[..., :-d]
+        if 2 * d < n:
+            m[..., d:] *= m[..., :-d]  # numpy buffers the overlapping operands
+        d *= 2
+    y = np.empty(c.shape[:-1] + (n + 1,), dtype=c.dtype)
+    y[..., 0] = y0
+    y[..., 1:] = c
+    return y
+
+
+def rk4_linear(a, b, h, y0, stages: bool = False):
+    """Classical RK4 on the scalar linear ODE dy/dt = a(t) y + b(t), over a
+    block of steps from the carried value ``y0`` (...).
+
+    ``a`` (3, ..., steps) holds a at each step's start, midpoint and end; its
+    step axis may have size 1 where a is constant.  ``b`` (4, ..., steps)
+    holds b at the four stages, whose middle two differ where b depends on
+    other states taken at their own stages.  ``h`` is the step, a scalar or
+    one per step.  With the stage states Y_s = p_s y_n + q_s, a step is the
+    affine map y_{n+1} = m_n y_n + c_n; the maps of all the steps are formed
+    at once and composed by :func:`_affine_scan`.
+
+    Returns the grid values (..., steps + 1), ``y0`` first, and with
+    ``stages`` also the stage states Y_1 = y_n, Y_2, Y_3, Y_4, (4, ..., steps).
     """
-    times = np.asarray(times, dtype=float)
-    for i in range(times.size - 1):
-        h = times.item(i + 1) - times.item(i)
-        k1, observable = rhs(y, 2 * i)
-        yield y, observable
-        # later-stage observables are dropped at once, not kept through the next stage
-        k2 = rhs(y + 0.5 * h * k1, 2 * i + 1)[0]
-        k3 = rhs(y + 0.5 * h * k2, 2 * i + 1)[0]
-        k4 = rhs(y + h * k3, 2 * i + 2)[0]
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    yield y, rhs(y, 2 * (times.size - 1))[1]
+    a1, a2, a4 = a
+    b1, b2, b3, b4 = b
+    half = 0.5 * h
+    p2, q2 = 1.0 + half * a1, half * b1
+    k2 = a2 * q2 + b2  # the part of stage 2's slope that is not proportional to y_n
+    p3, q3 = 1.0 + half * (a2 * p2), half * k2
+    k3 = a2 * q3 + b3
+    p4, q4 = 1.0 + h * (a2 * p3), h * k3
+    c = (h / 6.0) * (b1 + 2.0 * (k2 + k3) + a4 * q4 + b4)
+    m = np.empty_like(c)
+    np.add(1.0, (h / 6.0) * (a1 + 2.0 * a2 * (p2 + p3) + a4 * p4), out=m)  # broadcast over c
+    y = _affine_scan(m, c, y0)
+    if not stages:
+        return y
+    states = np.empty((4,) + c.shape, dtype=c.dtype)
+    states[0] = y[..., :-1]
+    for s, (p, q) in enumerate(((p2, q2), (p3, q3), (p4, q4)), 1):
+        np.multiply(p, states[0], out=states[s])
+        states[s] += q
+    return y, states

@@ -58,15 +58,18 @@ a = V^-1 s the same RK4 map is
 
 with P the degree-4 Taylor polynomial of exp and u_s the drive of RK4 stage
 s, whose S(1) = T[-1] V a comes from one product of a with four fixed rows
-(:class:`_ModalBlock`).  A step of this modal path is a few small products;
-a step in real space is four evaluations of :meth:`_ChainOperator.derivative`,
-each a cumulative sum and a dozen array operations.  The path is chosen per
-chain in each window.  Real space (:func:`memspin.core.rk4`) is kept for a
+(:class:`_ModalBlock`).  A step of this modal path is a few small products.
+The path is chosen per chain in each window.  Real space is kept for a
 single-excited chain, whose absorption changes in time, and for a chain
 with a cell whose V has a condition number above MODAL_COND_LIMIT, or none
 in closed form: the modal step errs by about that many rounding units a
-step, the real-space step by one.  Both are linear in the state, so
-superposition holds to rounding error.
+step, the real-space step by one.  In real space the trapezoid makes point
+j of a cell depend only on the points before it and on the S(1) of the
+cells upstream.  Given their RK4 stage states, the point obeys a scalar
+linear ODE whose RK4 steps are affine maps, so the chain is swept point by
+point in that order, and each point's steps of a block are composed at
+once (:class:`_RealSpaceBlock`, :func:`memspin.core.rk4_linear`).  Both
+paths are linear in the state, so superposition holds to rounding error.
 
 Every op is one integration of a batch (:func:`_simulate_batch`) of chains
 (:class:`Chain`), each with its own cells, schedule, spectrum, inflow and
@@ -78,9 +81,9 @@ N basis probes and the echo, and an eq5 sweep both models of every case on
 a grid.  In each window the chains of one path, kind and size step together
 as one block, stacked on a leading axis, (chains, cells, nz), with every
 product taken per chain.  The inflow drive i B e is tabulated on the RK4
-stage times a block at a time (:func:`memspin.core.stage_table`), so a step
-is arithmetic on the spin grids only; each chain's outflow and input power
-are formed after each window from the recorded S(1) series.  The
+stage times a block of steps at a time, so a step is arithmetic on the
+spin grids only; each chain's outflow and input power are formed after
+each window from the recorded S(1) series.  The
 single-excited-state model of eq. 5 is a one-cell chain with one composite
 mode whose coupling W(t) beats in time; its rate, drive and absorption are
 tabulated on the same stage times.
@@ -115,7 +118,9 @@ from .core import (
     dispersion_phase,
     effective_rates,
     margin_report,
-    rk4,
+    rk4_linear,
+    rk4_stages,
+    RK4_BLOCK,
     stage_table,
     stage_times,
 )
@@ -476,21 +481,6 @@ class _ChainOperator:
         """The inflow drive on the stage times ``t``, (t.size, 1, n_cells, 1)."""
         return self.inflow_drive(self.inflow(t, pulse))[:, None]
 
-    def derivative(self, sig: np.ndarray, drive: np.ndarray | None, rate=None, absorb=None):
-        """(dsig/dt, S) for spin grids ``sig`` (..., n_cells, nz) and the
-        inflow drive ``drive`` (..., n_cells, 1), None without inflow.
-        Single-excited chains also pass their tabulated ``rate`` (added to
-        the static decay) and ``absorb``."""
-        acc = _cumtrapz(sig, self.half_dz)
-        dsig = (self.decay if rate is None else self.decay + rate) * sig
-        if self.iG is not None:
-            chain = self.iG @ acc[..., -1:]
-            drive = chain if drive is None else drive + chain
-        if drive is not None:
-            dsig += drive
-        dsig -= (self.absorb if absorb is None else absorb) * acc
-        return dsig, acc
-
     def outflow(self, e: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """C e + H S(1) for series of inflows ``e`` (..., n_modes, times) and end
         values ``s1`` (..., n_cells, times).  The product is an einsum, which
@@ -751,8 +741,10 @@ class _ModalBlock:
         ``stride``-th step i, ``record(c, i, y)`` gets the spins y of each
         chain in ``heat`` under its batch index c."""
         a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
+        if self.symbols is not None:  # V^-1 serves only that entry map
+            self.columns[1] = self.symbols[1] = None
         g, n, _ = a.shape
-        # tabulated a block of steps at a time, as many stages as rk4's blocks
+        # the drives of STAGE_BLOCK // 4 steps, four stages each, tabulated at a time
         table = (stage_table(self.drives, np.arange(nt), block=STAGE_BLOCK // 4)
                  if any(pulse is not None for pulse in self.pulses) else None)
         s1 = np.empty((g, n, nt + 1), dtype=complex)
@@ -775,29 +767,80 @@ class _ModalBlock:
 
 
 class _RealSpaceBlock:
-    """Chains of one size and kind stepped together in real space through one
-    window: :func:`memspin.core.rk4` on :meth:`_ChainOperator.derivative` of
-    their stacked operator, arrays (chains, cells, ...) as in
-    :class:`_ModalBlock`.  The drives, and a single-excited chain's rate and
-    absorption, are tabulated on the stage times; without them, no drive."""
+    """Chains of one size and kind integrated together in real space through one
+    window, arrays (chains, cells, ...) as in :class:`_ModalBlock`, by a sweep
+    over their (cell, z) points in causal order, RK4_BLOCK steps at a time.
+
+    The cumulative trapezoid makes point j of cell c depend only on the points
+    before it and on the S(1) of the cells upstream: with acc_j = P_j + w_j y_j
+    (w_0 = 0, else half_dz) and P_{j+1} = acc_j + half_dz y_j,
+
+        dy_j/dt = (decay_j + rate - absorb w_j) y_j + (d_c + (i G S(1))_c - absorb P_j),
+
+    a scalar linear ODE once the stage states of those points are known, which
+    :func:`memspin.core.rk4_linear` steps and whose stage states it returns.
+    The drives, and a single-excited chain's rate and absorption, are
+    tabulated on each block's stage times."""
 
     def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray):
-        self.op, self.heat, self.h = _ChainOperator.stacked(parts), heat, h
-        self.table = lambda k: (None,)
-        if self.op.absorb is None or any(pulse is not None for pulse in pulses):
-            self.table = stage_table(lambda t: np.stack(
-                [part.coefficients(t, pulse) for part, pulse in zip(parts, pulses)], axis=2),
-                stages)
+        self.op, self.parts, self.pulses = _ChainOperator.stacked(parts), parts, pulses
+        self.heat, self.h, self.stages = heat, h, stages
+
+    def coefficients(self, start: int, stop: int):
+        """At the stages of steps start ... stop - 1: the drive (4, chains,
+        cells, steps); the absorption (4, chains, cells, steps or 1),
+        tabulated for single-excited chains and constant for others; and
+        what rate and absorption add to a point's decay at each step's start,
+        midpoint and end, at z = 0 and beyond it, (3, chains, cells, steps or 1)."""
+        op, t = self.op, self.stages[2 * start:2 * stop + 1]
+        # (kinds, chains, cells, stage times)
+        table = np.stack([part.coefficients(t, pulse)[..., 0] for part, pulse
+                          in zip(self.parts, self.pulses)]).transpose(2, 0, 3, 1)
+        if op.absorb is None:
+            rate, absorb = rk4_stages(table[1])[[0, 1, 3]], rk4_stages(table[2])
+        else:
+            rate = np.zeros((3,) + op.absorb.shape)
+            absorb = op.absorb[None].repeat(4, axis=0)
+        return rk4_stages(table[0]), absorb, rate, rate - op.half_dz * absorb[[0, 1, 3]]
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
         """As :meth:`_ModalBlock.run`."""
-        s1 = np.empty(spins.shape[:-1] + (nt + 1,), dtype=complex)
-        for i, (y, acc) in enumerate(rk4(lambda y, k: self.op.derivative(y, *self.table(k)),
-                                         spins, np.arange(nt + 1) * self.h)):
-            s1[..., i] = acc[..., -1]
-            if i < nt and i % stride == 0:
-                for j, c in self.heat.items():
-                    record(c, i, y[j])
+        op, hd = self.op, self.op.half_dz
+        g, n, nz = spins.shape
+        y = spins.copy()
+        s1 = np.empty((g, n, nt + 1), dtype=complex)
+        heat = list(self.heat)
+        for start in range(0, nt, RK4_BLOCK):
+            stop = min(start + RK4_BLOCK, nt)
+            drive, absorb, first, rest = self.coefficients(start, stop)
+            samples = np.arange(-start % stride, stop - start, stride)
+            rows = np.empty((len(heat), samples.size, n, nz), dtype=complex)
+            ends = np.empty((4, g, n, stop - start), dtype=complex)  # S(1) at the stages
+            for c in range(n):
+                d = drive[:, :, c]
+                if op.iG is not None and c > 0:
+                    d = d + np.einsum("gu,sgut->sgt", op.iG[:, c, :c], ends[:, :, :c])
+                d, ab = np.ascontiguousarray(d), np.ascontiguousarray(absorb[:, :, c])
+                decay, rates = op.decay[:, c, :, None], (first[:, :, c], rest[:, :, c])
+                for j in range(nz):
+                    grid, states = rk4_linear(decay[:, j] + rates[j > 0], d - ab * p if j else d,
+                                              self.h, y[:, c, j], stages=True)
+                    y[:, c, j] = grid[:, -1]
+                    if heat:
+                        rows[:, :, c, j] = grid[heat][:, samples]
+                    if j == 0:
+                        p = hd * states
+                    elif j < nz - 1:
+                        states *= 2.0 * hd
+                        p += states
+                    else:
+                        ends[:, :, c] = p + hd * states
+                    del grid, states  # freed before the next point allocates its own
+            s1[..., start:stop] = ends[0]
+            for k, j in enumerate(heat):
+                for r, i in enumerate(samples):
+                    record(self.heat[j], start + i, rows[k, r])
+        s1[..., nt] = _cumtrapz(y, hd)[..., -1]
         return s1, y
 
 
@@ -871,15 +914,20 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
         groups = {}
         for c, (chain, m) in enumerate(zip(chains, modes)):
             groups.setdefault((m is None, chain.single_excited, len(chain.cells)), []).append(c)
-        s1 = [None] * len(chains)  # S(1) series, (cells, nt + 1) per chain
+        blocks = []
         for (real, _, _), members in groups.items():
             args = ([parts[c] for c in members], [pulses[c] for c in members],
                     {j: c for j, c in enumerate(members) if c in heat}, grid.dt, stages)
-            block = (_RealSpaceBlock(*args) if real
-                     else _ModalBlock(*args, [modes[c] for c in members]))
+            blocks.append((members, _RealSpaceBlock(*args) if real
+                           else _ModalBlock(*args, [modes[c] for c in members])))
+        del modes  # the blocks hold their own copies of what they use
+        s1 = [None] * len(chains)  # S(1) series, (cells, nt + 1) per chain
+        while blocks:
+            members, block = blocks.pop(0)  # each block is freed once it has run
             for c, series, y in zip(members, *block.run(
                     np.stack([sig[c] for c in members]), grid.nt, stride, record)):
                 s1[c], sig[c] = series, y
+            del block
         _check_finite(s1, sig, w, times)
         # series run along a contiguous last axis, so the energy sums are pairwise
         for c, (part, pulse) in enumerate(zip(parts, pulses)):
@@ -890,7 +938,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
                 "window": w,
                 "input": float(np.trapezoid(np.sum(np.abs(e) ** 2, axis=-1), times)),
                 "output": float(np.trapezoid(np.sum(np.abs(out) ** 2, axis=-2), times))})
-        del s1, modes  # freed before the next window allocates its own
+        del s1  # freed before the next window allocates its own
 
     results = []
     for c, chain in enumerate(chains):

@@ -206,3 +206,28 @@ class TestOracle:
         with pytest.raises(core.NumericalError, match=r"does not resolve the fastest beat"):
             analytic.ode_oracle(atoms, cv, sp, None, np.linspace(0, 10, 11))
 
+
+    @staticmethod
+    def two_modes():
+        det = mhz(250.0) + np.array([-5.0, 5.0])
+        sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=det)
+        cv = core.CouplingVector(np.array([2.0 + 1.0j, -1.0 + 0.5j]))
+        atoms = core.AtomicParams(Gamma=GAMMA, gamma=0.01, beta=100.0)
+        return atoms, cv, sp, np.linspace(0, 1, 201)
+
+    def test_rejects_a_non_finite_time(self):
+        """A NaN time passes the ordering test, as NaN compares false."""
+        atoms, cv, sp, t = self.two_modes()
+        t[50] = np.nan
+        with pytest.raises(core.ValidationError, match=r"t_grid must be finite"):
+            analytic.ode_oracle(atoms, cv, sp, None, t)
+
+    def test_rejects_a_non_finite_initial_spin(self):
+        atoms, cv, sp, t = self.two_modes()
+        with pytest.raises(core.ValidationError, match=r"sigma0 must be finite"):
+            analytic.ode_oracle(atoms, cv, sp, None, t, sigma0=complex(np.nan, 0.0))
+
+    def test_rejects_a_non_finite_field(self):
+        atoms, cv, sp, t = self.two_modes()
+        with pytest.raises(core.ValidationError, match=r"probe envelopes must be finite"):
+            analytic.ode_oracle(atoms, cv, sp, [0.4, np.inf], t)

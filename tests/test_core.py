@@ -260,7 +260,8 @@ def test_margin_report_from_configuration():
 
 
 class TestStageContract:
-    """rk4 hands its right-hand side stage indices into stage_times."""
+    """Integrators tabulate their coefficients on stage_times and step them with
+    rk4_linear, a block of RK4_BLOCK steps at a time."""
 
     def test_stage_times_non_uniform(self):
         # tolerance: one rounded add per midpoint, 1e-15 absolute on O(1) times
@@ -271,9 +272,10 @@ class TestStageContract:
         npt.assert_allclose(stages[1::2], [0.05, 0.225, 0.375, 0.7], rtol=0, atol=1e-15)
 
     def test_block_tabulated_rk4_matches_inline_rk4(self):
-        """A run of 1399 stages (two full blocks and a partial one) on a
-        non-uniform grid, against RK4 written out in time; tolerance 1e-13
-        of the largest state entry."""
+        """A run of two full blocks and a partial one on a non-uniform grid,
+        tabulated on each block's stage times and carried from block to block,
+        against RK4 written out in time; tolerance 1e-13 of the largest state
+        entry.  One call over the whole grid agrees to the same bound."""
 
         def a(t):
             return -0.3 + 2j * np.cos(3.0 * t)
@@ -281,23 +283,23 @@ class TestStageContract:
         def b(t):
             return np.exp(-t) * (1.0 + 0.5j * np.sin(t))
 
-        times = np.linspace(0.0, 4.0, 700) ** 1.2
-        assert (2 * times.size - 1) % core.STAGE_BLOCK != 0
+        times = np.linspace(0.0, 4.0, 2 * core.RK4_BLOCK + 300) ** 1.2
         y0 = np.array([1.0 + 0.0j, -0.5j, 0.25 + 0.25j])
 
-        blocks = []
+        def run(block):
+            blocks, ys = [], [y0[:, None]]
+            for start in range(0, times.size - 1, block):
+                t = times[start:start + block + 1]
+                stages = core.stage_times(t)
+                blocks.append(stages.size)
+                # the same coefficients for every state entry
+                a_rows, b_rows = (core.rk4_stages(np.broadcast_to(f(stages), (y0.size, stages.size)))
+                                  for f in (a, b))
+                ys.append(core.rk4_linear(a_rows[[0, 1, 3]], b_rows, np.diff(t),
+                                          ys[-1][:, -1])[:, 1:])
+            return np.concatenate(ys, axis=1).T, blocks
 
-        def coefficients(t):
-            blocks.append(t.size)
-            return np.stack([a(t), b(t)], axis=1)
-
-        row = core.stage_table(coefficients, core.stage_times(times))
-
-        def rhs(y, k):
-            ak, bk = row(k)
-            return ak * y + bk, None
-
-        tabulated = np.array([y for y, _ in core.rk4(rhs, y0, times)])
+        tabulated, blocks = run(core.RK4_BLOCK)
 
         def f(yy, t):
             return a(t) * yy + b(t)
@@ -315,8 +317,56 @@ class TestStageContract:
         inline = np.array(inline)
 
         assert np.max(np.abs(tabulated - inline)) <= 1e-13 * np.max(np.abs(inline))
-        # tabulated one block at a time, never the whole window
-        assert blocks == [core.STAGE_BLOCK, core.STAGE_BLOCK, 2 * times.size - 1 - 2 * core.STAGE_BLOCK]
+        # tabulated one block at a time, never the whole grid
+        assert blocks == [2 * core.RK4_BLOCK + 1] * 2 + [2 * (times.size - 1 - 2 * core.RK4_BLOCK) + 1]
+        whole, _ = run(times.size)
+        assert np.max(np.abs(whole - inline)) <= 1e-13 * np.max(np.abs(inline))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001])
+    def test_affine_scan_matches_a_sequential_loop(self, n):
+        """The in-place scan composes random maps y -> m y + c as the loop
+        y_{n+1} = m_n y_n + c_n does, on a batch of two rows with |m| about 1;
+        tolerance 1e-13 of the largest value (its rounding differs in order)."""
+        rng = np.random.default_rng(n)
+        m = np.exp(0.01 * (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+        c = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        y0 = np.array([0.3 - 1.0j, 2.0])
+        y, ref = [y0], y0
+        for k in range(n):
+            ref = m[:, k] * ref + c[:, k]
+            y.append(ref)
+        ref = np.stack(y, axis=-1)
+        out = core._affine_scan(m.copy(), c.copy(), y0)
+        assert out.shape == (2, n + 1)
+        npt.assert_array_equal(out[:, 0], y0)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rk4_linear_stage_states(self):
+        """The stage states rk4_linear returns are those of RK4 written out,
+        Y_1 = y_n, Y_2 = y_n + h/2 k1, Y_3 = y_n + h/2 k2 and Y_4 = y_n + h k3,
+        with b at the two midpoint stages apart, for a constant a given with
+        a step axis of size 1; tolerance 1e-13 of the largest."""
+        rng = np.random.default_rng(5)
+        a = np.broadcast_to((-0.4 + 1.5j) * np.ones((1, 1)), (3, 1, 1))
+        b = rng.normal(size=(4, 1, 50)) + 1j * rng.normal(size=(4, 1, 50))
+        h = 0.1
+        y, states = core.rk4_linear(a, b, h, np.array([1.0 + 0.5j]), stages=True)
+        ref_y, ref_states, yy = [1.0 + 0.5j], [], 1.0 + 0.5j
+        for k in range(50):
+            b1, b2, b3, b4 = b[:, 0, k]
+            k1 = a[0, 0, 0] * yy + b1
+            y2 = yy + 0.5 * h * k1
+            k2 = a[1, 0, 0] * y2 + b2
+            y3 = yy + 0.5 * h * k2
+            k3 = a[1, 0, 0] * y3 + b3
+            y4 = yy + h * k3
+            k4 = a[2, 0, 0] * y4 + b4
+            ref_states.append([yy, y2, y3, y4])
+            yy = yy + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            ref_y.append(yy)
+        ref_states = np.array(ref_states).T[:, None, :]
+        assert np.max(np.abs(y[0] - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
+        assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.max(np.abs(ref_states))
 
     def test_stage_table_is_forward_only(self):
         row = core.stage_table(lambda t: t, core.stage_times(np.arange(600.0)))

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from memspin import compiler, core, pde
+from memspin import cli, compiler, core, pde
 from memspin.core import angular_from_mhz as mhz
 
 GAMMA = mhz(6.0)
@@ -647,6 +647,20 @@ def test_chain_superposition_through_batch_axis():
                         atol=1e-12 * np.max(np.abs(spins[2])))
 
 
+def real_space_rhs(op, sig, drive, rate=None, absorb=None):
+    """(dsig/dt, S) of a real-space chain on whole spin grids ``sig`` (...,
+    cells, nz): the right-hand side the sweep integrates point by point,
+    from the operator's decay, absorption and iG and the inflow ``drive``
+    (..., cells, 1).  Single-excited chains pass their ``rate`` and
+    ``absorb`` on the stage time."""
+    acc = pde._cumtrapz(sig, op.half_dz)
+    dsig = (op.decay if rate is None else op.decay + rate) * sig + drive
+    if op.iG is not None:
+        dsig += op.iG @ acc[..., -1:]
+    dsig -= (op.absorb if absorb is None else absorb) * acc
+    return dsig, acc
+
+
 @pytest.mark.parametrize("window", [0, 1])
 def test_chain_operator_matches_per_mode_trapezoid(window):
     """Bright-mode RHS of a 3-cell chain with uncompensated dispersion, for one
@@ -670,16 +684,16 @@ def test_chain_operator_matches_per_mode_trapezoid(window):
                                     for p in ref_profiles])
         assert np.max(np.abs(norms - ref_norms)) <= 1e-12 * np.max(ref_norms)
 
-    dsig, acc = op.derivative(sig, op.inflow_drive(e))
+    dsig, acc = real_space_rhs(op, sig, op.inflow_drive(e))
     check(dsig, op.outflow(e[..., None], acc[..., -1:])[..., 0], op.field_norms(e, acc), sig, e)
-    dsig2, acc2 = op.derivative(sig2, op.inflow_drive(e2))
+    dsig2, acc2 = real_space_rhs(op, sig2, op.inflow_drive(e2))
     out2, norms2 = op.outflow(e2[..., None], acc2[..., -1:])[..., 0], op.field_norms(e2, acc2)
     assert dsig2.shape == sig2.shape and out2.shape == e2.shape
     for b in range(2):
         check(dsig2[b], out2[b], norms2[b], sig2[b], e2[b])
     detuned = [replace(cell, atoms=replace(cell.atoms, delta=mhz(0.2))) for cell in cells]
     op = pde._ChainOperator(detuned, sched, window, sp, grid, replace(opts, auto_two_photon=False))
-    dsig, acc = op.derivative(sig, op.inflow_drive(e))
+    dsig, acc = real_space_rhs(op, sig, op.inflow_drive(e))
     check(dsig, op.outflow(e[..., None], acc[..., -1:])[..., 0], op.field_norms(e, acc), sig, e,
           detuned, light_shift=True)
 
@@ -833,31 +847,41 @@ def worst_conditioning(chain, grid):
                for (part,) in windows for c in range(len(chain.cells)))
 
 
-def counted_derivatives(monkeypatch) -> list:
-    """Monkeypatch _ChainOperator.derivative to log each call of the real-space stepper."""
-    calls, derivative = [], pde._ChainOperator.derivative
+def real_space_runs(monkeypatch) -> list:
+    """Monkeypatch _RealSpaceBlock.run to log each real-space run: the block,
+    its input spins, step count and stride, the S(1) series and final spins
+    it returns, and the spins it records, by (batch index, step)."""
+    runs, run = [], pde._RealSpaceBlock.run
 
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return derivative(self, *args, **kwargs)
+    def logging(self, spins, nt, stride, record):
+        rows = {}
 
-    monkeypatch.setattr(pde._ChainOperator, "derivative", counting)
-    return calls
+        def keep(c, i, y):
+            rows[c, i] = y.copy()
+            record(c, i, y)
+
+        s1, final = run(self, spins, nt, stride, keep)
+        runs.append({"block": self, "spins": spins.copy(), "nt": nt, "stride": stride,
+                     "s1": s1, "final": final, "rows": rows})
+        return s1, final
+
+    monkeypatch.setattr(pde._RealSpaceBlock, "run", logging)
+    return runs
 
 
 def test_modal_step_matches_the_real_space_step(monkeypatch):
     """The uncompensated chain and its echo take the modal step; with the
-    conditioning limit at 0 both keep the real-space stepper.  The two runs
+    conditioning limit at 0 both take the real-space sweep.  The two runs
     agree to 1e-11 of the largest output and 1e-10 of the largest final spin."""
     chains, sched, grid = uncompensated_batch()
     assert worst_conditioning(chains[0], grid) <= pde.MODAL_COND_LIMIT
-    calls = counted_derivatives(monkeypatch)
+    runs = real_space_runs(monkeypatch)
     modal = pde._simulate_batch(chains, grid)
-    assert calls == []
+    assert runs == []
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
     real = pde._simulate_batch(chains, grid)
-    # per window one real-space run per chain size: four evaluations a step, one at the end
-    assert len(calls) == sched.n_windows * 2 * (4 * grid.nt + 1)
+    # per window one real-space run per chain size, through every step
+    assert [run["nt"] for run in runs] == [grid.nt] * (sched.n_windows * 2)
     for res, ref in zip(modal, real):
         for out, ref_out in zip(res.outputs, ref.outputs):
             scale = np.max(np.abs(ref_out.envelopes))
@@ -875,17 +899,99 @@ def test_conditioning_limit_is_applied_per_chain(monkeypatch):
     network, echo = (worst_conditioning(chain, grid) for chain in chains)
     assert echo < network
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", math.sqrt(echo * network))
-    calls = counted_derivatives(monkeypatch)
+    runs = real_space_runs(monkeypatch)
     res_network, res_echo = pde._simulate_batch(chains, grid)
-    assert {op.decay.shape[-2] for op in calls} == {len(chains[0].cells)}
-    calls.clear()
+    assert {run["block"].op.decay.shape[-2] for run in runs} == {len(chains[0].cells)}
+    runs.clear()
     (alone,) = pde._simulate_batch([chains[1]], grid)
-    assert calls == []
+    assert runs == []
     for out, ref_out in zip(res_echo.outputs, alone.outputs):
         npt.assert_array_equal(out.envelopes, ref_out.envelopes)
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
     (real,) = pde._simulate_batch([chains[0]], grid)
     assert_same_run(res_network, real, sched.n_windows)
+
+
+def per_step_rk4(run):
+    """A logged real-space run (:func:`real_space_runs`) redone one RK4 step
+    at a time on whole spin grids, four evaluations of real_space_rhs a step,
+    with the block's coefficients tabulated on every stage time: the S(1)
+    series, the final spins and the spins of every stride-th step of each
+    heat chain."""
+    block, nt, h = run["block"], run["nt"], run["block"].h
+    table = np.stack([part.coefficients(block.stages, pulse)
+                      for part, pulse in zip(block.parts, block.pulses)], axis=2)
+
+    def f(y, k):
+        return real_space_rhs(block.op, y, *table[k])
+
+    y, s1, rows = run["spins"].copy(), np.empty_like(run["s1"]), {}
+    for i in range(nt):
+        k1, acc = f(y, 2 * i)
+        s1[..., i] = acc[..., -1]
+        if i % run["stride"] == 0:
+            for j, c in block.heat.items():
+                rows[c, i] = y[j].copy()
+        k2 = f(y + 0.5 * h * k1, 2 * i + 1)[0]
+        k3 = f(y + 0.5 * h * k2, 2 * i + 1)[0]
+        k4 = f(y + h * k3, 2 * i + 2)[0]
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    s1[..., nt] = f(y, 2 * nt)[1][..., -1]
+    return s1, y, rows
+
+
+def assert_sweep_matches_per_step_rk4(runs, times):
+    """Each logged run against :func:`per_step_rk4` from the same spins: the
+    S(1) series, the outputs, the final spins and the recorded spins, each to
+    1e-12 of its largest value."""
+    for run in runs:
+        s1, final, rows = per_step_rk4(run)
+        assert np.max(np.abs(run["s1"] - s1)) <= 1e-12 * np.max(np.abs(s1))
+        assert np.max(np.abs(run["final"] - final)) <= 1e-12 * np.max(np.abs(final))
+        for j, (part, pulse) in enumerate(zip(run["block"].parts, run["block"].pulses)):
+            e = np.moveaxis(part.inflow(times, pulse), 0, -1)
+            out, ref = part.outflow(e, run["s1"][j]), part.outflow(e, s1[j])
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert rows.keys() == run["rows"].keys()
+        if rows:
+            ref = np.array(list(rows.values()))
+            got = np.array([run["rows"][key] for key in rows])
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_sweep_matches_per_step_rk4_on_the_eq5_batch(monkeypatch):
+    """The bundled eq5 sweep's single-excited chains, both cases in one block,
+    through both windows."""
+    cases = cli.build_eq5_cases(cli.load_config("eq5_regime_sweep"))
+    case = cases[0]
+    chains = pde.eq5_chains(case["cell"], [c["entries"] for c in cases], case["pulse"],
+                            [c["spectrum"] for c in cases], case["options"])
+    runs = real_space_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "cell 'eq5': validity margins", RuntimeWarning)
+        pde._simulate_batch(chains, case["grid"])
+    assert [(run["block"].op.absorb, len(run["block"].parts)) for run in runs] \
+        == [(None, len(cases))] * 2
+    assert_sweep_matches_per_step_rk4(runs, case["grid"].times)
+
+
+def test_sweep_matches_per_step_rk4_on_a_chain_with_heatmaps(monkeypatch):
+    """The uncompensated 3-cell chain, recording heatmaps, and its echo, both
+    in real space under a conditioning limit of 0: the chain's cells couple
+    through S(1), and its heatmap rows are the spins it records."""
+    chains, sched, grid = uncompensated_batch()
+    chains[0] = replace(chains[0], options=replace(chains[0].options, record_heatmap=True))
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
+    runs = real_space_runs(monkeypatch)
+    (network, _) = pde._simulate_batch(chains, grid)
+    assert sorted(run["block"].op.decay.shape[-2] for run in runs) == [1, 1, 3, 3]
+    steps = range(0, grid.nt, max(1, grid.nt // 200))
+    rows = [run["rows"] for run in runs if run["rows"]]
+    assert [list(r) for r in rows] == [[(0, i) for i in steps]] * sched.n_windows
+    # the heatmap of spin magnitudes, window after window
+    spins = np.array([np.abs(r[0, i]).reshape(-1) for r in rows for i in steps])
+    npt.assert_array_equal(network.heatmap_spin.T, spins)
+    assert_sweep_matches_per_step_rk4(runs, grid.times)
 
 
 def single_mode_echo(nz):
