@@ -544,6 +544,12 @@ def build_fock_network(cfg: dict):
     assembly = fc.get("assembly", "cz")
     if assembly != "cz":
         raise ValidationError(f"fock.assembly '{assembly}' unknown (only 'cz' bundled)")
+    # one mode may end up holding every photon the assembly's inputs carry
+    (occ,) = fock.dual_rail_input((1, 0), (1, 0)).amplitudes
+    photons = sum(occ)
+    if not cap >= photons:
+        raise ValidationError(f"config entry 'fock.photon_cap' must be at least {photons}, "
+                              f"the photons of the '{assembly}' assembly; got {cap}")
     stages = fock.cz_network()
     if "stages" in fc:
         if len(fc["stages"]) != len(stages):
@@ -592,6 +598,8 @@ def build_fock_run(cfg: dict):
     """
     stages, (policy, cap, fc) = build_fock_network(cfg)
     labels = fc.get("inputs", ["00", "01", "10", "11", "++"])
+    if not labels:
+        raise ValidationError("config entry 'fock.inputs' must not be empty")
     inputs = [(label, _parse_qubit_label(label)) for label in labels]
     plans = None
     if "export_plans" in fc:

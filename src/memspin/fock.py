@@ -20,10 +20,13 @@ constants are hard-coded.
 Each distinct unitary's blocks <m|U|n> are computed once per process:
 ``_blocks`` memoises them by matrix content (shape and bytes), so the
 fixed stage unitaries are reused across inputs and ``cz_network()``
-rebuilds, for up to ``MEMO_SIZE`` unitaries.  A block is the same
-``permanent(sub) / norm`` computed on first use, and measurement keeps
-state order within each pattern, so results are bit-identical to
-recomputing everything per call.
+rebuilds, for up to ``MEMO_SIZE`` unitaries.  For each occupation n of the
+acted modes it keeps the tuple of nonzero terms (m, <m|U|n>) in
+``_compositions`` order, and ``apply_unitary`` loops over those alone: an
+identity stage costs one term per occupation, not one per composition.
+A term is the same ``permanent(sub) / norm`` computed on first use, only
+exact zeros are dropped, and measurement keeps state order within each
+pattern, so results are bit-identical to recomputing everything per call.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,19 +81,34 @@ def _compositions(total: int, parts: int) -> tuple:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _blocks(shape: tuple, data: bytes):
-    """``(n_sub, m_sub) -> <m|U|n>`` of one unitary, memoised by matrix content."""
+    """``n_sub -> ((m_sub, <m|U|n>), ...)``, the nonzero terms of one unitary.
+
+    Memoised by matrix content, and per input pattern ``n_sub``; the terms
+    follow ``_compositions`` order.
+    """
     mat = np.frombuffer(data, dtype=complex).reshape(shape)
 
     @lru_cache(maxsize=None)
-    def block(n_sub, m_sub):
-        rows = [i for i, m in enumerate(m_sub) for _ in range(m)]
+    def terms(n_sub):
         cols = [j for j, n in enumerate(n_sub) for _ in range(n)]
-        norm = math.sqrt(
-            math.prod(math.factorial(m) for m in m_sub)
-            * math.prod(math.factorial(n) for n in n_sub))
-        return permanent(mat[np.ix_(rows, cols)]) / norm
+        n_fact = math.prod(math.factorial(n) for n in n_sub)
+        out = []
+        for m_sub in _compositions(sum(n_sub), len(n_sub)):
+            rows = [i for i, m in enumerate(m_sub) for _ in range(m)]
+            norm = math.sqrt(math.prod(math.factorial(m) for m in m_sub) * n_fact)
+            coeff = permanent(mat[np.ix_(rows, cols)]) / norm
+            if coeff != 0:
+                out.append((m_sub, coeff))
+        return tuple(out)
 
-    return block
+    return terms
+
+
+def _picker(modes):
+    """``occ -> tuple(occ[m] for m in modes)``, as one C-level call where it can be."""
+    if len(modes) > 1:
+        return itemgetter(*modes)
+    return lambda occ: tuple(occ[m] for m in modes)
 
 
 def _checked_modes(modes, n_modes: int, arity: int | None = None) -> tuple:
@@ -113,7 +133,13 @@ class FockState:
     def __post_init__(self):
         if self.n_modes > MODE_CAP:
             raise ValidationError(f"{self.n_modes} modes exceed the mode cap {MODE_CAP}")
-        for occ, amp in self.amplitudes.items():
+        occs = self.amplitudes.keys()
+        counts = set(chain.from_iterable(occs))
+        if (set(map(len, occs)) <= {self.n_modes} and min(counts, default=0) >= 0
+                and max(counts, default=0) <= self.photon_cap):
+            return
+        # some occupation fails: name the first, as a walk in state order finds it
+        for occ in occs:
             if len(occ) != self.n_modes:
                 raise ValidationError(f"occupation {occ} does not span {self.n_modes} modes")
             if any(n < 0 or n > self.photon_cap for n in occ):
@@ -157,10 +183,14 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
     occupation-expanded submatrices; the remaining modes ride along.
     """
     modes = _checked_modes(modes, state.n_modes, arity=u.n)
-    block = _blocks(u.matrix.shape, u.matrix.tobytes())
+    terms = _blocks(u.matrix.shape, u.matrix.tobytes())
+    keep = [m for m in range(state.n_modes) if m not in modes]
+    acted, rest = _picker(modes), _picker(keep)
+    order = keep + list(modes)
+    place = _picker([order.index(m) for m in range(state.n_modes)])  # rest + acted -> occ
     out: dict = {}
     for occ, amp in state.amplitudes.items():
-        n_sub = tuple(occ[m] for m in modes)
+        n_sub = acted(occ)
         p = sum(n_sub)
         if p > state.photon_cap:
             raise ValidationError(
@@ -168,14 +198,9 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
         if p == 0:
             out[occ] = out.get(occ, 0.0 + 0.0j) + amp
             continue
-        for m_sub in _compositions(p, len(modes)):
-            coeff = block(n_sub, m_sub)
-            if coeff == 0:
-                continue
-            new_occ = list(occ)
-            for m, n in zip(modes, m_sub):
-                new_occ[m] = n
-            key = tuple(new_occ)
+        others = rest(occ)
+        for m_sub, coeff in terms(n_sub):
+            key = place(others + m_sub)
             out[key] = out.get(key, 0.0 + 0.0j) + amp * coeff
     out = {k: v for k, v in out.items() if abs(v) > 1e-15}
     return FockState(amplitudes=out, n_modes=state.n_modes, photon_cap=state.photon_cap)
@@ -195,11 +220,12 @@ def measurement_distribution(state: FockState, modes) -> list[MeasurementOutcome
     """All patterns with nonzero probability on the given modes, in sorted order."""
     modes = _checked_modes(modes, state.n_modes)
     keep = [m for m in range(state.n_modes) if m not in modes]
+    pattern_of, rest = _picker(modes), _picker(keep)
     groups: dict = {}
     for occ, amp in state.amplitudes.items():
-        group = groups.setdefault(tuple(occ[m] for m in modes), [0.0, {}])
+        group = groups.setdefault(pattern_of(occ), [0.0, {}])
         group[0] += abs(amp) ** 2
-        key = tuple(occ[m] for m in keep)
+        key = rest(occ)
         group[1][key] = group[1].get(key, 0.0 + 0.0j) + amp
     outcomes = []
     for pattern in sorted(groups):

@@ -413,13 +413,18 @@ def explicit(re):
     ("identity_1mode", {"grid.dt_us": float("nan")}, "config entry 'grid.dt_us' must be finite"),
     ("identity_1mode", {"grid.window_us": float("inf")},
      "config entry 'grid.window_us' must be finite"),
+    ("klm_cz", {"fock.photon_cap": 3},
+     "config entry 'fock.photon_cap' must be at least 4, the photons of the 'cz' assembly"),
+    ("klm_cz", {"fock.photon_cap": 0}, "config entry 'fock.photon_cap' must be at least 4"),
+    ("klm_cz", {"fock.inputs": []}, "config entry 'fock.inputs' must not be empty"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
         "string_entry", "bool_stage_entry", "echo_outside_windows",
         "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
         "stage_label", "stage_window", "n_modes_beside_detunings",
         "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit",
         "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re",
-        "Gamma_nan", "fwhm_nan", "gradient_nan", "dt_nan", "window_infinity"])
+        "Gamma_nan", "fwhm_nan", "gradient_nan", "dt_nan", "window_infinity",
+        "photon_cap_below_photons", "photon_cap_zero", "inputs_empty"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())

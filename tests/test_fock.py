@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memspin import compiler, core, fock
+from memspin import cli, compiler, core, fock
 
 
 def naive_permanent(a):
@@ -374,6 +374,44 @@ class TestCzNetwork:
         fa = a.conditioned_state.normalized().fidelity(fock.dual_rail_cz_ideal((1, 0), (0, 1)))
         fb = b.conditioned_state.normalized().fidelity(fock.dual_rail_cz_ideal((0, 1), (1, 0)))
         assert fa == pytest.approx(fb, abs=1e-12)
+
+
+def test_heralded_amplitudes_match_composed_permanents():
+    """On the basis inputs of klm_cz, each success amplitude times sqrt(p) is
+    <out, herald| U5 U4 U3 U2 U1 |in> by the permanent rule, within 1e-12.
+
+    The stages after the measurement act on the qubit modes only, so they
+    commute with the projection onto the herald pattern."""
+    stages, (policy, cap, fc) = cli.build_fock_network(cli.load_config("klm_cz"))
+    u = np.eye(fock.CZ_MODES, dtype=complex)
+    for stage in stages:
+        u = fock.embed_unitary(stage.unitary.matrix, stage.modes, fock.CZ_MODES) @ u
+    herald = dict(zip(policy.measure_modes, fc["herald"]))
+    qubit_modes = [m for m in range(fock.CZ_MODES) if m not in herald]
+
+    def expanded(occ):
+        return [i for i, n in enumerate(occ) for _ in range(n)]
+
+    def factorials(occ):
+        return math.prod(math.factorial(n) for n in occ)
+
+    for label in ("00", "01", "10", "11"):
+        state = fock.dual_rail_input(*cli._parse_qubit_label(label), photon_cap=cap)
+        (n_occ,) = state.amplitudes
+        (succ,) = [o for o in fock.run_with_feedforward(stages, state, policy) if o.success]
+        got = succ.conditioned_state.amplitudes
+        outputs = fock._compositions(sum(n_occ) - sum(herald.values()), len(qubit_modes))
+        assert set(got) <= set(outputs)
+        largest = 0.0
+        for q_occ in outputs:
+            m_occ = [0] * fock.CZ_MODES
+            for m, n in [*zip(qubit_modes, q_occ), *herald.items()]:
+                m_occ[m] = n
+            want = (fock.permanent(u[np.ix_(expanded(m_occ), expanded(n_occ))])
+                    / math.sqrt(factorials(m_occ) * factorials(n_occ)))
+            assert abs(got.get(q_occ, 0j) * math.sqrt(succ.probability) - want) <= 1e-12
+            largest = max(largest, abs(want))
+        assert largest == pytest.approx(0.25)
 
 
 class TestFeedforward:
