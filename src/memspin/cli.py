@@ -192,7 +192,9 @@ def build_spectrum(cfg: dict) -> core.ModeSpectrum:
                 raise ValidationError(f"config entry 'spectrum.{key}' is ignored where "
                                       f"'spectrum.detunings_mhz' is given")
         det = np.asarray(sc["detunings_mhz"], dtype=float)
-        mean = sc.get("mean_mhz", float(det.mean()))
+        if not det.size:
+            raise ValidationError("config entry 'spectrum.detunings_mhz' must not be empty")
+        mean = sc["mean_mhz"] if "mean_mhz" in sc else float(det.mean())
         return core.ModeSpectrum(mean_detuning=angular_from_mhz(mean),
                                  detunings=angular_from_mhz(det), guard=guard)
     mean = _require(cfg, "spectrum.mean_mhz")
@@ -477,8 +479,10 @@ def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
     grid_dt = _require(cfg, "grid.dt_us")
     pulse = build_pulse(cfg, 2)
     options = build_options(cfg, heatmap=False)
+    if not _require(cfg, "cases"):
+        raise ValidationError("config entry 'cases' must not be empty")
     cases = []
-    for i, entry in enumerate(_require(cfg, "cases")):
+    for i, entry in enumerate(cfg["cases"]):
         spacing = float(_require(cfg, f"cases.{i}.spacing_mhz"))
         spectrum = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
         cv = core.CouplingVector(ot * spectrum.detunings / math.sqrt(2))
@@ -571,6 +575,9 @@ def build_fock_network(cfg: dict):
         stages = rebuilt
     herald = fc.get("herald", fock.CZ_HERALD_PATTERN)
     ancilla = fc.get("ancilla_modes", fock.CZ_ANCILLA_MODES)
+    if not all(0 <= count <= cap for count in herald):
+        raise ValidationError(f"config entry 'fock.herald': photon counts must lie in "
+                              f"0 ... {cap}, the photon cap; got {list(herald)}")
     try:
         policy = fock.cz_policy(stages, herald=herald, ancilla_modes=ancilla)
     except ValidationError as exc:

@@ -17,9 +17,8 @@ The real-space chains of :mod:`memspin.pde` and the oracle of
 :mod:`memspin.analytic` step with :func:`rk4_linear`, the classical RK4 map
 of a scalar linear ODE over a block of :data:`RK4_BLOCK` steps, formed for
 all the steps at once and composed by a log-depth scan; :func:`rk4_stages`
-arranges tabulated values by stage.  The modal chains of :mod:`memspin.pde`
-step one at a time and read their drives from a :func:`stage_table`,
-tabulated :data:`STAGE_BLOCK` stages at a time.
+arranges tabulated values by stage, for them and for the modal chains of
+:mod:`memspin.pde`, which step one at a time.
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ FAR_DETUNED_GUARD = 0.2
 #: Default pass threshold for the two validity-margin checks ("much greater
 #: than" is read as a factor of at least this).
 MARGIN_THRESHOLD = 10.0
-
-#: Stage times tabulated per call of a :func:`stage_table` coefficient
-#: function: small enough that the tables stay a few kB, large enough that
-#: the vectorised call costs little per stage.
-STAGE_BLOCK = 512
 
 #: Steps per call of :func:`rk4_linear` in the time integrators.  The scan's
 #: depth grows only as the logarithm of this, so shorter blocks pay more call
@@ -360,30 +354,6 @@ def stage_times(times) -> np.ndarray:
     stages[0::2] = times
     stages[1::2] = times[:-1] + 0.5 * (times[1:] - times[:-1])
     return stages
-
-
-def stage_table(fn, stages: np.ndarray, block: int = STAGE_BLOCK):
-    """Forward-only lookup of ``fn`` on ``stages``, tabulated a block at a time.
-
-    ``fn(t)`` maps a 1-d array of stage times to an array whose first axis
-    runs over them.  The returned ``row(k)`` gives entry k of that table; a
-    call past the current block tabulates the next ``block`` stages from k
-    on, so only one block is held at a time.  The index may repeat but must
-    not move back before the current block, as it does not in a stepper
-    that reads each stage in turn.
-    """
-    start, stop, rows = 0, 0, []
-
-    def row(k):
-        nonlocal start, stop, rows
-        if not start <= k < stop:
-            if k < start:
-                raise ValueError(f"stage {k} lies before the current block at {start}")
-            start, stop = k, min(k + block, stages.size)
-            rows = fn(stages[start:stop])
-        return rows[k - start]
-
-    return row
 
 
 def rk4_stages(values) -> np.ndarray:

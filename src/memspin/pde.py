@@ -112,7 +112,6 @@ from .core import (
     NumericalError,
     ValidationError,
     MARGIN_THRESHOLD,
-    STAGE_BLOCK,
     beat_sum,
     check_beat_resolution,
     dispersion_phase,
@@ -121,7 +120,6 @@ from .core import (
     rk4_linear,
     rk4_stages,
     RK4_BLOCK,
-    stage_table,
     stage_times,
 )
 
@@ -133,6 +131,11 @@ EVENTS = ("store", "recall", "hold")
 #: many rounding units per step, and the real-space step does not.  A cell
 #: with no V in closed form has an infinite one.
 MODAL_COND_LIMIT = 1e3
+
+#: Steps of a modal block whose drives are tabulated at a time.  The table is
+#: (steps, chains, 4 cells), so a block of 1,024 steps of the eleven-chain
+#: ten-mode transfer batch would hold about 7 MB; 128 steps hold under 1 MB.
+MODAL_BLOCK = 128
 
 
 def check_grid_scale(factor: float) -> None:
@@ -631,6 +634,16 @@ def _modal_map(y: np.ndarray, column: np.ndarray, symbol: np.ndarray) -> np.ndar
     return out
 
 
+def _stage_table(parts, pulses, stages: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The coefficients of the chain operators ``parts`` under ``pulses`` on
+    the stage times of steps start ... stop - 1, (kinds, chains, cells, 2
+    (stop - start) + 1): the inflow drive, and for single-excited chains
+    also the rate and the absorption."""
+    t = stages[2 * start:2 * stop + 1]
+    return np.stack([part.coefficients(t, pulse)[..., 0] for part, pulse
+                     in zip(parts, pulses)]).transpose(2, 0, 3, 1)
+
+
 def _window_modes(chains, parts, half_dz: float) -> list:
     """Per chain, its cells' :class:`_CellModes` if it takes the modal step in
     this window, else None: a single-excited chain, or one with a cell whose
@@ -725,14 +738,11 @@ class _ModalBlock:
             y[mine] = _modal_map(a[mine], self.columns[0][rows], self.symbols[0][rows])
         return y
 
-    def drives(self, steps: np.ndarray) -> np.ndarray:
-        """L d for the RK4 steps ``steps``, (steps, chains, 4 cells, 1): the
-        inflow drives at each step's four stages, mapped through L."""
-        t = self.stages[2 * steps[0]:2 * steps[-1] + 3]
-        d = np.stack([part.inflow_drive(part.inflow(t, pulse))[..., 0]
-                      for part, pulse in zip(self.parts, self.pulses)], axis=1)
-        d = np.stack([d[:-2:2], d[1::2], d[1::2], d[2::2]], axis=-1)
-        d = d.reshape(len(steps), len(self.parts), -1, 1)
+    def drives(self, start: int, stop: int) -> np.ndarray:
+        """L d for the RK4 steps start ... stop - 1, (steps, chains, 4 cells,
+        1): the inflow drives at each step's four stages, mapped through L."""
+        d = rk4_stages(_stage_table(self.parts, self.pulses, self.stages, start, stop)[0])
+        d = d.transpose(3, 1, 2, 0).reshape(stop - start, len(self.parts), -1, 1)
         return d if self.L is None else self.L @ d
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
@@ -744,25 +754,25 @@ class _ModalBlock:
         if self.symbols is not None:  # V^-1 serves only that entry map
             self.columns[1] = self.symbols[1] = None
         g, n, _ = a.shape
-        # the drives of STAGE_BLOCK // 4 steps, four stages each, tabulated at a time
-        table = (stage_table(self.drives, np.arange(nt), block=STAGE_BLOCK // 4)
-                 if any(pulse is not None for pulse in self.pulses) else None)
+        driven = any(pulse is not None for pulse in self.pulses)
         s1 = np.empty((g, n, nt + 1), dtype=complex)
-        for i in range(nt + 1):
-            m = (self.R @ a[..., None])[..., 0]
-            s1[..., i] = m[..., 0]
-            if i == nt:
-                break
-            if i % stride == 0:
-                for j, c in self.heat.items():
-                    record(c, i, self.spins(j, a[j]))
-            u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
-            if table is not None:
-                u = table(i) if u is None else u + table(i)
-            step = self.P1 * a
-            if u is not None:
-                step += (u.reshape(g, n, 1, 4) @ self.W)[..., 0, :]
-            a = a + step
+        for start in range(0, nt, MODAL_BLOCK):
+            stop = min(start + MODAL_BLOCK, nt)
+            table = self.drives(start, stop) if driven else None
+            for i in range(start, stop):
+                m = (self.R @ a[..., None])[..., 0]
+                s1[..., i] = m[..., 0]
+                if i % stride == 0:
+                    for j, c in self.heat.items():
+                        record(c, i, self.spins(j, a[j]))
+                u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
+                if table is not None:
+                    u = table[i - start] if u is None else u + table[i - start]
+                step = self.P1 * a
+                if u is not None:
+                    step += (u.reshape(g, n, 1, 4) @ self.W)[..., 0, :]
+                a = a + step
+        s1[..., nt] = (self.R @ a[..., None])[..., 0, 0]
         return s1, self.map(a, False)
 
 
@@ -792,10 +802,8 @@ class _RealSpaceBlock:
         tabulated for single-excited chains and constant for others; and
         what rate and absorption add to a point's decay at each step's start,
         midpoint and end, at z = 0 and beyond it, (3, chains, cells, steps or 1)."""
-        op, t = self.op, self.stages[2 * start:2 * stop + 1]
-        # (kinds, chains, cells, stage times)
-        table = np.stack([part.coefficients(t, pulse)[..., 0] for part, pulse
-                          in zip(self.parts, self.pulses)]).transpose(2, 0, 3, 1)
+        op = self.op
+        table = _stage_table(self.parts, self.pulses, self.stages, start, stop)
         if op.absorb is None:
             rate, absorb = rk4_stages(table[1])[[0, 1, 3]], rk4_stages(table[2])
         else:

@@ -417,6 +417,13 @@ def explicit(re):
      "config entry 'fock.photon_cap' must be at least 4, the photons of the 'cz' assembly"),
     ("klm_cz", {"fock.photon_cap": 0}, "config entry 'fock.photon_cap' must be at least 4"),
     ("klm_cz", {"fock.inputs": []}, "config entry 'fock.inputs' must not be empty"),
+    ("klm_cz", {"fock.herald": [1, 0, 1, -1]},
+     "config entry 'fock.herald': photon counts must lie in 0 ... 4"),
+    ("klm_cz", {"fock.herald": [5, 0, 1, 0]},
+     "config entry 'fock.herald': photon counts must lie in 0 ... 4"),
+    ("eq5_regime_sweep", {"cases": []}, "config entry 'cases' must not be empty"),
+    ("fifty_mhz_margins", {"spectrum.detunings_mhz": []},
+     "config entry 'spectrum.detunings_mhz' must not be empty"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
         "string_entry", "bool_stage_entry", "echo_outside_windows",
         "ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
@@ -424,7 +431,8 @@ def explicit(re):
         "spacing_beside_detunings", "seed_not_haar", "re_not_explicit", "im_not_explicit",
         "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re",
         "Gamma_nan", "fwhm_nan", "gradient_nan", "dt_nan", "window_infinity",
-        "photon_cap_below_photons", "photon_cap_zero", "inputs_empty"])
+        "photon_cap_below_photons", "photon_cap_zero", "inputs_empty", "herald_negative",
+        "herald_above_cap", "cases_empty", "detunings_empty"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())
@@ -446,7 +454,10 @@ def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     ("fock.ancilla_modes", [4, 4, 6, 7]),
     ("fock.herald", [1, 0, 1]),
     ("fock.ancilla_modes", [4, 5, 6, -1]),
-], ids=["ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative"])
+    ("fock.herald", [1, 0, 1, -1]),
+    ("fock.herald", [5, 0, 1, 0]),
+], ids=["ancilla_out_of_range", "ancilla_duplicate", "herald_length", "ancilla_negative",
+        "herald_negative", "herald_above_cap"])
 def test_fock_policy_error_names_entry(tmp_path, capsys, path, value):
     """validate and fock-verify both name the offending entry by its dotted path."""
     cfg = json.loads(cli.scenario_path("klm_cz").read_text())

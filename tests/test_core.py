@@ -367,10 +367,3 @@ class TestStageContract:
         ref_states = np.array(ref_states).T[:, None, :]
         assert np.max(np.abs(y[0] - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
         assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.max(np.abs(ref_states))
-
-    def test_stage_table_is_forward_only(self):
-        row = core.stage_table(lambda t: t, core.stage_times(np.arange(600.0)))
-        assert row(0) == 0.0
-        assert row(core.STAGE_BLOCK + 1) == (core.STAGE_BLOCK + 1) / 2
-        with pytest.raises(ValueError):
-            row(3)
