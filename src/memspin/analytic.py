@@ -191,7 +191,8 @@ def ode_oracle(atoms: AtomicParams, coupling: CouplingVector, spectrum: ModeSpec
     The equation reads ds/dt = a(t) s + b(t).  Both coefficients are
     tabulated on the RK4 stage times of a block of RK4_BLOCK steps at a time,
     which :func:`memspin.core.rk4_linear` steps from the carried value.
-    Non-finite times, fields or ``sigma0`` raise ValidationError.
+    Non-finite times, fields or ``sigma0`` raise ValidationError; steps so
+    coarse that a block's RK4 maps compose to an underflow raise NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:

@@ -497,6 +497,9 @@ def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
             "pulse": pulse,
             "options": options,
         })
+    labels = [case["label"] for case in cases]
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"config entry 'cases': labels must be distinct; got {labels}")
     return cases
 
 
@@ -575,9 +578,10 @@ def build_fock_network(cfg: dict):
         stages = rebuilt
     herald = fc.get("herald", fock.CZ_HERALD_PATTERN)
     ancilla = fc.get("ancilla_modes", fock.CZ_ANCILLA_MODES)
-    if not all(0 <= count <= cap for count in herald):
+    if not (all(0 <= count <= cap for count in herald) and sum(herald) <= photons):
         raise ValidationError(f"config entry 'fock.herald': photon counts must lie in "
-                              f"0 ... {cap}, the photon cap; got {list(herald)}")
+                              f"0 ... {cap}, the photon cap, and total at most {photons}, "
+                              f"the photons of the '{assembly}' assembly; got {list(herald)}")
     try:
         policy = fock.cz_policy(stages, herald=herald, ancilla_modes=ancilla)
     except ValidationError as exc:

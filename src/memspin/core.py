@@ -16,7 +16,7 @@ the beat guard :func:`check_beat_resolution`, and a step too coarse raises
 The real-space chains of :mod:`memspin.pde` and the oracle of
 :mod:`memspin.analytic` step with :func:`rk4_linear`, the classical RK4 map
 of a scalar linear ODE over a block of :data:`RK4_BLOCK` steps, formed for
-all the steps at once and composed by a log-depth scan; :func:`rk4_stages`
+all the steps at once and composed by running products; :func:`rk4_stages`
 arranges tabulated values by stage, for them and for the modal chains of
 :mod:`memspin.pde`, which step one at a time.
 """
@@ -37,10 +37,13 @@ FAR_DETUNED_GUARD = 0.2
 #: than" is read as a factor of at least this).
 MARGIN_THRESHOLD = 10.0
 
-#: Steps per call of :func:`rk4_linear` in the time integrators.  The scan's
-#: depth grows only as the logarithm of this, so shorter blocks pay more call
-#: overhead per step; a block's arrays are what a real-space sweep holds, a
-#: few hundred kB here, where whole windows of steps would hold megabytes.
+#: Steps per call of :func:`rk4_linear` in the time integrators.  Shorter
+#: blocks pay more call overhead per step, and a block's arrays are what a
+#: real-space sweep holds, a few hundred kB.  Longer ones risk underflow of the
+#: running product of the step maps m: the pde step guard bounds -Re(a) of both
+#: real-space kinds by dt * rate <= 0.5, where |m| >= 0.61 for real a (underflow
+#: past about 1,400 steps) and >= 0.54 if |h Im(a)| <= 2 (above 1e-276 at 1,024).
+#: Im(a) is unguarded and m vanishes near h a = -0.27 +- 2.50i, hence the check.
 RK4_BLOCK = 1024
 
 
@@ -366,22 +369,22 @@ def rk4_stages(values) -> np.ndarray:
 
 def _affine_scan(m: np.ndarray, c: np.ndarray, y0) -> np.ndarray:
     """y_0 = ``y0`` (...) and y_{n+1} = m_n y_n + c_n along the last axis of
-    ``m`` and ``c`` (..., steps), (..., steps + 1), by a log-depth
-    (Hillis-Steele) scan that overwrites ``m`` and ``c``: no loop runs over
-    the steps."""
-    # y0 enters through the first map, so the composed maps end on the grid values;
-    # after the pass of span d, entry n holds the composition of maps n - 2d + 1 ... n
-    y0 = np.asarray(y0)
-    c[..., 0] += m[..., 0] * y0
-    n, d = c.shape[-1], 1
-    while d < n:
-        c[..., d:] += m[..., d:] * c[..., :-d]
-        if 2 * d < n:
-            m[..., d:] *= m[..., :-d]  # numpy buffers the overlapping operands
-        d *= 2
-    y = np.empty(c.shape[:-1] + (n + 1,), dtype=c.dtype)
+    ``m`` and ``c`` (..., steps), (..., steps + 1), by the running products P_n
+    = m_0 ... m_n, y_{n+1} = P_n (y0 + sum_{k <= n} c_k / P_k), overwriting
+    ``m`` and ``c``.  A |P_n| not a finite normal float raises NumericalError."""
+    c[..., 0] += m[..., 0] * y0  # y0 enters through the first map: c_0 / P_0 + y0
+    p = np.multiply.accumulate(m, axis=-1, out=m)
+    size, tiny = np.abs(p), np.finfo(float).tiny
+    # NaN fails the comparison, and a product once not finite stays so to the end
+    if not (size.min() >= tiny and np.isfinite(p[..., -1]).all()):
+        ok = ((size >= tiny) & np.isfinite(size)).reshape(-1, size.shape[-1])
+        raise NumericalError(f"RK4 step {np.argmin(ok.all(axis=0))} of a block: the running "
+                             "product of the step maps leaves the normal float range; "
+                             "the step is too coarse for the rates")
+    y = np.empty(c.shape[:-1] + (c.shape[-1] + 1,), dtype=c.dtype)
     y[..., 0] = y0
-    y[..., 1:] = c
+    np.add.accumulate(np.divide(c, p, out=c), axis=-1, out=y[..., 1:])
+    y[..., 1:] *= p
     return y
 
 
@@ -395,7 +398,9 @@ def rk4_linear(a, b, h, y0, stages: bool = False):
     other states taken at their own stages.  ``h`` is the step, a scalar or
     one per step.  With the stage states Y_s = p_s y_n + q_s, a step is the
     affine map y_{n+1} = m_n y_n + c_n; the maps of all the steps are formed
-    at once and composed by :func:`_affine_scan`.
+    at once and composed by :func:`_affine_scan`; a running product m_0 ...
+    m_n that underflows, as on steps far too coarse for the decay rate, or is
+    not finite raises NumericalError.
 
     Returns the grid values (..., steps + 1), ``y0`` first, and with
     ``stages`` also the stage states Y_1 = y_n, Y_2, Y_3, Y_4, (4, ..., steps).

@@ -198,6 +198,16 @@ class TestOracle:
         rel = abs(a[-1] - b[-1]) / abs(b[-1])
         assert rel <= 1e-6
 
+    def test_rejects_a_step_far_too_coarse_for_the_decay(self):
+        """At gamma = 160 rad/us on a 0.01 us grid, h gamma = 1.6 and an RK4 step
+        scales s by 0.27 (e^-1.6 = 0.20), so over a 1,024-step block the
+        running product of the steps underflows: refused, not returned."""
+        sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=np.array([mhz(250.0)]))
+        cv = core.CouplingVector(np.array([2.0]))
+        atoms = core.AtomicParams(Gamma=GAMMA, gamma=160.0, beta=100.0)
+        with pytest.raises(core.NumericalError, match=r"RK4 step 541 of a block"):
+            analytic.ode_oracle(atoms, cv, sp, [0.4], np.linspace(0.0, 20.48, 2049))
+
     def test_rejects_under_resolved_grid(self):
         det = mhz(250.0) + np.array([-20.0, 20.0])
         sp = core.ModeSpectrum(mean_detuning=mhz(250.0), detunings=det)

@@ -421,7 +421,12 @@ def explicit(re):
      "config entry 'fock.herald': photon counts must lie in 0 ... 4"),
     ("klm_cz", {"fock.herald": [5, 0, 1, 0]},
      "config entry 'fock.herald': photon counts must lie in 0 ... 4"),
+    ("klm_cz", {"fock.herald": [2, 0, 2, 1]},
+     "config entry 'fock.herald': photon counts must lie in 0 ... 4, the photon cap, "
+     "and total at most 4, the photons of the 'cz' assembly; got [2, 0, 2, 1]"),
     ("eq5_regime_sweep", {"cases": []}, "config entry 'cases' must not be empty"),
+    ("eq5_regime_sweep", {"cases.1.label": "margin_100"},
+     "config entry 'cases': labels must be distinct; got ['margin_100', 'margin_100']"),
     ("fifty_mhz_margins", {"spectrum.detunings_mhz": []},
      "config entry 'spectrum.detunings_mhz' must not be empty"),
 ], ids=["Gamma_mhz", "spacing_mhz", "inputs", "export_plans", "ragged_matrix",
@@ -432,7 +437,8 @@ def explicit(re):
         "spacing_beside_one_mode", "im_shorter_than_re", "im_longer_than_re",
         "Gamma_nan", "fwhm_nan", "gradient_nan", "dt_nan", "window_infinity",
         "photon_cap_below_photons", "photon_cap_zero", "inputs_empty", "herald_negative",
-        "herald_above_cap", "cases_empty", "detunings_empty"])
+        "herald_above_cap", "herald_above_photons", "cases_empty", "cases_duplicate_label",
+        "detunings_empty"])
 def test_validate_fails_as_run_does(tmp_path, capsys, scenario, edits, message):
     """validate builds what run builds, so it exits 2 with the error run prints."""
     cfg = json.loads(cli.scenario_path(scenario).read_text())

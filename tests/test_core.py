@@ -322,13 +322,30 @@ class TestStageContract:
         whole, _ = run(times.size)
         assert np.max(np.abs(whole - inline)) <= 1e-13 * np.max(np.abs(inline))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001])
-    def test_affine_scan_matches_a_sequential_loop(self, n):
-        """The in-place scan composes random maps y -> m y + c as the loop
-        y_{n+1} = m_n y_n + c_n does, on a batch of two rows with |m| about 1;
-        tolerance 1e-13 of the largest value (its rounding differs in order)."""
+    @staticmethod
+    def rk4_factor(z):
+        """RK4's amplification factor, the map of one step of dy/dt = a y, at z = h a."""
+        return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+    @pytest.mark.parametrize("n, maps", [
+        (1, None), (2, None), (3, None), (1000, None), (1001, None),
+        (core.RK4_BLOCK, "decaying"), (core.RK4_BLOCK, "rotating"),
+    ], ids=["1", "2", "3", "1000", "1001", "block-decaying", "block-rotating"])
+    def test_affine_scan_matches_a_sequential_loop(self, n, maps):
+        """The running-product scan composes random maps y -> m y + c as the loop
+        y_{n+1} = m_n y_n + c_n does, on a batch of two rows; tolerance 1e-13 of
+        the largest value (its rounding differs in order).  The maps have |m|
+        about 1, or are RK4 steps of a whole block: decaying at the pde step
+        guard's bound, h a about -0.5 (|m| about 0.6), or rotating fast, h a
+        about +-2i with some decay."""
         rng = np.random.default_rng(n)
-        m = np.exp(0.01 * (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+        noise = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        if maps is None:
+            m = np.exp(0.01 * noise)
+        elif maps == "decaying":
+            m = self.rk4_factor(-0.5 + 0.05j * noise.imag)
+        else:
+            m = self.rk4_factor(-0.1 * rng.random((2, n)) + 2j * rng.choice([-1.0, 1.0], (2, n)))
         c = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         y0 = np.array([0.3 - 1.0j, 2.0])
         y, ref = [y0], y0
@@ -340,6 +357,18 @@ class TestStageContract:
         assert out.shape == (2, n + 1)
         npt.assert_array_equal(out[:, 0], y0)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("factor, step", [(0.27, 541), (np.nan, 0)], ids=["underflow", "nan"])
+    def test_affine_scan_refuses_a_product_outside_the_normal_range(self, factor, step):
+        """A running product of the maps that underflows (RK4 at h a = -1.6 gives
+        m = 0.27, whose product falls below the smallest normal float after 542
+        steps) or is NaN raises NumericalError naming the first such step of
+        the block, before any division can warn."""
+        m = np.full((2, core.RK4_BLOCK), factor, dtype=complex)
+        m[0] = 0.9  # the step is the first at which any row fails
+        c = np.ones_like(m)
+        with pytest.raises(core.NumericalError, match=rf"RK4 step {step} of a block"):
+            core._affine_scan(m, c, np.ones(2))
 
     def test_rk4_linear_stage_states(self):
         """The stage states rk4_linear returns are those of RK4 written out,
