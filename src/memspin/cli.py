@@ -288,21 +288,21 @@ def output_switches(cfg: dict) -> tuple[bool, bool]:
     return outputs.get("heatmap", False), outputs.get("transfer", False)
 
 
-def build_options(cfg: dict, heatmap: bool) -> pde.SimOptions:
+def build_options(cfg: dict) -> pde.SimOptions:
     options = cfg.get("options", {})
     return pde.SimOptions(
         power_broadening=options.get("power_broadening", True),
         compensate_dispersion=options.get("compensate_dispersion", True),
         auto_two_photon=options.get("auto_two_photon", True),
         margin_threshold=float(cfg.get("margin_threshold", core.MARGIN_THRESHOLD)),
-        record_heatmap=heatmap,
     )
 
 
 class NetworkSetup:
-    """Everything needed to run a compiled two-operation scenario."""
+    """Everything needed to run a compiled two-operation scenario (heatmaps if ``heatmap``)."""
 
     def __init__(self, cfg: dict, grid_scale: float = 1.0, heatmap: bool = False):
+        self.heatmap = heatmap
         self.spectrum = build_spectrum(cfg)
         n = self.spectrum.n_modes
         self.atoms = build_atoms(cfg)
@@ -320,7 +320,7 @@ class NetworkSetup:
         self.schedule = pde.store_recall_schedule(self.write_plan, self.read_plan)
         self.grid = build_grid(cfg, grid_scale)
         self.pulse = build_pulse(cfg, n)
-        self.options = build_options(cfg, heatmap)
+        self.options = build_options(cfg)
 
     def chains(self, transfer: bool) -> list[pde.Chain]:
         """What ``run`` integrates as one batch: the network, the basis probes
@@ -351,7 +351,8 @@ def run_network(setup: NetworkSetup, transfer: bool = False):
     result, that unit-energy temporal mode and the transfer matrix (None
     unless ``transfer``).
     """
-    result, *probes, echo = pde._simulate_batch(setup.chains(transfer), setup.grid)
+    result, *probes, echo = pde._simulate_batch(setup.chains(transfer), setup.grid,
+                                                0 if setup.heatmap else None)
     psi = pde.echo_mode(echo)
     ideal = pde.ideal_output(compiler.ideal_transfer(setup.u_in, setup.u_out),
                              setup.pulse.mode_amplitudes, psi,
@@ -415,9 +416,8 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
             pde.window_operators(pde.eq5_chains(cell, entries, pulse, spectra, options), grid)
         print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
         return EXIT_OK
-    heatmap, want_transfer = output_switches(cfg)
-    setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
-    pde.window_operators(setup.chains(want_transfer), setup.grid)
+    setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
+    pde.window_operators(setup.chains(output_switches(cfg)[1]), setup.grid)
     rep = setup.margin_report()
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
@@ -457,7 +457,7 @@ def cmd_run(cfg: dict, out_dir: str, args) -> int:
     path = write_report(out_dir, report)
     if transfer is not None:
         write_transfer_csv(out_dir, transfer)
-    if heatmap and result.heatmap_field is not None:
+    if heatmap:
         pde.write_heatmap_csv(os.path.join(out_dir, "heatmap_field.csv"),
                               result.heatmap_field, result.heatmap_times,
                               setup.grid, len(setup.cells))
@@ -478,7 +478,7 @@ def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
     mean = _require(cfg, "spectrum.mean_mhz")
     grid_dt = _require(cfg, "grid.dt_us")
     pulse = build_pulse(cfg, 2)
-    options = build_options(cfg, heatmap=False)
+    options = build_options(cfg)
     if not _require(cfg, "cases"):
         raise ValidationError("config entry 'cases' must not be empty")
     cases = []

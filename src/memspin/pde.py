@@ -343,7 +343,6 @@ class SimOptions:
     compensate_dispersion: bool = True
     auto_two_photon: bool = True
     margin_threshold: float = MARGIN_THRESHOLD
-    record_heatmap: bool = False
 
 
 @dataclass
@@ -730,11 +729,11 @@ class _ModalBlock:
                                            self.symbols[inverse])
         return out
 
-    def spins(self, j: int, a: np.ndarray) -> np.ndarray:
-        """Chain j's spins y = V a, from its modal state ``a`` (cells, nz)."""
-        y, mine = a.copy(), self.coupled[j]
+    def spins(self, a: np.ndarray) -> np.ndarray:
+        """The heat chain's spins y = V a, from its modal state ``a`` (cells, nz)."""
+        y, mine = a.copy(), self.coupled[self.heat]
         if mine.any():
-            rows = slice(self.offsets[j], self.offsets[j + 1])
+            rows = slice(self.offsets[self.heat], self.offsets[self.heat + 1])
             y[mine] = _modal_map(a[mine], self.columns[0][rows], self.symbols[0][rows])
         return y
 
@@ -748,8 +747,8 @@ class _ModalBlock:
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
         """Step ``spins`` (chains, cells, nz) through ``nt`` steps; returns the
         S(1) series (chains, cells, nt + 1) and the final spins.  Before every
-        ``stride``-th step i, ``record(c, i, y)`` gets the spins y of each
-        chain in ``heat`` under its batch index c."""
+        ``stride``-th step i, ``record(i, y)`` gets the spins y of chain
+        ``heat`` (a block index), if there is one."""
         a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
         if self.symbols is not None:  # V^-1 serves only that entry map
             self.columns[1] = self.symbols[1] = None
@@ -762,9 +761,8 @@ class _ModalBlock:
             for i in range(start, stop):
                 m = (self.R @ a[..., None])[..., 0]
                 s1[..., i] = m[..., 0]
-                if i % stride == 0:
-                    for j, c in self.heat.items():
-                        record(c, i, self.spins(j, a[j]))
+                if i % stride == 0 and self.heat is not None:
+                    record(i, self.spins(a[self.heat]))
                 u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
                 if table is not None:
                     u = table[i - start] if u is None else u + table[i - start]
@@ -813,16 +811,16 @@ class _RealSpaceBlock:
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
         """As :meth:`_ModalBlock.run`."""
-        op, hd = self.op, self.op.half_dz
+        op, hd, heat = self.op, self.op.half_dz, self.heat
         g, n, nz = spins.shape
         y = spins.copy()
         s1 = np.empty((g, n, nt + 1), dtype=complex)
-        heat = list(self.heat)
         for start in range(0, nt, RK4_BLOCK):
             stop = min(start + RK4_BLOCK, nt)
             drive, absorb, first, rest = self.coefficients(start, stop)
             samples = np.arange(-start % stride, stop - start, stride)
-            rows = np.empty((len(heat), samples.size, n, nz), dtype=complex)
+            if heat is not None:
+                rows = np.empty((samples.size, n, nz), dtype=complex)
             ends = np.empty((4, g, n, stop - start), dtype=complex)  # S(1) at the stages
             for c in range(n):
                 d = drive[:, :, c]
@@ -834,8 +832,8 @@ class _RealSpaceBlock:
                     grid, states = rk4_linear(decay[:, j] + rates[j > 0], d - ab * p if j else d,
                                               self.h, y[:, c, j], stages=True)
                     y[:, c, j] = grid[:, -1]
-                    if heat:
-                        rows[:, :, c, j] = grid[heat][:, samples]
+                    if heat is not None:
+                        rows[:, c, j] = grid[heat, samples]
                     if j == 0:
                         p = hd * states
                     elif j < nz - 1:
@@ -845,9 +843,9 @@ class _RealSpaceBlock:
                         ends[:, :, c] = p + hd * states
                     del grid, states  # freed before the next point allocates its own
             s1[..., start:stop] = ends[0]
-            for k, j in enumerate(heat):
+            if heat is not None:
                 for r, i in enumerate(samples):
-                    record(self.heat[j], start + i, rows[k, r])
+                    record(start + i, rows[r])
         s1[..., nt] = _cumtrapz(y, hd)[..., -1]
         return s1, y
 
@@ -868,9 +866,9 @@ def window_operators(chains, grid: Grid):
         for chain in chains] for w in range(chains[0].schedule.n_windows)]
 
 
-def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
-                     spectrum: ModeSpectrum, options: SimOptions = SimOptions()) -> NetworkResult:
-    """Run a schedule over a chain of cells, from zero spin.
+def simulate_network(cells, schedule: Schedule, inputs, grid: Grid, spectrum: ModeSpectrum,
+                     options: SimOptions = SimOptions(), heatmap: bool = False) -> NetworkResult:
+    """Run a schedule over a chain of cells, from zero spin, with heatmaps if ``heatmap``.
 
     Parameters
     ----------
@@ -881,22 +879,23 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid,
         window-local times and returns the inflow amplitudes at each,
         (*times.shape, n_modes), as :class:`GaussianPulse` does.
     """
-    (result,) = _simulate_batch([Chain(cells, schedule, spectrum, inputs, options)], grid)
+    (result,) = _simulate_batch([Chain(cells, schedule, spectrum, inputs, options)], grid,
+                                0 if heatmap else None)
     return result
 
 
-def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
+def _simulate_batch(chains, grid: Grid, heat: int | None = None) -> list[NetworkResult]:
     """Run a batch of :class:`Chain` in one integration; one result per chain.
 
     Each chain keeps its own spins (cells, nz).  Per window, the chains of
     one step (:func:`_window_modes`), kind and size run as one block
     (:class:`_ModalBlock`, :class:`_RealSpaceBlock`) that records their S(1)
     per grid time, from which each chain's outflow and input power follow.
+    The chain of batch index ``heat``, if given, also records its heatmaps.
     """
     windows = window_operators(chains, grid)
     _warn_on_margins(chains)
     sig = [np.zeros((len(chain.cells), grid.nz), complex) for chain in chains]
-    heat = [c for c, chain in enumerate(chains) if chain.options.record_heatmap]
     times = grid.times
     stages = stage_times(times)
     stride = max(1, grid.nt // 200)
@@ -906,17 +905,18 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
     samples = len(range(0, grid.nt, stride))
     heat_t = (np.arange(len(windows))[:, None] * grid.window
               + times[:grid.nt:stride]).reshape(-1)
-    heat_field, heat_spin = ({c: np.empty((heat_t.size, len(chains[c].cells) * grid.nz))
-                              for c in heat} for _ in range(2))
+    if heat is not None:
+        heat_field, heat_spin = (np.empty((heat_t.size, len(chains[heat].cells) * grid.nz))
+                                 for _ in range(2))
 
     for w, parts in enumerate(windows):
         pulses = [chain.inputs.get(w) for chain in chains]
 
-        def record(c, n, spins):
-            row = w * samples + n // stride
-            heat_field[c][row] = parts[c].field_norms(parts[c].inflow(times[n], pulses[c]),
-                                                      _cumtrapz(spins, parts[c].half_dz))
-            heat_spin[c][row] = np.abs(spins).reshape(-1)
+        def record(n, spins):
+            row, part = w * samples + n // stride, parts[heat]
+            heat_field[row] = part.field_norms(part.inflow(times[n], pulses[heat]),
+                                               _cumtrapz(spins, part.half_dz))
+            heat_spin[row] = np.abs(spins).reshape(-1)
 
         modes = _window_modes(chains, parts, 0.5 / (grid.nz - 1))
         groups = {}
@@ -925,7 +925,7 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
         blocks = []
         for (real, _, _), members in groups.items():
             args = ([parts[c] for c in members], [pulses[c] for c in members],
-                    {j: c for j, c in enumerate(members) if c in heat}, grid.dt, stages)
+                    members.index(heat) if heat in members else None, grid.dt, stages)
             blocks.append((members, _RealSpaceBlock(*args) if real
                            else _ModalBlock(*args, [modes[c] for c in members])))
         del modes  # the blocks hold their own copies of what they use
@@ -966,8 +966,8 @@ def _simulate_batch(chains, grid: Grid) -> list[NetworkResult]:
             window_energies=energies[c],
             output_windows=out_windows,
         )
-        if c in heat:
-            result.heatmap_field, result.heatmap_spin = heat_field[c].T, heat_spin[c].T
+        if c == heat:
+            result.heatmap_field, result.heatmap_spin = heat_field.T, heat_spin.T
             result.heatmap_times = heat_t
         results.append(result)
     return results
@@ -1090,8 +1090,7 @@ def reference_echo(cells, schedule: Schedule, spectrum: ModeSpectrum, pulse: Gau
     return Chain([cells[0]], Schedule(entries=(row,)),
                  ModeSpectrum(mean_detuning=d, detunings=np.array([d])),
                  {0: GaussianPulse(fwhm=pulse.fwhm, center=pulse.center,
-                                   mode_amplitudes=np.array([1.0]))},
-                 replace(options, record_heatmap=False))
+                                   mode_amplitudes=np.array([1.0]))}, options)
 
 
 def echo_mode(result: NetworkResult) -> FieldState:
@@ -1123,9 +1122,8 @@ def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,
     weight on mode j only, in mode order.  Fails unless the gradient echo
     lands inside the scheduled windows, where the extraction reads it."""
     echo_center(schedule, grid, pulse.center)
-    probe_options = replace(options, record_heatmap=False)
     return [Chain(cells, schedule, spectrum, {0: replace(pulse, mode_amplitudes=weights)},
-                  probe_options) for weights in np.eye(spectrum.n_modes)]
+                  options) for weights in np.eye(spectrum.n_modes)]
 
 
 def transfer_from_probes(probes: list[NetworkResult], temporal_mode: FieldState,

@@ -563,9 +563,9 @@ def test_one_integration_per_op(tmp_path, monkeypatch, command, scenario, edits,
     counted = []
     batch = pde._simulate_batch
 
-    def counting(chains, grid):
+    def counting(chains, grid, heat=None):
         counted.append(len(chains))
-        return batch(chains, grid)
+        return batch(chains, grid, heat)
 
     monkeypatch.setattr(pde, "_simulate_batch", counting)
     with warnings.catch_warnings():

@@ -297,8 +297,8 @@ class TestNetwork:
     def test_heatmap_recorded(self):
         u = compiler.dft_unitary(2)
         sp, cells, sched, grid, pulse = two_op_network(2, u, u, nz=128)
-        opts = pde.SimOptions(record_heatmap=True)
-        res = pde.simulate_network(cells, sched, {0: pulse}, grid, sp, opts)
+        res = pde.simulate_network(cells, sched, {0: pulse}, grid, sp, pde.SimOptions(),
+                                   heatmap=True)
         assert res.heatmap_field is not None
         assert res.heatmap_field.shape[0] == 2 * grid.nz
         assert res.heatmap_spin.shape == res.heatmap_field.shape
@@ -850,15 +850,15 @@ def worst_conditioning(chain, grid):
 def real_space_runs(monkeypatch) -> list:
     """Monkeypatch _RealSpaceBlock.run to log each real-space run: the block,
     its input spins, step count and stride, the S(1) series and final spins
-    it returns, and the spins it records, by (batch index, step)."""
+    it returns, and the spins it records, by step."""
     runs, run = [], pde._RealSpaceBlock.run
 
     def logging(self, spins, nt, stride, record):
         rows = {}
 
-        def keep(c, i, y):
-            rows[c, i] = y.copy()
-            record(c, i, y)
+        def keep(i, y):
+            rows[i] = y.copy()
+            record(i, y)
 
         s1, final = run(self, spins, nt, stride, keep)
         runs.append({"block": self, "spins": spins.copy(), "nt": nt, "stride": stride,
@@ -916,8 +916,8 @@ def per_step_rk4(run):
     """A logged real-space run (:func:`real_space_runs`) redone one RK4 step
     at a time on whole spin grids, four evaluations of real_space_rhs a step,
     with the block's coefficients tabulated on every stage time: the S(1)
-    series, the final spins and the spins of every stride-th step of each
-    heat chain."""
+    series, the final spins and the spins of every stride-th step of the
+    heat chain, if the block has one."""
     block, nt, h = run["block"], run["nt"], run["block"].h
     table = np.stack([part.coefficients(block.stages, pulse)
                       for part, pulse in zip(block.parts, block.pulses)], axis=2)
@@ -929,9 +929,8 @@ def per_step_rk4(run):
     for i in range(nt):
         k1, acc = f(y, 2 * i)
         s1[..., i] = acc[..., -1]
-        if i % run["stride"] == 0:
-            for j, c in block.heat.items():
-                rows[c, i] = y[j].copy()
+        if i % run["stride"] == 0 and block.heat is not None:
+            rows[i] = y[block.heat].copy()
         k2 = f(y + 0.5 * h * k1, 2 * i + 1)[0]
         k3 = f(y + 0.5 * h * k2, 2 * i + 1)[0]
         k4 = f(y + h * k3, 2 * i + 2)[0]
@@ -980,18 +979,36 @@ def test_sweep_matches_per_step_rk4_on_a_chain_with_heatmaps(monkeypatch):
     in real space under a conditioning limit of 0: the chain's cells couple
     through S(1), and its heatmap rows are the spins it records."""
     chains, sched, grid = uncompensated_batch()
-    chains[0] = replace(chains[0], options=replace(chains[0].options, record_heatmap=True))
     monkeypatch.setattr(pde, "MODAL_COND_LIMIT", 0.0)
     runs = real_space_runs(monkeypatch)
-    (network, _) = pde._simulate_batch(chains, grid)
+    (network, _) = pde._simulate_batch(chains, grid, heat=0)
     assert sorted(run["block"].op.decay.shape[-2] for run in runs) == [1, 1, 3, 3]
     steps = range(0, grid.nt, max(1, grid.nt // 200))
     rows = [run["rows"] for run in runs if run["rows"]]
-    assert [list(r) for r in rows] == [[(0, i) for i in steps]] * sched.n_windows
+    assert [list(r) for r in rows] == [list(steps)] * sched.n_windows
     # the heatmap of spin magnitudes, window after window
-    spins = np.array([np.abs(r[0, i]).reshape(-1) for r in rows for i in steps])
+    spins = np.array([np.abs(r[i]).reshape(-1) for r in rows for i in steps])
     npt.assert_array_equal(network.heatmap_spin.T, spins)
     assert_sweep_matches_per_step_rk4(runs, grid.times)
+
+
+@pytest.mark.parametrize("limit", [pde.MODAL_COND_LIMIT, 0.0], ids=["default", "real_space"])
+def test_heatmaps_of_a_chain_past_the_first_of_its_block(monkeypatch, limit):
+    """The uncompensated chain's three basis probes as one block, recording
+    probe 2: its heatmaps equal those of probe 2 run alone, bit for bit, and
+    the other probes carry none."""
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", limit)
+    sp, cells, sched, grid, opts = uncompensated_chain()
+    pulse = pde.GaussianPulse(FWHM, CENTER, np.ones(3))
+    probes = pde._basis_probe(cells, sched, grid, sp, opts, pulse)
+    runs = pde._simulate_batch(probes, grid, heat=2)
+    (alone,) = pde._simulate_batch(probes[2:], grid, heat=0)
+    for name in ("heatmap_field", "heatmap_spin", "heatmap_times"):
+        npt.assert_array_equal(getattr(runs[2], name), getattr(alone, name))
+    samples = len(range(0, grid.nt, max(1, grid.nt // 200)))
+    assert runs[2].heatmap_field.shape == (len(cells) * grid.nz, sched.n_windows * samples)
+    for res in runs[:2]:
+        assert res.heatmap_field is res.heatmap_spin is res.heatmap_times is None
 
 
 def single_mode_echo(nz):
@@ -1097,8 +1114,8 @@ def test_block_maps_every_row_in_one_pass():
     modes = pde._window_modes(chains, parts, parts[0].half_dz)
     assert len({m for chain in modes for m in chain if m.absorb != 0.0}) == 2
     assert [m.absorb for m in modes[0]][1] == 0.0
-    block = pde._ModalBlock(parts, [None, None], {}, grid.dt, core.stage_times(grid.times),
-                            modes)
+    stages = core.stage_times(grid.times)
+    block = pde._ModalBlock(parts, [None, None], None, grid.dt, stages, modes)
     rng = np.random.default_rng(23)
     y = rng.normal(size=(2, 3, grid.nz)) + 1j * rng.normal(size=(2, 3, grid.nz))
     a = block.map(y, True)
@@ -1107,7 +1124,8 @@ def test_block_maps_every_row_in_one_pass():
     npt.assert_array_equal(a[:, 1], y[:, 1])
     npt.assert_array_equal(back[:, 1], y[:, 1])
     for j in range(2):
-        npt.assert_allclose(block.spins(j, a[j]), back[j], rtol=0,
+        heat = pde._ModalBlock(parts, [None, None], j, grid.dt, stages, modes)
+        npt.assert_allclose(heat.spins(a[j]), back[j], rtol=0,
                             atol=1e-14 * np.max(np.abs(back)))
     op = parts[0]
     e = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
