@@ -373,7 +373,8 @@ def _affine_scan(m: np.ndarray, c: np.ndarray, y0) -> np.ndarray:
     = m_0 ... m_n, y_{n+1} = P_n (y0 + sum_{k <= n} c_k / P_k), overwriting
     ``m`` and ``c``.  A |P_n| not a finite normal float raises NumericalError."""
     c[..., 0] += m[..., 0] * y0  # y0 enters through the first map: c_0 / P_0 + y0
-    p = np.multiply.accumulate(m, axis=-1, out=m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        p = np.multiply.accumulate(m, axis=-1, out=m)
     size, tiny = np.abs(p), np.finfo(float).tiny
     # NaN fails the comparison, and a product once not finite stays so to the end
     if not (size.min() >= tiny and np.isfinite(p[..., -1]).all()):

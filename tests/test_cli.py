@@ -538,10 +538,20 @@ def edited(tmp_path, scenario, edits):
     ("identity_1mode", {"grid.dt_us": 1.0}, "(dt * rate = 0.92 > 0.5)"),
     ("eq5_regime_sweep", {"cases": [{"label": "margin_1", "spacing_mhz": 0.019068,
                                      "dt_us": 0.4}]}, "(dt * rate = 0.61 > 0.5)"),
-], ids=["eq5_beat", "chain_rate", "eq5_rate"])
+    ("eq5_regime_sweep", {"atoms.delta_mhz": 40.0},
+     "too large for rotation 252 rad/us (dt * rotation = 2.52 > 0.2)"),
+    ("eq5_regime_sweep", {"atoms.delta_mhz": 45.0},
+     "too large for rotation 283 rad/us (dt * rotation = 2.83 > 0.2)"),
+    ("random_3mode", {"atoms.delta_mhz": 20.0, "options": {"auto_two_photon": False}},
+     "too large for rotation 126 rad/us (dt * rotation = 2.52 > 0.2)"),
+], ids=["eq5_beat", "chain_rate", "eq5_rate", "eq5_rotation_40", "eq5_rotation_45",
+        "chain_rotation"])
 def test_validate_runs_the_step_size_guards(tmp_path, capsys, scenario, edits, message):
     """validate builds the window operators of every chain run would build, so
-    a step run rejects exits 3 in validate too, with run's message."""
+    a step run rejects exits 3 in validate too, with run's message.  The
+    rotation cases are two-photon detunings the RK4 step misreads: unguarded,
+    the sweep at 40 MHz exits 0 with efficiencies about 110 times off, and
+    at 45 MHz one efficiency exceeds unity."""
     bad = edited(tmp_path, scenario, edits)
     assert run_cli(["run", bad, "--out", tmp_path / "o"]) == cli.EXIT_NUMERIC
     run_err = capsys.readouterr().err

@@ -358,12 +358,14 @@ class TestStageContract:
         npt.assert_array_equal(out[:, 0], y0)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("factor, step", [(0.27, 541), (np.nan, 0)], ids=["underflow", "nan"])
+    @pytest.mark.parametrize("factor, step", [(0.27, 541), (np.nan, 0), (3.0, 646)],
+                             ids=["underflow", "nan", "overflow"])
     def test_affine_scan_refuses_a_product_outside_the_normal_range(self, factor, step):
         """A running product of the maps that underflows (RK4 at h a = -1.6 gives
         m = 0.27, whose product falls below the smallest normal float after 542
-        steps) or is NaN raises NumericalError naming the first such step of
-        the block, before any division can warn."""
+        steps), overflows (3^647 after 647 steps) or is NaN raises
+        NumericalError naming the first such step of the block, before numpy
+        or any division can warn."""
         m = np.full((2, core.RK4_BLOCK), factor, dtype=complex)
         m[0] = 0.9  # the step is the first at which any row fails
         c = np.ones_like(m)

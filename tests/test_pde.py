@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -467,6 +468,30 @@ class TestEq5:
         rates = core.effective_rates(cv, sp, cell.atoms)
         m9 = core.check_inequality_9(sp, rates)
         return m9, res.efficiency, eff5
+
+    @pytest.mark.parametrize("rotation", [0.3, 0.15], ids=["refused", "accepted"])
+    def test_step_guard_counts_the_peak_light_shift(self, rotation):
+        """A single-excited cell's rotation is |Im decay| plus the peak light
+        shift (sum_k |W_k|)^2 / D.  With two equal couplings w and the static
+        shift 2 w^2 / D left in the detuning, that is 6 w^2 / D + eta / 2,
+        while the decay alone reads 2 w^2 / D + eta / 2: at dt * 6 w^2 / D =
+        0.3 the step is refused, naming the rotation, and at 0.15 it is not."""
+        sp, cell, _, grid, pulse, _ = self._setup(2.0, beta=1.0)
+        d = sp.mean_detuning
+        w = math.sqrt(rotation * d / (6.0 * grid.dt))
+        cv = core.CouplingVector(np.full(2, w))
+        entries = [pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)]
+        opts = pde.SimOptions(auto_two_photon=False)
+        (chain,) = pde.eq5_chains(cell, [entries], pulse, [sp], opts)[1:]
+        peak = 6.0 * w ** 2 / d + ETA / 2.0
+        assert grid.dt * (peak - 4.0 * w ** 2 / d) < pde.MAX_STEP_ROTATION
+        if grid.dt * peak <= pde.MAX_STEP_ROTATION:
+            pde.window_operators([chain], grid)
+            return
+        with pytest.raises(core.NumericalError, match=re.escape(
+                f"too large for rotation {peak:.3g} rad/us (dt * rotation = "
+                f"{grid.dt * peak:.2f} > {pde.MAX_STEP_ROTATION})")):
+            pde.window_operators([chain], grid)
 
     def test_single_mode_limit_matches_cell(self):
         sp1 = core.ModeSpectrum(mean_detuning=mhz(250.0),
