@@ -416,8 +416,9 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
             pde.window_operators(pde.eq5_chains(cell, entries, pulse, spectra, options), grid)
         print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
         return EXIT_OK
+    _, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
-    pde.window_operators(setup.chains(output_switches(cfg)[1]), setup.grid)
+    pde.window_operators(setup.chains(want_transfer), setup.grid)
     rep = setup.margin_report()
     md = _margin_dict(rep)
     print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,

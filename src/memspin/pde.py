@@ -137,9 +137,10 @@ MODAL_COND_LIMIT = 1e3
 #: ten-mode transfer batch would hold about 7 MB; 128 steps hold under 1 MB.
 MODAL_BLOCK = 128
 
-#: Largest rotation dt * |Im a| of a step, a the fastest point's rate.  On the
-#: eq5 sweep, raising the two-photon detuning moves the efficiencies between
-#: grid scales 1 and 4 by 4.1e-4 at a rotation of 0.19 and 1.0e-2 at 0.25.
+#: Largest rotation dt * |Im a| of an RK4 step, a the complex rate of the
+#: fastest point (dy/dt = a y + b).  On the eq5 sweep, raising the two-photon
+#: detuning moves the efficiencies between grid scales 1 and 4 by 4.1e-4 at a
+#: rotation of 0.19 and by 1.0e-2 at 0.25.
 MAX_STEP_ROTATION = 0.2
 
 
