@@ -18,15 +18,15 @@ ancilla pattern (1, 0)) and checked against them at run time; no gate
 constants are hard-coded.
 
 Each distinct unitary's blocks <m|U|n> are computed once per process:
-``_blocks`` memoises them by matrix content (shape and bytes), so the
-fixed stage unitaries are reused across inputs and ``cz_network()``
-rebuilds, for up to ``MEMO_SIZE`` unitaries.  For each occupation n of the
-acted modes it keeps the tuple of nonzero terms (m, <m|U|n>) in
-``_compositions`` order, and ``apply_unitary`` loops over those alone: an
-identity stage costs one term per occupation, not one per composition.
-A term is the same ``permanent(sub) / norm`` computed on first use, only
-exact zeros are dropped, and measurement keeps state order within each
-pattern, so results are bit-identical to recomputing everything per call.
+``_blocks`` memoises them by matrix content (shape and bytes), for up to
+``MEMO_SIZE`` unitaries, as the nonzero terms (m, <m|U|n>) of each acted
+pattern n in ``_compositions`` order.  Per placement (modes, mode count,
+photon cap) it keeps one row per full occupation, those terms placed as
+output occupations, so ``apply_unitary`` does one dict update per term and
+an identity stage one per occupation.  Only exact zeros are dropped and
+measurement keeps state order within each pattern, so results are
+bit-identical to recomputing per call.  States derived from a checked
+state (outputs, conditioned and normalised states) are not checked again.
 """
 
 from __future__ import annotations
@@ -81,10 +81,12 @@ def _compositions(total: int, parts: int) -> tuple:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _blocks(shape: tuple, data: bytes):
-    """``n_sub -> ((m_sub, <m|U|n>), ...)``, the nonzero terms of one unitary.
+    """``(modes, n_modes, photon_cap) -> row``, the memoised action of one unitary.
 
-    Memoised by matrix content, and per input pattern ``n_sub``; the terms
-    follow ``_compositions`` order.
+    Memoised by matrix content.  ``row(occ)`` is ``((out_occ, <m|U|n>), ...)``,
+    the nonzero terms of the acted pattern ``n_sub`` in ``_compositions``
+    order, each placed in the full occupation; None when no photon is on the
+    acted modes.  The terms of ``n_sub`` are shared by every placement.
     """
     mat = np.frombuffer(data, dtype=complex).reshape(shape)
 
@@ -101,7 +103,25 @@ def _blocks(shape: tuple, data: bytes):
                 out.append((m_sub, coeff))
         return tuple(out)
 
-    return terms
+    @lru_cache(maxsize=MEMO_SIZE)
+    def placed(modes, n_modes, photon_cap):
+        keep = [m for m in range(n_modes) if m not in modes]
+        acted, rest = _picker(modes), _picker(keep)
+        order = keep + list(modes)
+        place = _picker([order.index(m) for m in range(n_modes)])  # rest + acted -> occ
+
+        @lru_cache(maxsize=None)
+        def row(occ):
+            n_sub = acted(occ)
+            p = sum(n_sub)
+            if p > photon_cap:
+                raise ValidationError(
+                    f"{p} photons on the acted modes exceed photon cap {photon_cap}")
+            return tuple((place(rest(occ) + m_sub), c) for m_sub, c in terms(n_sub)) if p else None
+
+        return row
+
+    return placed
 
 
 def _picker(modes):
@@ -146,6 +166,13 @@ class FockState:
                 raise ValidationError(f"occupation {occ} exceeds photon cap {self.photon_cap}")
 
     @classmethod
+    def _derived(cls, amplitudes: dict, n_modes: int, photon_cap: int) -> "FockState":
+        """A state derived from a validated one, built without checking it again."""
+        state = cls.__new__(cls)
+        state.amplitudes, state.n_modes, state.photon_cap = amplitudes, n_modes, photon_cap
+        return state
+
+    @classmethod
     def from_occupation(cls, occ, photon_cap: int = DEFAULT_PHOTON_CAP) -> "FockState":
         occ = tuple(int(n) for n in occ)
         return cls(amplitudes={occ: 1.0 + 0.0j}, n_modes=len(occ), photon_cap=photon_cap)
@@ -157,9 +184,8 @@ class FockState:
         n = self.norm()
         if n == 0:
             raise ValidationError("cannot normalise the zero state")
-        return FockState(
-            amplitudes={k: v / n for k, v in self.amplitudes.items()},
-            n_modes=self.n_modes, photon_cap=self.photon_cap)
+        return FockState._derived({k: v / n for k, v in self.amplitudes.items()},
+                                  self.n_modes, self.photon_cap)
 
     def inner(self, other: "FockState") -> complex:
         """<self|other> over the shared occupation basis."""
@@ -183,27 +209,17 @@ def apply_unitary(state: FockState, u: UnitarySpec, modes) -> FockState:
     occupation-expanded submatrices; the remaining modes ride along.
     """
     modes = _checked_modes(modes, state.n_modes, arity=u.n)
-    terms = _blocks(u.matrix.shape, u.matrix.tobytes())
-    keep = [m for m in range(state.n_modes) if m not in modes]
-    acted, rest = _picker(modes), _picker(keep)
-    order = keep + list(modes)
-    place = _picker([order.index(m) for m in range(state.n_modes)])  # rest + acted -> occ
+    row = _blocks(u.matrix.shape, u.matrix.tobytes())(modes, state.n_modes, state.photon_cap)
     out: dict = {}
     for occ, amp in state.amplitudes.items():
-        n_sub = acted(occ)
-        p = sum(n_sub)
-        if p > state.photon_cap:
-            raise ValidationError(
-                f"{p} photons on the acted modes exceed photon cap {state.photon_cap}")
-        if p == 0:
+        terms = row(occ)
+        if terms is None:
             out[occ] = out.get(occ, 0.0 + 0.0j) + amp
             continue
-        others = rest(occ)
-        for m_sub, coeff in terms(n_sub):
-            key = place(others + m_sub)
+        for key, coeff in terms:
             out[key] = out.get(key, 0.0 + 0.0j) + amp * coeff
     out = {k: v for k, v in out.items() if abs(v) > 1e-15}
-    return FockState(amplitudes=out, n_modes=state.n_modes, photon_cap=state.photon_cap)
+    return FockState._derived(out, state.n_modes, state.photon_cap)
 
 
 @dataclass
@@ -233,7 +249,8 @@ def measurement_distribution(state: FockState, modes) -> list[MeasurementOutcome
         if prob == 0.0:
             continue
         scale = 1.0 / math.sqrt(prob)
-        cond = FockState({k: v * scale for k, v in reduced.items()}, len(keep), state.photon_cap)
+        cond = FockState._derived({k: v * scale for k, v in reduced.items()}, len(keep),
+                                  state.photon_cap)
         outcomes.append(MeasurementOutcome(pattern, prob, cond))
     return outcomes
 

@@ -384,13 +384,14 @@ class Chain:
 
 def _check_step(dt: float, rate: float, rotation: float) -> None:
     """Reject a step ``dt`` that is too large for the fastest rate or the
-    fastest rotation |Im a| of a window."""
-    if dt * rate > 0.5:
-        raise NumericalError(f"dt = {dt} too large for dynamics rate {rate:.3g} rad/us "
-                             f"(dt * rate = {dt * rate:.2f} > 0.5)")
-    if dt * rotation > MAX_STEP_ROTATION:
-        raise NumericalError(f"dt = {dt} too large for rotation {rotation:.3g} rad/us "
-                             f"(dt * rotation = {dt * rotation:.2f} > {MAX_STEP_ROTATION})")
+    fastest rotation |Im a| of a window, printing the product dt * speed to
+    the fewest decimals (two or more) that read above its bound."""
+    for what, name, speed, bound in (("dynamics rate", "rate", rate, 0.5),
+                                     ("rotation", "rotation", rotation, MAX_STEP_ROTATION)):
+        if dt * speed > bound:
+            shown = next(s for d in range(2, 18) if float(s := f"{dt * speed:.{d}f}") > bound)
+            raise NumericalError(f"dt = {dt} too large for {what} {speed:.3g} rad/us "
+                                 f"(dt * {name} = {shown} > {bound})")
 
 
 def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
@@ -906,6 +907,8 @@ def _simulate_batch(chains, grid: Grid, heat: int | None = None) -> list[Network
     per grid time, from which each chain's outflow and input power follow.
     The chain of batch index ``heat``, if given, also records its heatmaps.
     """
+    if heat is not None and not 0 <= heat < len(chains):
+        raise ValidationError(f"heatmap index {heat} outside a batch of {len(chains)} chains")
     windows = window_operators(chains, grid)
     _warn_on_margins(chains)
     sig = [np.zeros((len(chain.cells), grid.nz), complex) for chain in chains]

@@ -544,8 +544,10 @@ def edited(tmp_path, scenario, edits):
      "too large for rotation 283 rad/us (dt * rotation = 2.83 > 0.2)"),
     ("random_3mode", {"atoms.delta_mhz": 20.0, "options": {"auto_two_photon": False}},
      "too large for rotation 126 rad/us (dt * rotation = 2.52 > 0.2)"),
+    ("random_3mode", {"atoms.delta_mhz": 1.55, "options": {"auto_two_photon": False}},
+     "too large for rotation 10.1 rad/us (dt * rotation = 0.201 > 0.2)"),
 ], ids=["eq5_beat", "chain_rate", "eq5_rate", "eq5_rotation_40", "eq5_rotation_45",
-        "chain_rotation"])
+        "chain_rotation", "chain_rotation_edge"])
 def test_validate_runs_the_step_size_guards(tmp_path, capsys, scenario, edits, message):
     """validate builds the window operators of every chain run would build, so
     a step run rejects exits 3 in validate too, with run's message.  The

@@ -222,6 +222,79 @@ class TestApplyUnitary:
         assert v_after_u.amplitudes == v_cold.amplitudes
         assert v_after_u.amplitudes != u_out.amplitudes
 
+    def test_one_unitary_placed_anywhere_gives_its_cold_amplitudes(self):
+        """The rows of one matrix are memoised per placement (modes in order,
+        mode count, cap): klm_cz's eye(4) on modes 4-7 of 8 and 0-3 of 4, and a
+        Haar matrix on three orderings of 5 modes under two caps and on all of
+        3 modes, each match their own cold run, and the operator expansion,
+        after every other placement has filled the memo."""
+        stages = fock.cz_network()
+        eye, haar = stages[1].unitary, compiler.haar_random_unitary(3, seed=24)
+        u1_out = fock.apply_unitary(fock.dual_rail_input((0.6, 0.8j), (0.8, 0.6)),
+                                    stages[0].unitary, stages[0].modes)
+        rails = fock.FockState(amplitudes={(1, 0, 0, 1): 0.6, (0, 1, 1, 0): 0.8j}, n_modes=4)
+        mixed = {(1, 0, 1, 1, 0): 0.6, (0, 2, 0, 0, 1): 0.8j}
+        cases = [(u1_out, eye, (4, 5, 6, 7)), (rails, eye, (0, 1, 2, 3))]
+        cases += [(fock.FockState(amplitudes=mixed, n_modes=5, photon_cap=cap), haar, modes)
+                  for cap in (4, 3) for modes in ((0, 1, 2), (4, 2, 0), (0, 2, 4))]
+        cases.append((fock.FockState(amplitudes={(1, 0, 2): 0.6, (0, 1, 1): 0.8j}, n_modes=3),
+                      haar, (0, 1, 2)))
+        cold = []
+        for state, u, modes in cases:
+            fock._blocks.cache_clear()
+            cold.append(fock.apply_unitary(state, u, modes).amplitudes)
+            want = brute_force_apply(state, u, modes)
+            for k in set(cold[-1]) | set(want):
+                npt.assert_allclose(cold[-1].get(k, 0j), want.get(k, 0j), atol=1e-12)
+        fock._blocks.cache_clear()
+        for _ in range(2):
+            warm = [fock.apply_unitary(state, u, modes).amplitudes for state, u, modes in cases]
+            assert warm == cold
+        assert [list(w) for w in warm] == [list(c) for c in cold]
+
+    def test_cap_refused_after_a_larger_cap_was_memoised(self):
+        """(2, 2) fits cap 4, so its row is memoised; under cap 2 the same
+        unitary on the same occupation is still refused."""
+        bs = fock.beamsplitter()
+        fock._blocks.cache_clear()
+        roomy = fock.FockState(amplitudes={(2, 2): 1.0}, n_modes=2, photon_cap=4)
+        assert fock.apply_unitary(roomy, bs, (0, 1)).norm() == pytest.approx(1.0, abs=1e-12)
+        tight = fock.FockState(amplitudes={(2, 2): 1.0}, n_modes=2, photon_cap=2)
+        with pytest.raises(core.ValidationError,
+                           match=r"4 photons on the acted modes exceed photon cap 2"):
+            fock.apply_unitary(tight, bs, (0, 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_derived_states_pass_the_public_checks(self, data):
+        """States built without the constructor's checks (unitary outputs,
+        conditioned states, normalised states) pass those checks when rebuilt
+        through the public constructor from their fields."""
+        n_modes = data.draw(st.integers(2, 5), label="n_modes")
+        cap = data.draw(st.integers(1, 4), label="photon_cap")
+        modes = data.draw(st.permutations(range(n_modes)), label="order")[
+            :data.draw(st.integers(1, min(n_modes, 4)), label="n_acted")]
+        measured = data.draw(st.permutations(range(n_modes)), label="measured")[
+            :data.draw(st.integers(1, n_modes), label="n_measured")]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        occupation = st.lists(st.integers(0, cap), min_size=n_modes, max_size=n_modes)
+        occupations = data.draw(st.lists(occupation.filter(lambda o: sum(o) <= cap),
+                                         min_size=1, max_size=4, unique_by=tuple),
+                                label="occupations")
+        amps = {tuple(occ): complex(data.draw(st.floats(0.1, 1.0)),
+                                    data.draw(st.floats(-1.0, 1.0)))
+                for occ in occupations}
+        state = fock.FockState(amplitudes=amps, n_modes=n_modes, photon_cap=cap)
+        out = fock.apply_unitary(state, compiler.haar_random_unitary(len(modes), seed=seed),
+                                 modes)
+        derived = [state.normalized(), out, out.normalized()]
+        derived += [o.conditioned_state for o in fock.measurement_distribution(out, measured)]
+        for fs in derived:
+            rebuilt = fock.FockState(amplitudes=dict(fs.amplitudes), n_modes=fs.n_modes,
+                                     photon_cap=fs.photon_cap)
+            assert rebuilt == fs
+            assert all(type(n) is int for occ in fs.amplitudes for n in occ)
+
 
 def per_pattern_scan(state, modes, pattern):
     """Probability and conditioned amplitudes of one pattern, by a full scan."""

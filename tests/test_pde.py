@@ -1035,6 +1035,28 @@ def test_heatmaps_of_a_chain_past_the_first_of_its_block(monkeypatch, limit):
         assert res.heatmap_field is res.heatmap_spin is res.heatmap_times is None
 
 
+@pytest.mark.parametrize("heat", [-2, 2])
+def test_heatmap_index_outside_the_batch_is_refused(heat):
+    """identity_1mode's batch holds the network and its echo: a heatmap index
+    past either end names itself and the batch size instead of recording
+    nothing (-2) or failing on an index (2)."""
+    setup = cli.NetworkSetup(cli.load_config("identity_1mode"))
+    with pytest.raises(core.ValidationError, match=re.escape(
+            f"heatmap index {heat} outside a batch of 2 chains")):
+        pde._simulate_batch(setup.chains(False), setup.grid, heat=heat)
+
+
+def test_step_guard_messages_read_above_their_bounds():
+    """A product just past its bound prints with the decimals that show the
+    breach, not rounded down onto the bound; a clear breach keeps two."""
+    with pytest.raises(core.NumericalError, match=r"\(dt \* rate = 0\.5002 > 0\.5\)"):
+        pde._check_step(0.02, 25.01, 0.0)
+    with pytest.raises(core.NumericalError, match=r"\(dt \* rotation = 0\.2001 > 0\.2\)"):
+        pde._check_step(0.02, 0.0, 10.005)
+    with pytest.raises(core.NumericalError, match=r"\(dt \* rate = 0\.92 > 0\.5\)"):
+        pde._check_step(0.02, 46.0, 0.0)
+
+
 def single_mode_echo(nz):
     """The single-mode cell storing (gradient sign +1) and recalling (-1) as a
     chain, and its grid."""
