@@ -6,8 +6,13 @@ Usage::
             [--grid-scale F]
 
 ``<config>`` is a JSON file (human units: MHz and us) or the name of a
-bundled scenario.  Outputs land in ``--out`` (default: $MEMSPIN_OUT or
-./memspin_out): ``report.json`` always, plus ``heatmap_field.csv`` /
+bundled scenario.  ``OPS`` maps each (command, config type) pair to its op:
+``run`` and ``validate`` take every type (``network``, ``eq5_sweep``,
+``fock``), ``fock-verify`` only ``fock`` and ``extract-transfer`` only
+``network``; another pair exits 2.  Every op but ``validate`` writes into
+``--out`` (default: $MEMSPIN_OUT or ./memspin_out), which must not name a
+file: ``report.json`` through ``write_report``, its ``wall_time_s`` from the
+op's start to just before the write, plus ``heatmap_field.csv`` /
 ``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``validate``
 builds everything ``run`` builds, window operators and step-size guards
 included, without the dynamics.  Every entry is checked when the config is
@@ -30,6 +35,7 @@ import os
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -138,14 +144,15 @@ def _check(node, schema, path: str) -> None:
 def load_config(path_or_name: str) -> dict:
     """The config at a path or of a bundled name, as parsed, once every entry
     has been checked against the schema of its ``type``."""
-    candidate = scenario_path(path_or_name)
-    if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif candidate.is_file():
-        text = candidate.read_text(encoding="utf-8")
-    else:
+    source = Path(path_or_name)
+    if not source.is_file():
+        source = scenario_path(path_or_name)
+    if not source.is_file():
         raise ValidationError(f"config '{path_or_name}' not found (not a file or bundled name)")
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"config '{path_or_name}' cannot be read: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -378,8 +385,14 @@ def _complex_matrix_dict(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
-def write_report(out_dir: str, report: dict) -> str:
-    path = os.path.join(out_dir, "report.json")
+def write_report(cfg: dict, args, fields: dict) -> str:
+    """The one writer of an op's ``report.json``, made with its output directory:
+    the config's ``label`` and ``config_hash``, the op's ``fields`` and
+    ``wall_time_s``, the time since the op started (``args.start``)."""
+    os.makedirs(args.out, exist_ok=True)
+    report = {"label": cfg.get("label", ""), "config_hash": config_hash(cfg), **fields,
+              "wall_time_s": time.perf_counter() - args.start}
+    path = os.path.join(args.out, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -399,29 +412,15 @@ def write_transfer_csv(out_dir: str, matrix: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Ops, one per (command, config type)
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: dict, out_dir: str, args) -> int:
-    kind = cfg.get("type", "network")
-    if kind == "fock":
-        # UnitarySpec construction inside the builder validates every stage.
-        stages, _, _, inputs, _ = build_fock_run(cfg)
-        print(f"fock scenario '{cfg.get('label', '?')}': {len(stages)} stages, all unitary; "
-              f"{len(inputs)} inputs")
-        return EXIT_OK
-    if kind == "eq5_sweep":
-        cases = build_eq5_cases(cfg, args.grid_scale)
-        for _, (cell, entries, pulse, grid, spectra, options) in eq5_batches(cases):
-            pde.window_operators(pde.eq5_chains(cell, entries, pulse, spectra, options), grid)
-        print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cases)} cases validate")
-        return EXIT_OK
+def cmd_validate_network(cfg: dict, args) -> int:
     _, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
     pde.window_operators(setup.chains(want_transfer), setup.grid)
     rep = setup.margin_report()
-    md = _margin_dict(rep)
-    print(json.dumps({"label": cfg.get("label", ""), "margins": md}, indent=1,
+    print(json.dumps({"label": cfg.get("label", ""), "margins": _margin_dict(rep)}, indent=1,
                      sort_keys=True))
     passed = rep.pass7 and rep.pass9
     print(f"validity margins: margin7={rep.margin7:.4g} margin9={rep.margin9:.4g} "
@@ -429,50 +428,35 @@ def cmd_validate(cfg: dict, out_dir: str, args) -> int:
     return EXIT_OK if passed else EXIT_CONFIG
 
 
-def cmd_run(cfg: dict, out_dir: str, args) -> int:
-    kind = cfg.get("type", "network")
-    if kind == "eq5_sweep":
-        return _run_eq5(cfg, out_dir, args)
-    if kind == "fock":
-        return cmd_fock_verify(cfg, out_dir, args)
-    t0 = time.perf_counter()
+def cmd_run_network(cfg: dict, args) -> int:
     heatmap, want_transfer = output_switches(cfg)
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale, heatmap=heatmap)
-    margins = setup.margin_report()
     result, _, transfer = run_network(setup, want_transfer)
-
-    os.makedirs(out_dir, exist_ok=True)
-    report = {
-        "label": cfg.get("label", ""),
-        "config_hash": config_hash(cfg),
+    path = write_report(cfg, args, {
         "efficiency": result.efficiency,
         "overlap": result.overlap,
-        "margins": _margin_dict(margins),
+        "margins": _margin_dict(setup.margin_report()),
         "window_energies": result.window_energies,
         "output_windows": list(result.output_windows),
         "grid": {"nz": setup.grid.nz, "dt_us": setup.grid.dt,
                  "window_us": setup.grid.window},
         "transfer": _complex_matrix_dict(transfer) if transfer is not None else None,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    path = write_report(out_dir, report)
+    })
     if transfer is not None:
-        write_transfer_csv(out_dir, transfer)
+        write_transfer_csv(args.out, transfer)
     if heatmap:
-        pde.write_heatmap_csv(os.path.join(out_dir, "heatmap_field.csv"),
-                              result.heatmap_field, result.heatmap_times,
-                              setup.grid, len(setup.cells))
-        pde.write_heatmap_csv(os.path.join(out_dir, "heatmap_spin.csv"),
-                              result.heatmap_spin, result.heatmap_times,
-                              setup.grid, len(setup.cells))
+        for name, values in (("field", result.heatmap_field), ("spin", result.heatmap_spin)):
+            pde.write_heatmap_csv(os.path.join(args.out, f"heatmap_{name}.csv"), values,
+                                  result.heatmap_times, setup.grid, len(setup.cells))
     print(f"{cfg.get('label', 'scenario')}: efficiency={result.efficiency:.4f} "
           f"overlap={result.overlap:.4f} -> {path}")
     return EXIT_OK
 
 
-def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
-    """Every case of an eq5 sweep, built: two modes at the case's spacing, one
-    cell storing and recalling them, and the grid, pulse and options to run it."""
+def build_eq5_cases(cfg: dict, grid_scale: float = 1.0):
+    """The cell, pulse and options an eq5 sweep's cases share, and its cases
+    (two modes at the case's spacing, stored and recalled by that cell) grouped
+    by grid in order of first use: the cases on one grid run as one batch."""
     gradient = angular_from_mhz(_require(cfg, "cells.gradient_mhz"))
     cell = pde.MemoryCell(atoms=build_atoms(cfg), gradient_eta=gradient, id="eq5")
     ot = _require(cfg, "coupling.omega_tilde")
@@ -482,67 +466,53 @@ def build_eq5_cases(cfg: dict, grid_scale: float = 1.0) -> list[dict]:
     options = build_options(cfg)
     if not _require(cfg, "cases"):
         raise ValidationError("config entry 'cases' must not be empty")
-    cases = []
+    groups = {}
     for i, entry in enumerate(cfg["cases"]):
         spacing = float(_require(cfg, f"cases.{i}.spacing_mhz"))
         spectrum = core.ModeSpectrum.equally_spaced(mean, spacing, 2)
         cv = core.CouplingVector(ot * spectrum.detunings / math.sqrt(2))
-        dt = entry.get("dt_us", grid_dt)
-        cases.append({
+        grid = build_grid(cfg, grid_scale, dt=entry.get("dt_us", grid_dt))
+        groups.setdefault(grid, []).append({
             "label": _require(cfg, f"cases.{i}.label"),
             "spacing_mhz": spacing,
-            "cell": cell,
             "spectrum": spectrum,
             "entries": [pde.ScheduleEntry("store", cv, 1), pde.ScheduleEntry("recall", cv, -1)],
-            "grid": build_grid(cfg, grid_scale, dt=dt),
-            "pulse": pulse,
-            "options": options,
         })
-    labels = [case["label"] for case in cases]
+    labels = [entry["label"] for entry in cfg["cases"]]
     if len(set(labels)) < len(labels):
         raise ValidationError(f"config entry 'cases': labels must be distinct; got {labels}")
-    return cases
+    return cell, pulse, options, groups
 
 
-def eq5_batches(cases: list[dict]):
-    """The cases share cell, pulse and options, so those on one grid run as one
-    batch: per grid, the case indices and the arguments of ``pde.eq5_deviation``."""
-    for grid in dict.fromkeys(case["grid"] for case in cases):
-        group = [i for i, case in enumerate(cases) if case["grid"] == grid]
-        first = cases[group[0]]
-        yield group, (first["cell"], [cases[i]["entries"] for i in group], first["pulse"],
-                      grid, [cases[i]["spectrum"] for i in group], first["options"])
+def cmd_validate_eq5(cfg: dict, args) -> int:
+    cell, pulse, options, groups = build_eq5_cases(cfg, args.grid_scale)
+    for grid, cases in groups.items():
+        pde.window_operators(pde.eq5_chains(cell, [c["entries"] for c in cases], pulse,
+                                            [c["spectrum"] for c in cases], options), grid)
+    print(f"eq5 sweep '{cfg.get('label', '?')}': {len(cfg['cases'])} cases validate")
+    return EXIT_OK
 
 
-def _run_eq5(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.perf_counter()
-    cases = build_eq5_cases(cfg, args.grid_scale)
-    deviations = {}
-    for group, batch in eq5_batches(cases):
-        deviations.update(zip(group, pde.eq5_deviation(*batch)))
-    results = []
-    for i, case in enumerate(cases):
-        eff_multi, eff_single, dev = deviations[i]
-        cell, sp, entries = case["cell"], case["spectrum"], case["entries"]
-        m9 = core.margin_report(sp, entries[0].coupling, cell.atoms).margin9
-        results.append({
-            "label": case["label"],
-            "spacing_mhz": case["spacing_mhz"],
-            "margin9": m9 if not math.isinf(m9) else None,
-            "efficiency_multi_transition": eff_multi,
-            "efficiency_single_excited": eff_single,
-            "relative_deviation": dev,
-        })
-        print(f"{case['label']}: margin9={m9:.3g} eff_multi={eff_multi:.4f} "
-              f"eff_single={eff_single:.4f} rel_dev={dev:.4f}")
-    os.makedirs(out_dir, exist_ok=True)
-    report = {
-        "label": cfg.get("label", ""),
-        "config_hash": config_hash(cfg),
-        "cases": results,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    write_report(out_dir, report)
+def cmd_run_eq5(cfg: dict, args) -> int:
+    cell, pulse, options, groups = build_eq5_cases(cfg, args.grid_scale)
+    results = {}
+    for grid, cases in groups.items():
+        deviations = pde.eq5_deviation(cell, [c["entries"] for c in cases], pulse, grid,
+                                       [c["spectrum"] for c in cases], options)
+        for case, (eff_multi, eff_single, dev) in zip(cases, deviations):
+            m9 = core.margin_report(case["spectrum"], case["entries"][0].coupling,
+                                    cell.atoms).margin9
+            results[case["label"]] = {
+                "label": case["label"],
+                "spacing_mhz": case["spacing_mhz"],
+                "margin9": m9 if not math.isinf(m9) else None,
+                "efficiency_multi_transition": eff_multi,
+                "efficiency_single_excited": eff_single,
+                "relative_deviation": dev,
+            }
+            print(f"{case['label']}: margin9={m9:.3g} eff_multi={eff_multi:.4f} "
+                  f"eff_single={eff_single:.4f} rel_dev={dev:.4f}")
+    write_report(cfg, args, {"cases": [results[entry["label"]] for entry in cfg["cases"]]})
     return EXIT_OK
 
 
@@ -624,8 +594,15 @@ def build_fock_run(cfg: dict):
     return stages, policy, cap, inputs, plans
 
 
-def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.perf_counter()
+def cmd_validate_fock(cfg: dict, args) -> int:
+    # UnitarySpec construction inside the builder validates every stage.
+    stages, _, _, inputs, _ = build_fock_run(cfg)
+    print(f"fock scenario '{cfg.get('label', '?')}': {len(stages)} stages, all unitary; "
+          f"{len(inputs)} inputs")
+    return EXIT_OK
+
+
+def cmd_fock_verify(cfg: dict, args) -> int:
     stages, policy, cap, inputs, plans = build_fock_run(cfg)
     rows = []
     for label, (q1, q2) in inputs:
@@ -644,69 +621,61 @@ def cmd_fock_verify(cfg: dict, out_dir: str, args) -> int:
             "failure_probability": fail_p,
         })
         print(f"|{label}>: P_success={succ[0].probability:.6f} fidelity={fidelity:.12f}")
-    os.makedirs(out_dir, exist_ok=True)
-    report = {
-        "label": cfg.get("label", ""),
-        "config_hash": config_hash(cfg),
-        "gates": rows,
-        "stage_labels": [s.label for s in stages],
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    fields = {"gates": rows, "stage_labels": [s.label for s in stages]}
     if plans is not None:
-        report["stage_plans"] = plans
-    write_report(out_dir, report)
+        fields["stage_plans"] = plans
+    write_report(cfg, args, fields)
     return EXIT_OK
 
 
-def cmd_extract_transfer(cfg: dict, out_dir: str, args) -> int:
-    t0 = time.perf_counter()
+def cmd_extract_transfer(cfg: dict, args) -> int:
     setup = NetworkSetup(cfg, grid_scale=args.grid_scale)
     matrix = pde.extract_transfer_matrix(
         setup.cells, setup.schedule, setup.grid, setup.spectrum, setup.pulse,
         setup.options)
-    os.makedirs(out_dir, exist_ok=True)
-    report = {
-        "label": cfg.get("label", ""),
-        "config_hash": config_hash(cfg),
-        "transfer": _complex_matrix_dict(matrix),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    write_report(out_dir, report)
-    path = write_transfer_csv(out_dir, matrix)
+    write_report(cfg, args, {"transfer": _complex_matrix_dict(matrix)})
+    path = write_transfer_csv(args.out, matrix)
     print(f"transfer matrix ({matrix.shape[0]} modes) -> {path}")
     return EXIT_OK
 
 
-COMMANDS = {
-    "run": cmd_run,
-    "validate": cmd_validate,
-    "fock-verify": cmd_fock_verify,
-    "extract-transfer": cmd_extract_transfer,
+# The op of each (command, config type) pair: run and validate take every type,
+# fock-verify only fock and extract-transfer only network configs.
+OPS = {
+    ("run", "network"): cmd_run_network,
+    ("run", "eq5_sweep"): cmd_run_eq5,
+    ("run", "fock"): cmd_fock_verify,
+    ("validate", "network"): cmd_validate_network,
+    ("validate", "eq5_sweep"): cmd_validate_eq5,
+    ("validate", "fock"): cmd_validate_fock,
+    ("fock-verify", "fock"): cmd_fock_verify,
+    ("extract-transfer", "network"): cmd_extract_transfer,
 }
-
-# the one config type a command takes; run and validate take every type
-COMMAND_TYPES = {"fock-verify": "fock", "extract-transfer": "network"}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="memspin",
         description="Compile and simulate memory-based linear optical networks.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted({command for command, _ in OPS}))
     parser.add_argument("config", help="config JSON path or bundled scenario name")
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: $MEMSPIN_OUT or ./memspin_out)")
     parser.add_argument("--grid-scale", type=float, default=1.0, dest="grid_scale",
                         help="refine (>1) or coarsen (<1) the grid")
     args = parser.parse_args(argv)
-    out_dir = args.out or os.environ.get("MEMSPIN_OUT", "memspin_out")
+    args.out = args.out or os.environ.get("MEMSPIN_OUT", "memspin_out")
     try:
         pde.check_grid_scale(args.grid_scale)
         cfg = load_config(args.config)
-        needed = COMMAND_TYPES.get(args.command, cfg.get("type", "network"))
-        if cfg.get("type", "network") != needed:
+        op = OPS.get((args.command, cfg.get("type", "network")))
+        if op is None:
+            needed = next(kind for command, kind in OPS if command == args.command)
             raise ValidationError(f"{args.command} needs a config of type '{needed}'")
-        return COMMANDS[args.command](cfg, out_dir, args)
+        if args.command != "validate" and os.path.isfile(args.out):
+            raise ValidationError(f"--out '{args.out}' names a file, not a directory")
+        args.start = time.perf_counter()  # write_report's wall_time_s runs from here
+        return op(cfg, args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

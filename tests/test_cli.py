@@ -86,6 +86,39 @@ def test_malformed_config_exits_2(tmp_path):
     assert not out.exists()
 
 
+# every (command, bundled scenario) pair whose op writes report.json, one per op
+WRITING_OPS = [("run", "identity_1mode"), ("run", "eq5_regime_sweep"), ("run", "klm_cz"),
+               ("fock-verify", "klm_cz"), ("extract-transfer", "identity_1mode")]
+
+
+@pytest.mark.parametrize("command, scenario", WRITING_OPS)
+def test_every_report_holds_label_hash_and_wall_time(tmp_path, command, scenario):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # eq5's margin_1 case fails the margins
+        assert run_cli([command, scenario, "--out", out]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    cfg = cli.load_config(scenario)
+    assert report["label"] == cfg["label"]
+    assert report["config_hash"] == cli.config_hash(cfg)
+    assert report["wall_time_s"] >= 0
+
+
+@pytest.mark.parametrize("command, scenario", WRITING_OPS)
+def test_out_naming_a_file_exits_2_before_the_op(tmp_path, monkeypatch, capsys, command,
+                                                 scenario):
+    def build(*args, **kwargs):
+        pytest.fail("the op started although --out names a file")
+
+    for name in ("NetworkSetup", "build_eq5_cases", "build_fock_run"):
+        monkeypatch.setattr(cli, name, build)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    assert run_cli([command, scenario, "--out", afile]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --out '{afile}' names a file, not a directory\n"
+    assert afile.read_text() == "kept"
+
+
 def test_unknown_scenario_exits_2(tmp_path):
     assert run_cli(["run", "no_such_scenario", "--out", tmp_path]) == cli.EXIT_CONFIG
 
@@ -94,6 +127,17 @@ def test_invalid_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / "cfg.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe{}")
+    assert run_cli(["validate", bad]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: config '{bad}' ")
 
 
 def test_non_unitary_explicit_matrix_exits_2(tmp_path):
@@ -201,14 +245,16 @@ def test_eq5_cases_on_two_grids_report_in_config_order(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # narrow spacings fail the margins
         assert run_cli(["run", path, "--out", out, "--grid-scale", "0.5"]) == cli.EXIT_OK
-        cases = cli.build_eq5_cases(cfg, 0.5)
+        cell, pulse, options, groups = cli.build_eq5_cases(cfg, 0.5)
         report = json.loads((out / "report.json").read_text())
         assert [c["label"] for c in report["cases"]] == ["a", "b", "c"]
         assert [c["spacing_mhz"] for c in report["cases"]] == [1.0, 0.5, 0.25]
-        assert len({case["grid"] for case in cases}) == 2
-        for case, row in zip(cases, report["cases"]):
-            (ref,) = pde.eq5_deviation(case["cell"], [case["entries"]], case["pulse"],
-                                       case["grid"], [case["spectrum"]], case["options"])
+        assert len(groups) == 2
+        cases = {case["label"]: (grid, case) for grid, group in groups.items() for case in group}
+        for row in report["cases"]:
+            grid, case = cases[row["label"]]
+            (ref,) = pde.eq5_deviation(cell, [case["entries"]], pulse, grid,
+                                       [case["spectrum"]], options)
             got = (row["efficiency_multi_transition"], row["efficiency_single_excited"],
                    row["relative_deviation"])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)

@@ -985,17 +985,17 @@ def assert_sweep_matches_per_step_rk4(runs, times):
 def test_sweep_matches_per_step_rk4_on_the_eq5_batch(monkeypatch):
     """The bundled eq5 sweep's single-excited chains, both cases in one block,
     through both windows."""
-    cases = cli.build_eq5_cases(cli.load_config("eq5_regime_sweep"))
-    case = cases[0]
-    chains = pde.eq5_chains(case["cell"], [c["entries"] for c in cases], case["pulse"],
-                            [c["spectrum"] for c in cases], case["options"])
+    cell, pulse, options, groups = cli.build_eq5_cases(cli.load_config("eq5_regime_sweep"))
+    ((grid, cases),) = groups.items()
+    chains = pde.eq5_chains(cell, [c["entries"] for c in cases], pulse,
+                            [c["spectrum"] for c in cases], options)
     runs = real_space_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "cell 'eq5': validity margins", RuntimeWarning)
-        pde._simulate_batch(chains, case["grid"])
+        pde._simulate_batch(chains, grid)
     assert [(run["block"].op.absorb, len(run["block"].parts)) for run in runs] \
         == [(None, len(cases))] * 2
-    assert_sweep_matches_per_step_rk4(runs, case["grid"].times)
+    assert_sweep_matches_per_step_rk4(runs, grid.times)
 
 
 def test_sweep_matches_per_step_rk4_on_a_chain_with_heatmaps(monkeypatch):
