@@ -10,14 +10,15 @@ bundled scenario.  ``OPS`` maps each (command, config type) pair to its op:
 ``run`` and ``validate`` take every type (``network``, ``eq5_sweep``,
 ``fock``), ``fock-verify`` only ``fock`` and ``extract-transfer`` only
 ``network``; another pair exits 2.  Every op but ``validate`` writes into
-``--out`` (default: $MEMSPIN_OUT or ./memspin_out), which must not name a
-file: ``report.json`` through ``write_report``, its ``wall_time_s`` from the
-op's start to just before the write, plus ``heatmap_field.csv`` /
-``heatmap_spin.csv`` and ``transfer.csv`` when requested.  ``validate``
-builds everything ``run`` builds, window operators and step-size guards
-included, without the dynamics.  Every entry is checked when the config is
-loaded, against the schema of its ``type``: a key the schema does not list,
-or a value not of the type the schema gives it, is an error.
+``--out`` (default: $MEMSPIN_OUT or ./memspin_out), which must not name, or
+lie below, a file: ``report.json`` through ``write_report``, its
+``wall_time_s`` from the op's start to just before the write, plus
+``heatmap_field.csv`` / ``heatmap_spin.csv`` and ``transfer.csv`` when
+requested.  ``validate`` builds everything ``run`` builds, window operators
+and step-size guards included, without the dynamics.  Every entry is
+checked when the config is loaded, against the schema of its ``type``: a
+key the schema does not list, or a value not of the type the schema gives
+it, is an error.
 
 Exit codes: 0 success; 2 on a :class:`~memspin.core.ValidationError` (and from
 ``validate`` when a validity margin fails); 3 on a
@@ -653,6 +654,17 @@ OPS = {
 }
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that is, or lies below, an existing file: the op
+    could not make its output directory there."""
+    path = out
+    while path and not os.path.exists(path):  # "" is the working directory
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        where = "names a file" if path == out else f"lies below '{path}', a file"
+        raise ValidationError(f"--out '{out}' {where}, not a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="memspin",
@@ -672,8 +684,8 @@ def main(argv=None) -> int:
         if op is None:
             needed = next(kind for command, kind in OPS if command == args.command)
             raise ValidationError(f"{args.command} needs a config of type '{needed}'")
-        if args.command != "validate" and os.path.isfile(args.out):
-            raise ValidationError(f"--out '{args.out}' names a file, not a directory")
+        if args.command != "validate":
+            _check_out(args.out)
         args.start = time.perf_counter()  # write_report's wall_time_s runs from here
         return op(cfg, args)
     except NumericalError as exc:

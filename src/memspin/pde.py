@@ -51,7 +51,8 @@ with A fixed and lower triangular, and u, the inflow drive i B e plus
 diagonal, distinct when the cell has a gradient, as storing and recalling
 require.  Under the linear gradient, V in A = V diag(lam) V^-1 is Toeplitz
 away from z = 0, in closed form and applied by FFT (:class:`_CellModes`),
-one FFT pair for all the coupled cells of a block.  In the coordinates
+one FFT pair for all the coupled cells of a block, or for all the heatmap
+samples of a block of steps.  In the coordinates
 a = V^-1 s the same RK4 map is
 
     a <- a + (P(h lam) - 1) a + sum_s w_s(h lam) u_s,
@@ -78,15 +79,17 @@ store window fills them.  Before integrating, the batch warns once for each
 distinct coupling that fails the validity margins, the first such coupling
 of each chain.  A run carries its reference echo, a transfer extraction its
 N basis probes and the echo, and an eq5 sweep both models of every case on
-a grid.  In each window the chains of one path, kind and size step together
-as one block, stacked on a leading axis, (chains, cells, nz), with every
-product taken per chain.  The inflow drive i B e is tabulated on the RK4
-stage times a block of steps at a time, so a step is arithmetic on the
-spin grids only; each chain's outflow and input power are formed after
-each window from the recorded S(1) series.  The
-single-excited-state model of eq. 5 is a one-cell chain with one composite
-mode whose coupling W(t) beats in time; its rate, drive and absorption are
-tabulated on the same stage times.
+a grid.  In each window every modal chain steps in one block, whatever
+its size, its cells laid end to end on one row axis, (rows, nz), with
+every product taken per row or per chain; the real-space chains step in
+one block per kind and size, stacked on a leading axis, (chains, cells,
+nz).  The inflow drive i B e is tabulated on the RK4 stage times a block
+of steps at a time, so a step is arithmetic on the spin grids only, and
+the heatmap samples of a block of steps are recorded together after it;
+each chain's outflow and input power are formed after each window from
+the recorded S(1) series.  The single-excited-state model of eq. 5 is a
+one-cell chain with one composite mode whose coupling W(t) beats in time;
+its rate, drive and absorption are tabulated on the same stage times.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -98,6 +101,7 @@ per cell, which the tests verify to 1e-3 in the lossless limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -132,9 +136,11 @@ EVENTS = ("store", "recall", "hold")
 #: with no V in closed form has an infinite one.
 MODAL_COND_LIMIT = 1e3
 
-#: Steps of a modal block whose drives are tabulated at a time.  The table is
-#: (steps, chains, 4 cells), so a block of 1,024 steps of the eleven-chain
-#: ten-mode transfer batch would hold about 7 MB; 128 steps hold under 1 MB.
+#: Steps of a modal block whose drives are tabulated, and whose heatmap
+#: samples are recorded, at a time.  The table is (steps, rows, 4), 64 bytes
+#: a step and row, so a block of 1,024 steps of the ten-mode transfer batch
+#: (eleven chains of ten cells and the one-cell echo, 111 rows) would hold
+#: about 7 MB; 128 steps hold under 1 MB.
 MODAL_BLOCK = 128
 
 #: Largest rotation dt * |Im a| of an RK4 step, a the complex rate of the
@@ -398,7 +404,9 @@ def _cumtrapz(s: np.ndarray, half_dz: float) -> np.ndarray:
     """Cumulative trapezoid of ``s`` along its last axis, zero at z = 0."""
     acc = np.empty_like(s)
     acc[..., 0] = 0.0
-    (half_dz * (s[..., 1:] + s[..., :-1])).cumsum(axis=-1, out=acc[..., 1:])
+    rest = np.add(s[..., 1:], s[..., :-1], out=acc[..., 1:])  # no temporary the size of s
+    rest *= half_dz
+    rest.cumsum(axis=-1, out=rest)
     return acc
 
 
@@ -513,8 +521,13 @@ class _ChainOperator:
         inflow = self.phase * e[..., None, :] + (self.upstream @ acc[..., None, :, -1:])[..., 0]
         alpha = np.sum(np.conj(self.bright) * inflow, axis=-1, keepdims=True)
         dark = np.sum(np.abs(inflow - alpha * self.bright) ** 2, axis=-1, keepdims=True)
-        power = dark + np.abs(alpha + self.gain * acc) ** 2
-        return np.sqrt(power).reshape(*acc.shape[:-2], -1)
+        # in place: on a block of heatmap samples these are the largest arrays
+        near = self.gain * acc
+        near += alpha
+        norms = np.abs(near)
+        norms **= 2
+        norms += dark
+        return np.sqrt(norms, out=norms).reshape(*acc.shape[:-2], -1)
 
 
 class _Eq5Operator:
@@ -636,25 +649,32 @@ class _CellModes:
         self.symbols = (np.fft.fft(v, size), np.fft.fft(u, size))
 
 
-def _modal_map(y: np.ndarray, column: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """V y for the rows of ``y`` (rows, nz): column 0 of V, ``column`` (nz,),
-    times y_0 plus the convolution of y_1 ... y_{n-1} with the FFT of V's
-    Toeplitz part, ``symbol`` (size,), one FFT pair for all the rows.  Rows
-    with their own V pass one column (rows, nz) and symbol (rows, size) each."""
-    out = y[:, :1] * column
-    conv = np.fft.ifft(np.fft.fft(y[:, 1:], symbol.shape[-1]) * symbol)
-    out[:, 1:] += conv[:, :y.shape[1] - 1]
+def _modal_map(y: np.ndarray, column: np.ndarray, symbol: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """V y for the rows of ``y`` (..., rows, nz): column 0 of V, ``column``
+    (nz,), times y_0 plus the convolution of y_1 ... y_{n-1} with the FFT of
+    V's Toeplitz part, ``symbol`` (size,), one FFT pair for all the rows,
+    taken in one buffer.  Rows with their own V pass one column (rows, nz)
+    and symbol (rows, size) each.  Writes to ``out``, which may be ``y``
+    itself, if given."""
+    conv = np.fft.fft(y[..., 1:], symbol.shape[-1])
+    conv *= symbol
+    np.fft.ifft(conv, out=conv)
+    out = np.multiply(y[..., :1], column, out=out)
+    out[..., 1:] += conv[..., :y.shape[-1] - 1]
     return out
 
 
 def _stage_table(parts, pulses, stages: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The coefficients of the chain operators ``parts`` under ``pulses`` on
-    the stage times of steps start ... stop - 1, (kinds, chains, cells, 2
-    (stop - start) + 1): the inflow drive, and for single-excited chains
-    also the rate and the absorption."""
+    the stage times of steps start ... stop - 1, their cells end to end,
+    (kinds, rows, 2 (stop - start) + 1): the inflow drive, and for
+    single-excited chains also the rate and the absorption."""
     t = stages[2 * start:2 * stop + 1]
-    return np.stack([part.coefficients(t, pulse)[..., 0] for part, pulse
-                     in zip(parts, pulses)]).transpose(2, 0, 3, 1)
+    # C order, times last: the steps' arrays derived from it keep that layout
+    return np.ascontiguousarray(np.concatenate(
+        [part.coefficients(t, pulse)[..., 0] for part, pulse in zip(parts, pulses)],
+        axis=-1).transpose(1, 2, 0))
 
 
 def _window_modes(chains, parts, half_dz: float) -> list:
@@ -679,37 +699,40 @@ def _window_modes(chains, parts, half_dz: float) -> list:
 
 
 class _ModalBlock:
-    """Chains of one size stepped together in their cells' eigen-coordinates
-    a = V^-1 y through one window (see the module docstring).
+    """The modal chains of a window stepped together in their cells'
+    eigen-coordinates a = V^-1 y (see the module docstring).
 
-    The stage drives u_s are four per-cell scalars: the inflow drive d_s plus
-    i G S(1) of stage s.  Stage s's S(1) is m_s + sum_{r<s} Q_sr u_r, with
-    m = R a (R's rows psi p_s(h lam)) and Q fixed per cell, so over the
-    four stages u = L d + K m, with L = (I - G Q)^-1 and K = L G per chain.
-    The step is then a <- a + (P(h lam) - 1) a + W u.  Arrays run (chains,
-    cells, ...) and every product is one per chain, so a chain's numbers do
-    not depend on the chains beside it.  A one-cell chain has no G: u = d.
+    The chains' cells lie end to end on one row axis, (rows, ...), chain j on
+    rows offsets[j]:offsets[j + 1], the chains in order of size as
+    :func:`_simulate_batch` passes them.  The stage drives u_s are four per-row
+    scalars: the inflow drive d_s plus i G S(1) of stage s.  Stage s's S(1)
+    is m_s + sum_{r<s} Q_sr u_r, with m = R a (R's rows psi p_s(h lam)) and Q
+    fixed per cell, so over the four stages of a chain's cells u = L d + K m,
+    with L = (I - G Q)^-1 and K = L G per chain, kept for each run of
+    consecutive multi-cell chains of one size, (chains, 4 cells, 4 cells).
+    A one-cell chain has no G: u = d.  The step is then a <- a + (P(h lam) -
+    1) a + W u.  Every product is one per row or per chain, so a chain's
+    numbers do not depend on the chains beside it.
     """
 
     def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray, modes):
-        g, n = len(parts), len(modes[0])
         self.parts, self.pulses, self.heat, self.stages = parts, pulses, heat, stages
-        # the coupled (chain, cell) rows, row-major; chain j's are the stacked
-        # rows offsets[j]:offsets[j + 1].  Per row, its V and V^-1 columns 0
-        # and symbols, stacked so that one FFT pair maps every row.
-        self.coupled = np.array([[m.absorb != 0.0 for m in chain] for chain in modes])
-        self.offsets = np.concatenate(([0], np.cumsum(np.sum(self.coupled, axis=1))))
-        rows = [m for chain in modes for m in chain if m.absorb != 0.0]
+        cells = [m for chain in modes for m in chain]
+        self.offsets = np.cumsum([0] + [len(chain) for chain in modes])
+        # the coupled rows, with their V and V^-1 columns 0 and symbols
+        # stacked so that one FFT pair maps every one of them
+        self.coupled = np.array([m.absorb != 0.0 for m in cells])
+        rows = [m for m in cells if m.absorb != 0.0]
         self.columns = self.symbols = None
         if rows:
             self.columns = [np.stack([m.columns[k] for m in rows]) for k in (0, 1)]
             self.symbols = [np.stack([m.symbols[k] for m in rows]) for k in (0, 1)]
 
-        def per_cell(name):
-            return np.stack([getattr(m, name) for chain in modes for m in chain]).reshape(g, n, -1)
+        def per_row(name):
+            return np.stack([getattr(m, name) for m in cells])
 
-        z = h * per_cell("lam")
-        psi, beta = per_cell("psi"), per_cell("beta")
+        z = h * per_row("lam")
+        psi, beta = per_row("psi"), per_row("beta")
         z2 = z * z
         ones = np.ones_like(z)
         p4 = 1.0 + z + z2 / 2.0 + z2 * z / 4.0
@@ -717,81 +740,106 @@ class _ModalBlock:
         # of P compounds over the steps
         self.P1 = z * (1.0 + z / 2.0 + z2 / 6.0 + z2 * z / 24.0)
         # rows s: S(1) of stage s's part in a, and the weight of u_s in the step
-        self.R = psi[..., None, :] * np.stack([ones, 1.0 + z / 2.0, 1.0 + z / 2.0 + z2 / 4.0, p4],
-                                              axis=-2)
-        self.W = (h / 6.0) * beta[..., None, :] * np.stack(
+        self.R = psi[:, None, :] * np.stack([ones, 1.0 + z / 2.0, 1.0 + z / 2.0 + z2 / 4.0, p4],
+                                            axis=-2)
+        self.W = (h / 6.0) * beta[:, None, :] * np.stack(
             [p4, 2.0 + z + z2 / 2.0, 2.0 + z, ones], axis=-2)
-        self.L = self.K = None
-        if n > 1:
-            qb, qzb, qzzb = (np.sum(psi * zk * beta, axis=-1) for zk in (ones, z, z2))
+        qb, qzb, qzzb = (np.sum(psi * zk * beta, axis=-1) for zk in (ones, z, z2))
+        # (first row, past last row, L, K) of each run of multi-cell chains of one size
+        self.runs, end = [], 0
+        for n, run in itertools.groupby(len(chain) for chain in modes):
+            start, end = end, end + len(list(run))
+            if n == 1:
+                continue
+            g, lo, hi = end - start, self.offsets[start], self.offsets[end]
             Q = np.zeros((g, n, 4, 4), dtype=complex)
-            Q[..., 1, 0], Q[..., 2, 1] = h / 2.0 * qb, h / 2.0 * qb
-            Q[..., 2, 0], Q[..., 3, 1] = h / 4.0 * qzb, h / 2.0 * qzb
-            Q[..., 3, 0], Q[..., 3, 2] = h / 4.0 * qzzb, h * qb
-            G = np.einsum("gcd,sr->gcsdr", np.stack([part.iG for part in parts]),
+            b, zb, zzb = (q[lo:hi].reshape(g, n) for q in (qb, qzb, qzzb))
+            Q[..., 1, 0], Q[..., 2, 1] = h / 2.0 * b, h / 2.0 * b
+            Q[..., 2, 0], Q[..., 3, 1] = h / 4.0 * zb, h / 2.0 * zb
+            Q[..., 3, 0], Q[..., 3, 2] = h / 4.0 * zzb, h * b
+            G = np.einsum("gcd,sr->gcsdr", np.stack([part.iG for part in parts[start:end]]),
                           np.eye(4)).reshape(g, 4 * n, 4 * n)
             Q = np.einsum("gcsr,cd->gcsdr", Q, np.eye(n)).reshape(g, 4 * n, 4 * n)
-            self.L = np.linalg.inv(np.eye(4 * n) - G @ Q)
-            self.K = self.L @ G
+            L = np.linalg.inv(np.eye(4 * n) - G @ Q)
+            self.runs.append((lo, hi, L, L @ G))
 
     def map(self, y: np.ndarray, inverse: bool) -> np.ndarray:
-        """V y (V^-1 y if ``inverse``) on each cell row of ``y`` (chains, cells,
-        nz), one FFT pair for all the coupled rows; uncoupled rows are copied."""
+        """V y (V^-1 y if ``inverse``) on each row of ``y`` (rows, nz), one FFT
+        pair for all the coupled rows; uncoupled rows are copied."""
         out = y.copy()
         if self.symbols is not None:
             out[self.coupled] = _modal_map(y[self.coupled], self.columns[inverse],
                                            self.symbols[inverse])
         return out
 
-    def spins(self, a: np.ndarray) -> np.ndarray:
-        """The heat chain's spins y = V a, from its modal state ``a`` (cells, nz)."""
-        y, mine = a.copy(), self.coupled[self.heat]
-        if mine.any():
-            rows = slice(self.offsets[self.heat], self.offsets[self.heat + 1])
-            y[mine] = _modal_map(a[mine], self.columns[0][rows], self.symbols[0][rows])
-        return y
+    def spins(self, states: np.ndarray) -> np.ndarray:
+        """The heat chain's spins y = V a, (samples, cells, nz), from its modal
+        states ``states``, mapped in place by one FFT pair for all of them."""
+        lo, hi = self.offsets[self.heat], self.offsets[self.heat + 1]
+        mine = self.coupled[lo:hi]
+        rows = slice(np.sum(self.coupled[:lo]), np.sum(self.coupled[:hi]))
+        if mine.all():
+            _modal_map(states, self.columns[0][rows], self.symbols[0][rows], out=states)
+        elif mine.any():
+            states[:, mine] = _modal_map(states[:, mine], self.columns[0][rows],
+                                         self.symbols[0][rows])
+        return states
 
     def drives(self, start: int, stop: int) -> np.ndarray:
-        """L d for the RK4 steps start ... stop - 1, (steps, chains, 4 cells,
-        1): the inflow drives at each step's four stages, mapped through L."""
+        """The drives for the RK4 steps start ... stop - 1, (steps, rows, 4):
+        the inflow drives at each step's four stages, mapped through L on
+        the rows of multi-cell chains."""
         d = rk4_stages(_stage_table(self.parts, self.pulses, self.stages, start, stop)[0])
-        d = d.transpose(3, 1, 2, 0).reshape(stop - start, len(self.parts), -1, 1)
-        return d if self.L is None else self.L @ d
+        d = np.ascontiguousarray(d.transpose(2, 1, 0))
+        for lo, hi, L, _ in self.runs:
+            d[:, lo:hi] = (L @ d[:, lo:hi].reshape(stop - start, len(L), -1, 1)).reshape(
+                stop - start, hi - lo, 4)
+        return d
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
-        """Step ``spins`` (chains, cells, nz) through ``nt`` steps; returns the
-        S(1) series (chains, cells, nt + 1) and the final spins.  Before every
-        ``stride``-th step i, ``record(i, y)`` gets the spins y of chain
-        ``heat`` (a block index), if there is one."""
+        """Step ``spins`` (rows, nz) through ``nt`` steps; returns the S(1)
+        series (rows, nt + 1) and the final spins.  If the block holds the
+        heat chain, ``record(steps, y)`` gets after each block of steps its
+        spins y (samples, cells, nz) before every ``stride``-th step."""
         a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
         if self.symbols is not None:  # V^-1 serves only that entry map
             self.columns[1] = self.symbols[1] = None
-        g, n, _ = a.shape
         driven = any(pulse is not None for pulse in self.pulses)
-        s1 = np.empty((g, n, nt + 1), dtype=complex)
+        if self.heat is not None:  # the heat chain's states sampled in a block of steps
+            heat = slice(self.offsets[self.heat], self.offsets[self.heat + 1])
+            taken = np.empty((-(-MODAL_BLOCK // stride), heat.stop - heat.start, a.shape[1]),
+                             dtype=complex)
+        s1 = np.empty((a.shape[0], nt + 1), dtype=complex)
         for start in range(0, nt, MODAL_BLOCK):
             stop = min(start + MODAL_BLOCK, nt)
             table = self.drives(start, stop) if driven else None
+            steps = np.arange(-start % stride, stop - start, stride) + start
             for i in range(start, stop):
                 m = (self.R @ a[..., None])[..., 0]
-                s1[..., i] = m[..., 0]
+                s1[:, i] = m[:, 0]
                 if i % stride == 0 and self.heat is not None:
-                    record(i, self.spins(a[self.heat]))
-                u = None if self.K is None else self.K @ m.reshape(g, 4 * n, 1)
-                if table is not None:
-                    u = table[i - start] if u is None else u + table[i - start]
+                    taken[(i - start) // stride] = a[heat]
                 step = self.P1 * a
-                if u is not None:
-                    step += (u.reshape(g, n, 1, 4) @ self.W)[..., 0, :]
+                if table is None:  # undriven, only multi-cell chains have a u: K m
+                    for lo, hi, _, K in self.runs:
+                        u = K @ m[lo:hi].reshape(len(K), -1, 1)
+                        step[lo:hi] += (u.reshape(-1, 1, 4) @ self.W[lo:hi])[:, 0, :]
+                else:
+                    u = table[i - start]  # this step's row of the table, read only here
+                    for lo, hi, _, K in self.runs:
+                        u[lo:hi] += (K @ m[lo:hi].reshape(len(K), -1, 1)).reshape(-1, 4)
+                    step += (u.reshape(-1, 1, 4) @ self.W)[:, 0, :]
                 a = a + step
-        s1[..., nt] = (self.R @ a[..., None])[..., 0, 0]
+            if self.heat is not None and steps.size:
+                record(steps, self.spins(taken[:steps.size]))
+        s1[:, nt] = (self.R @ a[..., None])[:, 0, 0]
         return s1, self.map(a, False)
 
 
 class _RealSpaceBlock:
     """Chains of one size and kind integrated together in real space through one
-    window, arrays (chains, cells, ...) as in :class:`_ModalBlock`, by a sweep
-    over their (cell, z) points in causal order, RK4_BLOCK steps at a time.
+    window, arrays (chains, cells, ...), by a sweep over their (cell, z) points
+    in causal order, RK4_BLOCK steps at a time.
 
     The cumulative trapezoid makes point j of cell c depend only on the points
     before it and on the S(1) of the cells upstream: with acc_j = P_j + w_j y_j
@@ -816,6 +864,7 @@ class _RealSpaceBlock:
         midpoint and end, at z = 0 and beyond it, (3, chains, cells, steps or 1)."""
         op = self.op
         table = _stage_table(self.parts, self.pulses, self.stages, start, stop)
+        table = table.reshape(len(table), len(self.parts), -1, table.shape[-1])
         if op.absorb is None:
             rate, absorb = rk4_stages(table[1])[[0, 1, 3]], rk4_stages(table[2])
         else:
@@ -824,7 +873,9 @@ class _RealSpaceBlock:
         return rk4_stages(table[0]), absorb, rate, rate - op.half_dz * absorb[[0, 1, 3]]
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
-        """As :meth:`_ModalBlock.run`."""
+        """As :meth:`_ModalBlock.run`, on spins (chains, cells, nz) and S(1)
+        series (chains, cells, nt + 1); ``record`` is called after each
+        RK4_BLOCK of steps."""
         op, hd, heat = self.op, self.op.half_dz, self.heat
         g, n, nz = spins.shape
         y = spins.copy()
@@ -857,9 +908,8 @@ class _RealSpaceBlock:
                         ends[:, :, c] = p + hd * states
                     del grid, states  # freed before the next point allocates its own
             s1[..., start:stop] = ends[0]
-            if heat is not None:
-                for r, i in enumerate(samples):
-                    record(start + i, rows[r])
+            if heat is not None and samples.size:
+                record(start + samples, rows)
         s1[..., nt] = _cumtrapz(y, hd)[..., -1]
         return s1, y
 
@@ -901,11 +951,13 @@ def simulate_network(cells, schedule: Schedule, inputs, grid: Grid, spectrum: Mo
 def _simulate_batch(chains, grid: Grid, heat: int | None = None) -> list[NetworkResult]:
     """Run a batch of :class:`Chain` in one integration; one result per chain.
 
-    Each chain keeps its own spins (cells, nz).  Per window, the chains of
-    one step (:func:`_window_modes`), kind and size run as one block
-    (:class:`_ModalBlock`, :class:`_RealSpaceBlock`) that records their S(1)
-    per grid time, from which each chain's outflow and input power follow.
-    The chain of batch index ``heat``, if given, also records its heatmaps.
+    Each chain keeps its own spins (cells, nz).  Per window, every chain
+    that takes the modal step (:func:`_window_modes`) runs in one
+    :class:`_ModalBlock`, and the others in one :class:`_RealSpaceBlock`
+    per kind and size; a block records its chains' S(1) per grid time, from
+    which each chain's outflow and input power follow.  The chain of batch
+    index ``heat``, if given, also records its heatmaps, a block of steps'
+    samples at a time.
     """
     if heat is not None and not 0 <= heat < len(chains):
         raise ValidationError(f"heatmap index {heat} outside a batch of {len(chains)} chains")
@@ -928,29 +980,39 @@ def _simulate_batch(chains, grid: Grid, heat: int | None = None) -> list[Network
     for w, parts in enumerate(windows):
         pulses = [chain.inputs.get(w) for chain in chains]
 
-        def record(n, spins):
-            row, part = w * samples + n // stride, parts[heat]
-            heat_field[row] = part.field_norms(part.inflow(times[n], pulses[heat]),
-                                               _cumtrapz(spins, part.half_dz))
-            heat_spin[row] = np.abs(spins).reshape(-1)
+        def record(steps, spins):
+            rows, part = w * samples + steps // stride, parts[heat]
+            heat_field[rows] = part.field_norms(part.inflow(times[steps], pulses[heat]),
+                                                _cumtrapz(spins, part.half_dz))
+            heat_spin[rows] = np.abs(spins).reshape(len(steps), -1)
 
         modes = _window_modes(chains, parts, 0.5 / (grid.nz - 1))
+        # every modal chain in one block, in order of size (key None); the
+        # real-space chains in one block per kind and size
         groups = {}
-        for c, (chain, m) in enumerate(zip(chains, modes)):
-            groups.setdefault((m is None, chain.single_excited, len(chain.cells)), []).append(c)
+        for c in sorted(range(len(chains)), key=lambda c: len(chains[c].cells)):
+            key = (None if modes[c] is not None
+                   else (chains[c].single_excited, len(chains[c].cells)))
+            groups.setdefault(key, []).append(c)
         blocks = []
-        for (real, _, _), members in groups.items():
+        for key, members in groups.items():
             args = ([parts[c] for c in members], [pulses[c] for c in members],
                     members.index(heat) if heat in members else None, grid.dt, stages)
-            blocks.append((members, _RealSpaceBlock(*args) if real
-                           else _ModalBlock(*args, [modes[c] for c in members])))
+            blocks.append((members, _ModalBlock(*args, [modes[c] for c in members])
+                           if key is None else _RealSpaceBlock(*args)))
         del modes  # the blocks hold their own copies of what they use
         s1 = [None] * len(chains)  # S(1) series, (cells, nt + 1) per chain
         while blocks:
             members, block = blocks.pop(0)  # each block is freed once it has run
-            for c, series, y in zip(members, *block.run(
-                    np.stack([sig[c] for c in members]), grid.nt, stride, record)):
-                s1[c], sig[c] = series, y
+            cuts = np.cumsum([len(chains[c].cells) for c in members])
+            spins = np.concatenate([sig[c] for c in members])  # (rows, nz)
+            if isinstance(block, _RealSpaceBlock):
+                spins = spins.reshape(len(members), -1, grid.nz)
+            series, final = (x.reshape(cuts[-1], -1)
+                             for x in block.run(spins, grid.nt, stride, record))
+            for c, chain_s1, y in zip(members, np.split(series, cuts[:-1]),
+                                      np.split(final, cuts[:-1])):
+                s1[c], sig[c] = chain_s1, y
             del block
         _check_finite(s1, sig, w, times)
         # series run along a contiguous last axis, so the energy sums are pairwise
@@ -1232,32 +1294,41 @@ def _encode_rows(block: np.ndarray):
     -0.0, NaN or inf.  Exact +0.0 is encoded.
     """
     x = np.asarray(block, dtype=np.float64).ravel()
-    zero = (x == 0.0) & ~np.signbit(x)
-    positive = (x > 0.0) & (x < np.inf)
-    e = np.floor(np.log10(np.where(positive, x, 1.0))).astype(np.intp)
-    ok = positive & (np.abs(e) < 100)
+    zero = x.view(np.uint64) == 0  # +0.0 alone
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    ok = np.abs(e) < 100  # false for zeros, negatives, NaN and inf
     xs = np.where(ok, x, 1.0)
-    e[~ok] = 0
+    e = np.where(ok, e, 0.0).astype(np.intp)
     scaled = xs * _SCALE[e + 100]
-    off = np.flatnonzero((scaled < 1e8) | (scaled >= 1e9))
-    if off.size:
-        e[off] += np.where(scaled[off] >= 1e9, 1, -1)
-        scaled[off] = xs[off] * _SCALE[e[off] + 100]
     mantissa = np.rint(scaled)
-    tie = np.abs(scaled - mantissa) >= 0.5 - 1e-5
-    carry = mantissa >= 1e9
-    mantissa[carry] = 1e8
-    e[carry] += 1
-    exact = zero | (ok & ~tie & (np.abs(e) < 100))
-
-    lead, rest = np.divmod(mantissa.astype(np.int32), 100_000_000)
-    high, low = np.divmod(rest, 10_000)
+    certain = np.abs(scaled - mantissa) < 0.5 - 1e-5
+    # a decade one off from log10's rounding, or a mantissa rounded up to 1e9
+    fix = np.flatnonzero((scaled < 1e8) | (mantissa >= 1e9))
+    if fix.size:
+        s = scaled[fix]
+        k = e[fix] + (s >= 1e9) - (s < 1e8)
+        s = xs[fix] * _SCALE[k + 100]
+        m = np.rint(s)
+        carry = m >= 1e9
+        m[carry] = 1e8
+        k += carry
+        ok[fix] &= np.abs(k) < 100
+        certain[fix] = np.abs(s - m) < 0.5 - 1e-5
+        e[fix], mantissa[fix] = k, m
+    exact = zero | (ok & certain)
+    # the digits "d." + 4 + 4, split by int32 floor division (no divmod)
+    digits = mantissa.astype(np.int32)
+    top = digits // 10_000
+    low = digits - top * 10_000
+    lead = top // 10_000
+    high = top - lead * 10_000
     lead[zero] = 0
     e[~exact] = 0
     out = np.empty(x.size, dtype=_VALUE)
-    out["lead"] = _LEAD[lead]
-    out["high"] = _DIGITS[high]
-    out["low"] = _DIGITS[low]
+    out["lead"] = _LEAD[lead.astype(np.intp)]
+    out["high"] = _DIGITS[high.astype(np.intp)]
+    out["low"] = _DIGITS[low.astype(np.intp)]
     out["exponent"] = _EXPONENT[e + 99]
     out["sep"] = ord(",")
     text = out.view(np.uint8).reshape(block.shape[0], -1)

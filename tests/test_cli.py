@@ -117,6 +117,12 @@ def test_out_naming_a_file_exits_2_before_the_op(tmp_path, monkeypatch, capsys, 
     assert run_cli([command, scenario, "--out", afile]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: --out '{afile}' names a file, not a directory\n"
     assert afile.read_text() == "kept"
+    # a directory below the file cannot be made either
+    below = afile / "sub"
+    assert run_cli([command, scenario, "--out", below]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: --out '{below}' lies below '{afile}', "
+                                       "a file, not a directory\n")
+    assert afile.read_text() == "kept"
 
 
 def test_unknown_scenario_exits_2(tmp_path):

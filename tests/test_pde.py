@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memspin import cli, compiler, core, pde
 from memspin.core import angular_from_mhz as mhz
@@ -611,6 +613,40 @@ def test_heatmap_encoder_matches_percent_format(tmp_path):
     assert fallback.size < draws.size // cols // 100
 
 
+def nine_digit_values():
+    """Floats nearest m * 10^p for 9-digit mantissas m at the digit split's
+    edges, k 10^8, k 10^4 +- 1 and 999,999,999, over decades -99 ... 99."""
+    mantissas = st.one_of(
+        st.integers(1, 9).map(lambda k: k * 10**8),
+        st.tuples(st.integers(10**4 + 1, 10**5 - 1), st.sampled_from((-1, 1))).map(
+            lambda kd: kd[0] * 10**4 + kd[1]),
+        st.just(999_999_999))
+    return st.tuples(mantissas, st.integers(-107, 91)).map(lambda mp: float(f"{mp[0]}e{mp[1]}"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_encoder_rows_marked_exact_match_percent_format(data):
+    """Positive float64 values over every decade and 9-digit mantissas at the
+    digit split's edges: every row the encoder marks as exact is what
+    '%.8e' writes, byte for byte, and rows of edge mantissas alone are exact."""
+    decades = st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(-323, 308)).map(
+        lambda md: md[0] * 10.0 ** md[1]).filter(math.isfinite)
+    values = data.draw(st.lists(st.one_of(
+        st.floats(min_value=5e-324, max_value=np.finfo(float).max), decades,
+        nine_digit_values()), min_size=1, max_size=40))
+    edges = data.draw(st.lists(nine_digit_values(), min_size=1, max_size=8))
+    cols = data.draw(st.integers(1, 4))
+    mixed = np.array(values + [1.0] * (-len(values) % cols)).reshape(-1, cols)
+    for block, all_exact in ((mixed, False), (np.array(edges).reshape(-1, 1), True)):
+        text, fallback = pde._encode_rows(block)
+        if all_exact:
+            assert fallback.size == 0
+        for r, row in enumerate(block.tolist()):
+            if r not in fallback:
+                assert bytes(text[r]) == (",".join("%.8e" % v for v in row) + "\n").encode()
+
+
 def reference_chain_rhs(sig, e, cells, entries, spectrum, grid, light_shift=False):
     """Explicit per-mode trapezoid form of one chain RHS, cell by cell, with
     power broadening on and dispersion uncompensated.  The light shift
@@ -880,9 +916,9 @@ def real_space_runs(monkeypatch) -> list:
     def logging(self, spins, nt, stride, record):
         rows = {}
 
-        def keep(i, y):
-            rows[i] = y.copy()
-            record(i, y)
+        def keep(steps, ys):
+            rows.update(zip(steps.tolist(), ys.copy()))
+            record(steps, ys)
 
         s1, final = run(self, spins, nt, stride, keep)
         runs.append({"block": self, "spins": spins.copy(), "nt": nt, "stride": stride,
@@ -1035,6 +1071,60 @@ def test_heatmaps_of_a_chain_past_the_first_of_its_block(monkeypatch, limit):
         assert res.heatmap_field is res.heatmap_spin is res.heatmap_times is None
 
 
+def modal_block_runs(monkeypatch) -> list:
+    """Monkeypatch _ModalBlock.run to log each modal block that runs."""
+    blocks, run = [], pde._ModalBlock.run
+
+    def logging(self, *args):
+        blocks.append(self)
+        return run(self, *args)
+
+    monkeypatch.setattr(pde._ModalBlock, "run", logging)
+    return blocks
+
+
+@pytest.mark.parametrize("limit", [pde.MODAL_COND_LIMIT, 0.0], ids=["default", "real_space"])
+def test_heatmaps_of_a_chain_behind_one_of_another_size(monkeypatch, limit):
+    """The uncompensated chain recording heatmaps behind its 1-cell echo, on a
+    grid whose heatmap stride does not divide MODAL_BLOCK, so that samples
+    straddle the blocks of steps: by default both share one modal block per
+    window, and either way the chain's heatmaps equal those of the chain run
+    alone, bit for bit."""
+    monkeypatch.setattr(pde, "MODAL_COND_LIMIT", limit)
+    (chain, echo), sched, grid = uncompensated_batch()
+    assert pde.MODAL_BLOCK % max(1, grid.nt // 200) != 0
+    blocks = modal_block_runs(monkeypatch)
+    _, res = pde._simulate_batch([echo, chain], grid, heat=1)
+    assert [block.offsets.tolist() for block in blocks] \
+        == ([[0, 1, 4]] * sched.n_windows if limit else [])
+    (alone,) = pde._simulate_batch([chain], grid, heat=0)
+    for name in ("heatmap_field", "heatmap_spin", "heatmap_times"):
+        npt.assert_array_equal(getattr(res, name), getattr(alone, name))
+
+
+def test_interleaved_chain_sizes_run_as_alone(monkeypatch):
+    """A batch of 1-cell, 3-cell, 1-cell and 3-cell chains runs as one modal
+    block per window, with one L and K for both 3-cell chains: every chain's
+    outputs, residual spins and efficiency, and the last one's heatmaps,
+    equal those of its standalone run, bit for bit."""
+    (chain, echo), sched, grid = uncompensated_batch()
+    batch = [echo, chain, replace(echo, inputs={0: pde.GaussianPulse(FWHM, CENTER, [0.5j])}),
+             replace(chain, inputs={0: pde.GaussianPulse(FWHM, CENTER, [1.0, -0.5j, 0.25])})]
+    blocks = modal_block_runs(monkeypatch)
+    runs = pde._simulate_batch(batch, grid, heat=3)
+    assert [[(lo, hi, len(K)) for lo, hi, _, K in block.runs] for block in blocks] \
+        == [[(2, 8, 2)]] * sched.n_windows
+    for j, res in enumerate(runs):
+        (alone,) = pde._simulate_batch([batch[j]], grid, heat=0 if j == 3 else None)
+        for out, ref in zip(res.outputs, alone.outputs, strict=True):
+            npt.assert_array_equal(out.envelopes, ref.envelopes)
+        for spin, ref in zip(res.residual_spins, alone.residual_spins, strict=True):
+            npt.assert_array_equal(spin.sigma, ref.sigma)
+        assert (res.efficiency, res.input_energy) == (alone.efficiency, alone.input_energy)
+        for name in ("heatmap_field", "heatmap_spin", "heatmap_times"):
+            npt.assert_array_equal(getattr(res, name), getattr(alone, name))
+
+
 @pytest.mark.parametrize("heat", [-2, 2])
 def test_heatmap_index_outside_the_batch_is_refused(heat):
     """identity_1mode's batch holds the network and its echo: a heatmap index
@@ -1164,14 +1254,16 @@ def test_block_maps_every_row_in_one_pass():
     block = pde._ModalBlock(parts, [None, None], None, grid.dt, stages, modes)
     rng = np.random.default_rng(23)
     y = rng.normal(size=(2, 3, grid.nz)) + 1j * rng.normal(size=(2, 3, grid.nz))
-    a = block.map(y, True)
-    back = block.map(a, False)
+    # the block's rows are the chains' cells end to end
+    a = block.map(y.reshape(6, -1), True)
+    back = block.map(a, False).reshape(y.shape)
+    a = a.reshape(y.shape)
     assert np.max(np.abs(back - y)) <= 1e-12 * np.max(np.abs(y))
     npt.assert_array_equal(a[:, 1], y[:, 1])
     npt.assert_array_equal(back[:, 1], y[:, 1])
     for j in range(2):
         heat = pde._ModalBlock(parts, [None, None], j, grid.dt, stages, modes)
-        npt.assert_allclose(heat.spins(a[j]), back[j], rtol=0,
+        npt.assert_allclose(heat.spins(a[j][None].copy())[0], back[j], rtol=0,
                             atol=1e-14 * np.max(np.abs(back)))
     op = parts[0]
     e = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
