@@ -1297,9 +1297,10 @@ def _encode_rows(block: np.ndarray):
     zero = x.view(np.uint64) == 0  # +0.0 alone
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(x))
-    ok = np.abs(e) < 100  # false for zeros, negatives, NaN and inf
+        ok = np.abs(e) < 100  # false for zeros, negatives, NaN and inf
+        e = e.astype(np.intp)  # set to 0 below where not ok
+    e[~ok] = 0
     xs = np.where(ok, x, 1.0)
-    e = np.where(ok, e, 0.0).astype(np.intp)
     scaled = xs * _SCALE[e + 100]
     mantissa = np.rint(scaled)
     certain = np.abs(scaled - mantissa) < 0.5 - 1e-5
@@ -1310,11 +1311,11 @@ def _encode_rows(block: np.ndarray):
         k = e[fix] + (s >= 1e9) - (s < 1e8)
         s = xs[fix] * _SCALE[k + 100]
         m = np.rint(s)
+        certain[fix] = np.abs(s - m) < 0.5 - 1e-5
         carry = m >= 1e9
         m[carry] = 1e8
         k += carry
         ok[fix] &= np.abs(k) < 100
-        certain[fix] = np.abs(s - m) < 0.5 - 1e-5
         e[fix], mantissa[fix] = k, m
     exact = zero | (ok & certain)
     # the digits "d." + 4 + 4, split by int32 floor division (no divmod)

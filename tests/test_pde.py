@@ -613,29 +613,34 @@ def test_heatmap_encoder_matches_percent_format(tmp_path):
     assert fallback.size < draws.size // cols // 100
 
 
-def nine_digit_values():
-    """Floats nearest m * 10^p for 9-digit mantissas m at the digit split's
-    edges, k 10^8, k 10^4 +- 1 and 999,999,999, over decades -99 ... 99."""
-    mantissas = st.one_of(
+def edge_values():
+    """Floats nearest m * 10^p over decades -99 ... 99 for 9-digit mantissas m
+    at the digit split's edges, k 10^8, k 10^4 +- 1 and 999,999,999, and for
+    10-digit ones from 9,999,999,996 up, whose rounding carries a decade."""
+    nine = st.one_of(
         st.integers(1, 9).map(lambda k: k * 10**8),
         st.tuples(st.integers(10**4 + 1, 10**5 - 1), st.sampled_from((-1, 1))).map(
             lambda kd: kd[0] * 10**4 + kd[1]),
         st.just(999_999_999))
-    return st.tuples(mantissas, st.integers(-107, 91)).map(lambda mp: float(f"{mp[0]}e{mp[1]}"))
+    carry = st.integers(9_999_999_996, 9_999_999_999)
+    return st.one_of(st.tuples(nine, st.integers(-107, 91)),
+                     st.tuples(carry, st.integers(-108, 89))).map(
+        lambda mp: float(f"{mp[0]}e{mp[1]}"))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_encoder_rows_marked_exact_match_percent_format(data):
-    """Positive float64 values over every decade and 9-digit mantissas at the
-    digit split's edges: every row the encoder marks as exact is what
-    '%.8e' writes, byte for byte, and rows of edge mantissas alone are exact."""
+    """Positive float64 values over every decade and values at the digit
+    split's edges (:func:`edge_values`): every row the encoder marks as exact
+    is what '%.8e' writes, byte for byte, and rows of edge values alone are
+    exact."""
     decades = st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(-323, 308)).map(
         lambda md: md[0] * 10.0 ** md[1]).filter(math.isfinite)
     values = data.draw(st.lists(st.one_of(
         st.floats(min_value=5e-324, max_value=np.finfo(float).max), decades,
-        nine_digit_values()), min_size=1, max_size=40))
-    edges = data.draw(st.lists(nine_digit_values(), min_size=1, max_size=8))
+        edge_values()), min_size=1, max_size=40))
+    edges = data.draw(st.lists(edge_values(), min_size=1, max_size=8))
     cols = data.draw(st.integers(1, 4))
     mixed = np.array(values + [1.0] * (-len(values) % cols)).reshape(-1, cols)
     for block, all_exact in ((mixed, False), (np.array(edges).reshape(-1, 1), True)):
