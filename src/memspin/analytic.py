@@ -98,9 +98,6 @@ def undriven_spin_exact(sol: AnalyticSpinSolution, t):
     t = np.atleast_1d(t_in)
     d = sol.spectrum.mean_detuning
     gp, dp = sol.rates.gamma_eff, sol.rates.delta_eff
-    if sol.spectrum.n_modes < 2:
-        out = sol.alpha * np.exp(-(gp + 1j * dp) * t)
-        return out[0] if t_in.ndim == 0 else out
     w_kj, d_kj = _pairs(sol.coupling.amplitudes, sol.spectrum.detunings)
     coeff = -(d - 1j * sol.atoms.Gamma) / (d ** 2 * d_kj) * w_kj
     osc = np.exp(coeff[:, None] * np.exp(1j * np.outer(d_kj, t)))
@@ -120,9 +117,6 @@ def undriven_spin_firstorder(sol: AnalyticSpinSolution, t):
     t_in = np.asarray(t, dtype=float)
     t = np.atleast_1d(t_in)
     gp, dp = sol.rates.gamma_eff, sol.rates.delta_eff
-    if sol.spectrum.n_modes < 2:
-        out = sol.alpha * np.exp(-(gp + 1j * dp) * t)
-        return out[0] if t_in.ndim == 0 else out
     d = sol.spectrum.mean_detuning
     w_kj, d_kj = _pairs(sol.coupling.amplitudes, sol.spectrum.detunings)
     small = np.abs(w_kj) / (d * np.abs(d_kj))

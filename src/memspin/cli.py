@@ -245,7 +245,10 @@ def build_unitary(cfg: dict, n: int, label: str) -> compiler.UnitarySpec:
             raise ValidationError(f"unitaries.{label}: hadamard2 needs exactly 2 modes")
         return compiler.UnitarySpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2), label=label)
     if kind == "haar":
-        return compiler.haar_random_unitary(n, seed=_require(cfg, f"{path}.seed"), label=label)
+        seed = _require(cfg, f"{path}.seed")
+        if seed < 0:
+            raise ValidationError(f"config entry '{path}.seed' must be non-negative; got {seed}")
+        return compiler.haar_random_unitary(n, seed=seed, label=label)
     if kind == "explicit":
         return compiler.UnitarySpec(_complex_matrix(cfg, path, im_required=True),
                                     label=label)
@@ -297,13 +300,9 @@ def output_switches(cfg: dict) -> tuple[bool, bool]:
 
 
 def build_options(cfg: dict) -> pde.SimOptions:
-    options = cfg.get("options", {})
-    return pde.SimOptions(
-        power_broadening=options.get("power_broadening", True),
-        compensate_dispersion=options.get("compensate_dispersion", True),
-        auto_two_photon=options.get("auto_two_photon", True),
-        margin_threshold=float(cfg.get("margin_threshold", core.MARGIN_THRESHOLD)),
-    )
+    """SimOptions from section ``options``, whose schema admits only its booleans."""
+    return pde.SimOptions(**cfg.get("options", {}), margin_threshold=float(
+        cfg.get("margin_threshold", core.MARGIN_THRESHOLD)))
 
 
 class NetworkSetup:
@@ -365,7 +364,7 @@ def run_network(setup: NetworkSetup, transfer: bool = False):
     ideal = pde.ideal_output(compiler.ideal_transfer(setup.u_in, setup.u_out),
                              setup.pulse.mode_amplitudes, psi,
                              setup.pulse.mode_energy())
-    result.efficiency, result.overlap = pde.efficiency_and_overlap(result, ideal)
+    result.overlap = pde.overlap(result, ideal)
     matrix = (pde.transfer_from_probes(probes, psi, setup.schedule, setup.grid, setup.pulse)
               if transfer else None)
     return result, psi, matrix

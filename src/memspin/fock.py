@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -153,13 +152,7 @@ class FockState:
     def __post_init__(self):
         if self.n_modes > MODE_CAP:
             raise ValidationError(f"{self.n_modes} modes exceed the mode cap {MODE_CAP}")
-        occs = self.amplitudes.keys()
-        counts = set(chain.from_iterable(occs))
-        if (set(map(len, occs)) <= {self.n_modes} and min(counts, default=0) >= 0
-                and max(counts, default=0) <= self.photon_cap):
-            return
-        # some occupation fails: name the first, as a walk in state order finds it
-        for occ in occs:
+        for occ in self.amplitudes:
             if len(occ) != self.n_modes:
                 raise ValidationError(f"occupation {occ} does not span {self.n_modes} modes")
             if any(n < 0 or n > self.photon_cap for n in occ):
@@ -421,39 +414,33 @@ def cz_policy(stages, herald=CZ_HERALD_PATTERN,
     )
 
 
-def dual_rail_input(q1_amps, q2_amps, photon_cap: int = DEFAULT_PHOTON_CAP) -> FockState:
-    """Two dual-rail qubits plus the two ancilla photons of the gate.
-
-    ``q1_amps`` and ``q2_amps`` are (amp_logical0, amp_logical1); logical 1
-    occupies the inner rails (modes 1 and 2).
-    """
-    amps = {}
+def _dual_rail(q1_amps, q2_amps) -> dict:
+    """(b1, b2) -> (rails, amplitude) of each nonzero logical term of two
+    dual-rail qubits, on the rails (0, 1) and (2, 3) with logical 1 on the
+    inner rails (modes 1 and 2); ``q1_amps`` and ``q2_amps`` are (amp_logical0,
+    amp_logical1)."""
+    terms = {}
     for b1, occ1 in ((0, (1, 0)), (1, (0, 1))):
         for b2, occ2 in ((0, (0, 1)), (1, (1, 0))):
             a = complex(q1_amps[b1]) * complex(q2_amps[b2])
-            if a == 0:
-                continue
-            occ = occ1 + occ2 + (1, 0, 1, 0)
-            amps[occ] = a
+            if a != 0:
+                terms[b1, b2] = (occ1 + occ2, a)
+    return terms
+
+
+def dual_rail_input(q1_amps, q2_amps, photon_cap: int = DEFAULT_PHOTON_CAP) -> FockState:
+    """Two dual-rail qubits plus the two ancilla photons of the gate."""
+    amps = {occ + (1, 0, 1, 0): a for occ, a in _dual_rail(q1_amps, q2_amps).values()}
     if not amps:
         raise ValidationError("input qubit amplitudes are all zero")
-    state = FockState(amplitudes=amps, n_modes=CZ_MODES, photon_cap=photon_cap)
-    return state.normalized()
+    return FockState(amplitudes=amps, n_modes=CZ_MODES, photon_cap=photon_cap).normalized()
 
 
 def dual_rail_cz_ideal(q1_amps, q2_amps, photon_cap: int = DEFAULT_PHOTON_CAP) -> FockState:
     """The conditional-phase action on the qubit rails (no ancillas)."""
-    amps = {}
-    for b1, occ1 in ((0, (1, 0)), (1, (0, 1))):
-        for b2, occ2 in ((0, (0, 1)), (1, (1, 0))):
-            a = complex(q1_amps[b1]) * complex(q2_amps[b2])
-            if a == 0:
-                continue
-            if b1 == 1 and b2 == 1:
-                a = -a
-            amps[occ1 + occ2] = a
-    state = FockState(amplitudes=amps, n_modes=4, photon_cap=photon_cap)
-    return state.normalized()
+    amps = {occ: -a if bits == (1, 1) else a
+            for bits, (occ, a) in _dual_rail(q1_amps, q2_amps).items()}
+    return FockState(amplitudes=amps, n_modes=4, photon_cap=photon_cap).normalized()
 
 
 def stage_plans(stages, spectrum: ModeSpectrum, omega_tilde_target: float) -> list[dict]:

@@ -89,7 +89,8 @@ the heatmap samples of a block of steps are recorded together after it;
 each chain's outflow and input power are formed after each window from
 the recorded S(1) series.  The single-excited-state model of eq. 5 is a
 one-cell chain with one composite mode whose coupling W(t) beats in time;
-its rate, drive and absorption are tabulated on the same stage times.
+its rate, which alone carries its light shift, its drive and absorption are
+tabulated on the same stage times.
 
 Energy bookkeeping (documented normalisation): with g = 1 the spin-wave
 energy that balances the field energy integral(|E|^2 dt) is
@@ -473,17 +474,6 @@ class _ChainOperator:
                    if n_cells > 1 else None)
         self.C, self.H, self.window = phase[-1], upstream[-1], window
 
-    @classmethod
-    def stacked(cls, parts) -> "_ChainOperator":
-        """The operator of chains of one size stacked on a leading axis,
-        (chains, cells, ...).  Single-excited chains (:class:`_Eq5Operator`)
-        have no static absorption: theirs is tabulated with their drive."""
-        op = cls.__new__(cls)
-        op.half_dz, op.decay = parts[0].half_dz, np.stack([part.decay for part in parts])
-        op.absorb = np.stack([part.absorb for part in parts]) if isinstance(parts[0], cls) else None
-        op.iG = None if parts[0].iG is None else np.stack([part.iG for part in parts])
-        return op
-
     def inflow(self, t, pulse) -> np.ndarray:
         """The chain inflows at the times ``t``, (*t.shape, n_modes), zero without ``pulse``."""
         shape = np.shape(t) + self.C.shape
@@ -538,14 +528,15 @@ class _Eq5Operator:
     with coupling W(t) = sum_k W_k exp(i (D_k - D) t); dt must give the
     fastest beat 20 points per period.  Power broadening and the light shift
     oscillate, (Gamma + i D) |W(t)|^2 / D^2, instead of being folded into
-    constant rates.  The gradient is the static decay; the rate, the drive
-    i conj(r) E and the absorption N |r|^2 (r = W / D) are tabulated, and
-    the outflow is E + i N r S(1).  The step guard takes the peak rate and
-    the peak rotation, |Im decay| plus the light shift, with |W(t)| at its
-    bound sum_k |W_k|.
+    constant rates.  The static decay holds the gradient and the retune
+    -sum_k |W_k|^2 / D, if any, which cancels the static part of that shift;
+    the rate, the drive i conj(r) E and the absorption N |r|^2 (r = W / D)
+    are tabulated, and the outflow is E + i N r S(1).  The step guard takes
+    the peak rate and the peak rotation, |Im decay| plus the light shift,
+    with |W(t)| at its bound sum_k |W_k|.
     """
 
-    iG = None
+    iG = absorb = None
 
     def __init__(self, cells, schedule: Schedule, window: int, spectrum: ModeSpectrum,
                  grid: Grid, options: SimOptions):
@@ -558,11 +549,9 @@ class _Eq5Operator:
         self.amps = (entry.coupling.amplitudes if entry.coupling is not None
                      else np.zeros(spectrum.n_modes))
         self.t_base = window * grid.window  # beat phases run on absolute time
-        static_shift = float(np.sum(np.abs(self.amps) ** 2)) / self.d
-        delta = cell.atoms.delta + (0.0 if options.auto_two_photon else static_shift)
-        offset = -static_shift if options.auto_two_photon else 0.0
+        retune = -float(np.sum(np.abs(self.amps) ** 2)) / self.d if options.auto_two_photon else 0.0
         grad = entry.gradient_sign * cell.gradient_eta * (grid.z - 0.5)
-        self.decay = -(1j * (delta + offset + grad))[None, :]
+        self.decay = -(1j * (cell.atoms.delta + retune + grad))[None, :]
         self.stark = (1.0 if options.power_broadening else 0.0) * cell.atoms.Gamma + 1j * self.d
         peak = float(np.sum(np.abs(self.amps))) ** 2 / self.d ** 2
         _check_step(grid.dt, cell.atoms.gamma + (self.stark.real + cell.atoms.coupling_density)
@@ -850,11 +839,15 @@ class _RealSpaceBlock:
     a scalar linear ODE once the stage states of those points are known, which
     :func:`memspin.core.rk4_linear` steps and whose stage states it returns.
     The drives, and a single-excited chain's rate and absorption, are
-    tabulated on each block's stage times."""
+    tabulated on each block's stage times.  The chains' decay, absorption
+    and i G are stacked on a leading axis; a single-excited chain
+    (:class:`_Eq5Operator`) has no static absorption and no G."""
 
     def __init__(self, parts, pulses, heat, h: float, stages: np.ndarray):
-        self.op, self.parts, self.pulses = _ChainOperator.stacked(parts), parts, pulses
-        self.heat, self.h, self.stages = heat, h, stages
+        self.parts, self.pulses, self.heat, self.h, self.stages = parts, pulses, heat, h, stages
+        self.half_dz, self.decay = parts[0].half_dz, np.stack([part.decay for part in parts])
+        self.absorb = None if parts[0].absorb is None else np.stack([part.absorb for part in parts])
+        self.iG = None if parts[0].iG is None else np.stack([part.iG for part in parts])
 
     def coefficients(self, start: int, stop: int):
         """At the stages of steps start ... stop - 1: the drive (4, chains,
@@ -862,21 +855,20 @@ class _RealSpaceBlock:
         tabulated for single-excited chains and constant for others; and
         what rate and absorption add to a point's decay at each step's start,
         midpoint and end, at z = 0 and beyond it, (3, chains, cells, steps or 1)."""
-        op = self.op
         table = _stage_table(self.parts, self.pulses, self.stages, start, stop)
         table = table.reshape(len(table), len(self.parts), -1, table.shape[-1])
-        if op.absorb is None:
+        if self.absorb is None:
             rate, absorb = rk4_stages(table[1])[[0, 1, 3]], rk4_stages(table[2])
         else:
-            rate = np.zeros((3,) + op.absorb.shape)
-            absorb = op.absorb[None].repeat(4, axis=0)
-        return rk4_stages(table[0]), absorb, rate, rate - op.half_dz * absorb[[0, 1, 3]]
+            rate = np.zeros((3,) + self.absorb.shape)
+            absorb = self.absorb[None].repeat(4, axis=0)
+        return rk4_stages(table[0]), absorb, rate, rate - self.half_dz * absorb[[0, 1, 3]]
 
     def run(self, spins: np.ndarray, nt: int, stride: int, record):
         """As :meth:`_ModalBlock.run`, on spins (chains, cells, nz) and S(1)
         series (chains, cells, nt + 1); ``record`` is called after each
         RK4_BLOCK of steps."""
-        op, hd, heat = self.op, self.op.half_dz, self.heat
+        hd, heat = self.half_dz, self.heat
         g, n, nz = spins.shape
         y = spins.copy()
         s1 = np.empty((g, n, nt + 1), dtype=complex)
@@ -889,10 +881,10 @@ class _RealSpaceBlock:
             ends = np.empty((4, g, n, stop - start), dtype=complex)  # S(1) at the stages
             for c in range(n):
                 d = drive[:, :, c]
-                if op.iG is not None and c > 0:
-                    d = d + np.einsum("gu,sgut->sgt", op.iG[:, c, :c], ends[:, :, :c])
+                if self.iG is not None and c > 0:
+                    d = d + np.einsum("gu,sgut->sgt", self.iG[:, c, :c], ends[:, :, :c])
                 d, ab = np.ascontiguousarray(d), np.ascontiguousarray(absorb[:, :, c])
-                decay, rates = op.decay[:, c, :, None], (first[:, :, c], rest[:, :, c])
+                decay, rates = self.decay[:, c, :, None], (first[:, :, c], rest[:, :, c])
                 for j in range(nz):
                     grid, states = rk4_linear(decay[:, j] + rates[j > 0], d - ab * p if j else d,
                                               self.h, y[:, c, j], stages=True)
@@ -1093,16 +1085,6 @@ def _warn_on_margins(chains) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-def simulate_cell(cell: MemoryCell, entry: ScheduleEntry, pulse, grid: Grid,
-                  spectrum: ModeSpectrum, options: SimOptions = SimOptions()):
-    """Single cell, single window from zero spin; returns (output FieldState,
-    SpinState).  ``pulse`` may be None for a window without inflow.
-    """
-    result = simulate_network([cell], Schedule(entries=((entry,),)), {0: pulse}, grid,
-                              spectrum, options)
-    return result.outputs[0], result.residual_spins[0]
-
-
 def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[int, float]:
     """Predict (window, window-local time) of the gradient-echo re-emission.
 
@@ -1125,8 +1107,8 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[in
     raise ValidationError("no rephasing point inside the scheduled windows")
 
 
-def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
-    """Energy ratio and global-phase-insensitive overlap against an ideal."""
+def overlap(result: NetworkResult, ideal: list[FieldState]) -> float:
+    """Global-phase-insensitive overlap of the output windows against an ideal."""
     outputs = [result.outputs[w] for w in result.output_windows]
     if len(outputs) != len(ideal):
         raise ValidationError("outputs and ideal must cover the same windows")
@@ -1140,9 +1122,7 @@ def efficiency_and_overlap(result: NetworkResult, ideal: list[FieldState]):
             raise ValidationError("output/ideal grids do not match")
         inner += np.trapezoid(
             np.sum(o.envelopes * np.conj(i.envelopes), axis=0), o.times)
-    efficiency = e_out / result.input_energy if result.input_energy > 0 else 0.0
-    overlap = abs(inner) ** 2 / (e_out * e_ideal) if e_out > 0 else 0.0
-    return float(efficiency), float(overlap)
+    return float(abs(inner) ** 2 / (e_out * e_ideal)) if e_out > 0 else 0.0
 
 
 def reference_echo(cells, schedule: Schedule, spectrum: ModeSpectrum, pulse: GaussianPulse,
@@ -1210,13 +1190,14 @@ def transfer_from_probes(probes: list[NetworkResult], temporal_mode: FieldState,
 
     Entry (k, j) is the complex overlap of output mode k in the echo window
     against the unit-energy ``temporal_mode`` when only input mode j is fed,
-    normalised so that |entry|^2 is the mode-to-mode energy efficiency.
+    over the root of probe j's ``input_energy``, which its efficiency divides
+    by: |entry|^2 is the mode-to-mode energy efficiency.
     """
     window, _ = echo_center(schedule, grid, pulse.center)
     psi = np.conj(temporal_mode.envelopes[0])
     columns = [np.trapezoid(res.outputs[window].envelopes * psi, res.outputs[window].times,
-                            axis=1) for res in probes]
-    return np.stack(columns, axis=1) / math.sqrt(pulse.mode_energy())
+                            axis=1) / math.sqrt(res.input_energy) for res in probes]
+    return np.stack(columns, axis=1)
 
 
 def extract_transfer_matrix(cells, schedule: Schedule, grid: Grid,

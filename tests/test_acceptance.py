@@ -20,6 +20,12 @@ ETA = 2.2 * 4 * math.log(2) / 10.0
 OPTS = pde.SimOptions()
 
 
+def _store(cell, coupling, pulse, grid, sp, options=OPTS) -> pde.NetworkResult:
+    """One cell storing ``pulse`` in one window: simulate_network on a one-cell schedule."""
+    return pde.simulate_network([cell], pde.Schedule(entries=((
+        pde.ScheduleEntry("store", coupling, 1),),)), {0: pulse}, grid, sp, options)
+
+
 def _report(n, detail):
     print(f"\nACCEPTANCE {n}: PASS ({detail})")
 
@@ -79,8 +85,7 @@ def test_criterion_2_bright_dark_equivalence():
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     amps /= np.linalg.norm(amps)
     pulse = pde.GaussianPulse(10.0, 20.0, amps)
-    outN, _ = pde.simulate_cell(cell, pde.ScheduleEntry("store", coupling, 1),
-                                pulse, grid, sp, OPTS)
+    outN = _store(cell, coupling, pulse, grid, sp).outputs[0]
 
     w = core.bright_mode_coefficients(coupling, sp)
     basis = core.complete_bright_basis(w)
@@ -88,9 +93,8 @@ def test_criterion_2_bright_dark_equivalence():
     sp1 = core.ModeSpectrum(mean_detuning=sp.mean_detuning,
                             detunings=np.array([sp.mean_detuning]))
     cv1 = core.CouplingVector(np.array([ot * sp.mean_detuning]))
-    outB, _ = pde.simulate_cell(cell, pde.ScheduleEntry("store", cv1, 1),
-                                pde.GaussianPulse(10.0, 20.0, np.array([rot[0]])),
-                                grid, sp1, OPTS)
+    outB = _store(cell, cv1, pde.GaussianPulse(10.0, 20.0, np.array([rot[0]])), grid,
+                  sp1).outputs[0]
     env = pulse.envelope(grid.times)
     reduced = np.vstack([outB.envelopes[0], rot[1] * env, rot[2] * env])
     back = basis.conj().T @ reduced
@@ -98,8 +102,7 @@ def test_criterion_2_bright_dark_equivalence():
     assert dev <= 1e-3
 
     dark = basis.conj().T @ np.array([0.0, 1.0, 0.0], dtype=complex)
-    outD, _ = pde.simulate_cell(cell, pde.ScheduleEntry("store", coupling, 1),
-                                pde.GaussianPulse(10.0, 20.0, dark), grid, sp, OPTS)
+    outD = _store(cell, coupling, pde.GaussianPulse(10.0, 20.0, dark), grid, sp).outputs[0]
     transmission = outD.energy() / pde.GaussianPulse(10.0, 20.0, dark).energy()
     assert transmission >= 0.999
     elapsed = time.monotonic() - t0
@@ -274,8 +277,8 @@ def test_criterion_8_conservation_and_convergence(golden_run):
     grid = pde.Grid(nz=256, dt=0.02, window=40.0)
     pulse = pde.GaussianPulse(10.0, 20.0, np.array([1.0]))
     lossless = pde.SimOptions(power_broadening=False)
-    out, spin = pde.simulate_cell(cell, pde.ScheduleEntry("store", cv, 1), pulse,
-                                  grid, sp, lossless)
+    res = _store(cell, cv, pulse, grid, sp, lossless)
+    out, spin = res.outputs[0], res.residual_spins[0]
     balance = abs(out.energy() + spin.energy_norm(atoms) - pulse.energy()) / pulse.energy()
     assert balance <= 1e-3
 

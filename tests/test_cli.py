@@ -757,6 +757,47 @@ def test_margins_checked_once_per_distinct_chain(tmp_path, monkeypatch, command,
     assert len(counted) == calls
 
 
+def test_eq5_light_shift_counted_once_without_the_retune(tmp_path):
+    """With the retune off, the single-excited model carries the light shift in
+    its oscillating rate alone, as the multi-transition model carries it in
+    its static detuning: margin_100 agrees to 1e-3 (it read 0.175 with the
+    shift applied twice) and margin_1 stays out of regime."""
+    path = edited(tmp_path, "eq5_regime_sweep", {"options": {"auto_two_photon": False}})
+    with pytest.warns(RuntimeWarning, match="validity margins"):
+        assert run_cli(["run", path, "--out", tmp_path / "o"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    deviation = {case["label"]: case["relative_deviation"] for case in report["cases"]}
+    assert deviation["margin_100"] <= 1e-3
+    assert deviation["margin_1"] > 0.05
+
+
+@pytest.mark.parametrize("center", [20.0, 10.0, 6.0])
+def test_transfer_divides_by_the_input_energy_the_efficiency_divides_by(center):
+    """On one mode |T|^2 is the efficiency, also where part of the pulse falls
+    before the window: both divide by the energy that enters it."""
+    cfg = cli.load_config("identity_1mode")
+    cfg["pulse"]["center_us"] = center
+    result, _, t = cli.run_network(cli.NetworkSetup(cfg, grid_scale=0.5), transfer=True)
+    assert abs(t[0, 0]) ** 2 == pytest.approx(result.efficiency, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("which", ["write", "read"])
+def test_negative_haar_seed_exits_2_before_any_integration(tmp_path, monkeypatch, capsys,
+                                                           which):
+    """validate and run name a negative seed instead of passing it to numpy's
+    generator, and integrate nothing."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(pde, "_simulate_batch", integrate)
+    bad = edited(tmp_path, "random_3mode", {f"unitaries.{which}.seed": -1})
+    for command in (["validate", bad], ["run", bad, "--out", tmp_path / "o"]):
+        assert run_cli(command) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: config entry 'unitaries.{which}.seed' "
+                                           f"must be non-negative; got -1\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_golden_run_keeps_the_seed_values():
     """ten_mode_two_ops, heatmaps off, against the efficiency and overlap of the
     seed to 1e-10 relative."""
