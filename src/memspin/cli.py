@@ -362,8 +362,7 @@ def run_network(setup: NetworkSetup, transfer: bool = False):
                                                 0 if setup.heatmap else None)
     psi = pde.echo_mode(echo)
     ideal = pde.ideal_output(compiler.ideal_transfer(setup.u_in, setup.u_out),
-                             setup.pulse.mode_amplitudes, psi,
-                             setup.pulse.mode_energy())
+                             setup.pulse.mode_amplitudes, psi)
     result.overlap = pde.overlap(result, ideal)
     matrix = (pde.transfer_from_probes(probes, psi, setup.schedule, setup.grid, setup.pulse)
               if transfer else None)

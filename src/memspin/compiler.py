@@ -89,7 +89,14 @@ class CouplingPlan:
         return cls(memories=mems, omega_tilde_target=float(data["omega_tilde"]))
 
 
-def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float) -> CouplingPlan:
+def compile_write(u: UnitarySpec, spectrum: ModeSpectrum,
+                  omega_tilde_target: float) -> CouplingPlan:
+    """Couplings W_{j,k} = W~ * D_k * conj(U_{jk}) so cell j stores row j.
+
+    The read compile is the same map (``compile_read``) applied during
+    recall, where the spin-to-field transfer of the chain is the adjoint of
+    the matrix: mode k receives sum_j conj(U_{jk}) S_j.
+    """
     if u.n != spectrum.n_modes:
         raise ValidationError(
             f"target is {u.n}x{u.n} but the spectrum has {spectrum.n_modes} modes"
@@ -103,20 +110,7 @@ def _compile(u: UnitarySpec, spectrum: ModeSpectrum, omega_tilde_target: float) 
     return CouplingPlan(memories=rows, omega_tilde_target=float(omega_tilde_target))
 
 
-def compile_write(u: UnitarySpec, spectrum: ModeSpectrum,
-                  omega_tilde_target: float) -> CouplingPlan:
-    """Couplings W_{j,k} = W~ * D_k * conj(U_{jk}) so cell j stores row j."""
-    return _compile(u, spectrum, omega_tilde_target)
-
-
-def compile_read(u: UnitarySpec, spectrum: ModeSpectrum,
-                 omega_tilde_target: float) -> CouplingPlan:
-    """Same row construction as the write compile, applied during recall.
-
-    With these couplings the spin-to-field transfer of the chain is the
-    adjoint of the matrix: mode k receives sum_j conj(U_{jk}) S_j.
-    """
-    return _compile(u, spectrum, omega_tilde_target)
+compile_read = compile_write
 
 
 def reconstruct_matrix(plan: CouplingPlan, spectrum: ModeSpectrum) -> np.ndarray:

@@ -284,7 +284,10 @@ class GaussianPulse:
 
     ``center`` is window-local time in us; ``mode_amplitudes`` are the
     complex per-mode weights, (n_modes,).  Called on an array of times, it
-    returns the inflows at each, (*times.shape, n_modes).
+    returns the inflows at each, (*times.shape, n_modes).  Its energy is what
+    a run feeds in on its grid, :attr:`NetworkResult.input_energy`, which
+    the efficiency and the transfer matrix divide by; a pulse cut by its
+    window carries less than the closed-form integral.
     """
 
     fwhm: float
@@ -302,14 +305,6 @@ class GaussianPulse:
 
     def __call__(self, t) -> np.ndarray:
         return np.multiply.outer(self.envelope(t), self.mode_amplitudes)
-
-    def mode_energy(self) -> float:
-        """Closed-form integral of |env(t)|^2 dt: the energy of unit weight on one mode."""
-        return self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
-
-    def energy(self) -> float:
-        """sum_k |amp_k|^2 times :meth:`mode_energy`."""
-        return float(np.sum(np.abs(self.mode_amplitudes) ** 2)) * self.mode_energy()
 
 
 @dataclass
@@ -776,8 +771,8 @@ class _ModalBlock:
 
     def drives(self, start: int, stop: int) -> np.ndarray:
         """The drives for the RK4 steps start ... stop - 1, (steps, rows, 4):
-        the inflow drives at each step's four stages, mapped through L on
-        the rows of multi-cell chains."""
+        the inflow drives at each step's four stages (zero in an undriven
+        window), mapped through L on the rows of multi-cell chains."""
         d = rk4_stages(_stage_table(self.parts, self.pulses, self.stages, start, stop)[0])
         d = np.ascontiguousarray(d.transpose(2, 1, 0))
         for lo, hi, L, _ in self.runs:
@@ -790,10 +785,9 @@ class _ModalBlock:
         series (rows, nt + 1) and the final spins.  If the block holds the
         heat chain, ``record(steps, y)`` gets after each block of steps its
         spins y (samples, cells, nz) before every ``stride``-th step."""
-        a = self.map(spins, True) if np.any(spins) else np.zeros_like(spins)
+        a = self.map(spins, True)
         if self.symbols is not None:  # V^-1 serves only that entry map
             self.columns[1] = self.symbols[1] = None
-        driven = any(pulse is not None for pulse in self.pulses)
         if self.heat is not None:  # the heat chain's states sampled in a block of steps
             heat = slice(self.offsets[self.heat], self.offsets[self.heat + 1])
             taken = np.empty((-(-MODAL_BLOCK // stride), heat.stop - heat.start, a.shape[1]),
@@ -801,7 +795,7 @@ class _ModalBlock:
         s1 = np.empty((a.shape[0], nt + 1), dtype=complex)
         for start in range(0, nt, MODAL_BLOCK):
             stop = min(start + MODAL_BLOCK, nt)
-            table = self.drives(start, stop) if driven else None
+            table = self.drives(start, stop)
             steps = np.arange(-start % stride, stop - start, stride) + start
             for i in range(start, stop):
                 m = (self.R @ a[..., None])[..., 0]
@@ -809,15 +803,10 @@ class _ModalBlock:
                 if i % stride == 0 and self.heat is not None:
                     taken[(i - start) // stride] = a[heat]
                 step = self.P1 * a
-                if table is None:  # undriven, only multi-cell chains have a u: K m
-                    for lo, hi, _, K in self.runs:
-                        u = K @ m[lo:hi].reshape(len(K), -1, 1)
-                        step[lo:hi] += (u.reshape(-1, 1, 4) @ self.W[lo:hi])[:, 0, :]
-                else:
-                    u = table[i - start]  # this step's row of the table, read only here
-                    for lo, hi, _, K in self.runs:
-                        u[lo:hi] += (K @ m[lo:hi].reshape(len(K), -1, 1)).reshape(-1, 4)
-                    step += (u.reshape(-1, 1, 4) @ self.W)[:, 0, :]
+                u = table[i - start]  # this step's row of the table, read only here
+                for lo, hi, _, K in self.runs:
+                    u[lo:hi] += (K @ m[lo:hi].reshape(len(K), -1, 1)).reshape(-1, 4)
+                step += (u.reshape(-1, 1, 4) @ self.W)[:, 0, :]
                 a = a + step
             if self.heat is not None and steps.size:
                 record(steps, self.spins(taken[:steps.size]))
@@ -1108,7 +1097,8 @@ def echo_center(schedule: Schedule, grid: Grid, pulse_center: float) -> tuple[in
 
 
 def overlap(result: NetworkResult, ideal: list[FieldState]) -> float:
-    """Global-phase-insensitive overlap of the output windows against an ideal."""
+    """Global-phase-insensitive overlap of the output windows against an ideal,
+    |<out, ideal>|^2 over both energies, so no scale of either moves it."""
     outputs = [result.outputs[w] for w in result.output_windows]
     if len(outputs) != len(ideal):
         raise ValidationError("outputs and ideal must cover the same windows")
@@ -1159,19 +1149,16 @@ def echo_mode(result: NetworkResult) -> FieldState:
 
 
 def ideal_output(transfer_matrix: np.ndarray, input_amplitudes: np.ndarray,
-                 temporal_mode: FieldState, single_pulse_energy: float) -> list[FieldState]:
-    """Ideal per-mode output envelopes for one output window.
-
-    ``temporal_mode`` must have unit energy; the template is scaled so a
-    lossless transfer reproduces the input energy.
+                 temporal_mode: FieldState) -> list[FieldState]:
+    """Ideal per-mode output envelopes for one output window: the amplitudes
+    T u in ``temporal_mode``.  Given a unit-energy mode they carry energy
+    |T u|^2; they need no scale to the input energy, since :func:`overlap`
+    divides by the energy of the ideal.
     """
     amps = np.asarray(transfer_matrix, dtype=complex) @ np.asarray(input_amplitudes,
                                                                    dtype=complex)
-    scale = math.sqrt(single_pulse_energy)
-    return [FieldState(
-        envelopes=scale * amps[:, None] * temporal_mode.envelopes[0][None, :],
-        times=temporal_mode.times.copy(),
-    )]
+    return [FieldState(envelopes=amps[:, None] * temporal_mode.envelopes[0][None, :],
+                       times=temporal_mode.times.copy())]
 
 
 def _basis_probe(cells, schedule: Schedule, grid: Grid, spectrum: ModeSpectrum,

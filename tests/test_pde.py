@@ -33,11 +33,11 @@ OPTS = pde.SimOptions()
 
 
 def one_window(cell, entry, pulse, grid, sp, options=OPTS):
-    """(output FieldState, residual SpinState) of one cell through one
-    window from zero spin: simulate_network on a one-cell schedule."""
+    """(output FieldState, residual SpinState, input energy) of one cell
+    through one window from zero spin: simulate_network on a one-cell schedule."""
     res = pde.simulate_network([cell], pde.Schedule(entries=((entry,),)), {0: pulse}, grid, sp,
                                options)
-    return res.outputs[0], res.residual_spins[0]
+    return res.outputs[0], res.residual_spins[0], res.input_energy
 
 
 class TestGridAndSchedule:
@@ -86,15 +86,6 @@ class TestGridAndSchedule:
         assert sched.output_windows() == (2,)
 
 
-def test_pulse_energy_closed_form():
-    pulse = pde.GaussianPulse(fwhm=FWHM, center=CENTER,
-                              mode_amplitudes=np.array([0.6, 0.8j]))
-    t = np.linspace(-200, 260, 400001)
-    numeric = np.trapezoid(np.sum(np.abs(pulse.mode_amplitudes[:, None]
-                                         * pulse.envelope(t)[None, :]) ** 2, axis=0), t)
-    assert pulse.energy() == pytest.approx(numeric, rel=1e-10)
-
-
 def test_pulse_takes_an_array_of_times():
     amps = np.array([[0.6, 0.8j], [1.0, -0.5]])
     pulse = pde.GaussianPulse(fwhm=FWHM, center=CENTER, mode_amplitudes=amps)
@@ -108,7 +99,7 @@ def test_pulse_takes_an_array_of_times():
 class TestSingleCell:
     def test_no_coupling_passthrough(self):
         sp, atoms, cell, cv, grid, pulse = single_mode_setup()
-        out, spin = one_window(
+        out, spin, _ = one_window(
             cell, pde.ScheduleEntry(event="hold"), pulse, grid, sp, OPTS)
         expected = pulse.mode_amplitudes[0] * pulse.envelope(grid.times)
         npt.assert_allclose(out.envelopes[0], expected, atol=1e-12)
@@ -119,29 +110,30 @@ class TestSingleCell:
         sp, atoms, cell, cv, grid, pulse = single_mode_setup(gamma=mhz(5e-5))
         sched = pde.Schedule(entries=((pde.ScheduleEntry("store", cv, 1),
                                        pde.ScheduleEntry("recall", cv, -1)),))
-        out1, out2 = pde.simulate_network([cell], sched, {0: pulse}, grid, sp, OPTS).outputs
-        eff = out2.energy() / pulse.energy()
+        res = pde.simulate_network([cell], sched, {0: pulse}, grid, sp, OPTS)
+        out1, out2 = res.outputs
+        eff = out2.energy() / res.input_energy
         assert eff >= 0.90
-        assert out1.energy() / pulse.energy() <= 0.02  # little leakage during storage
+        assert out1.energy() / res.input_energy <= 0.02  # little leakage during storage
 
     def test_energy_bookkeeping_lossless(self):
         """Input energy = transmitted + beta*Gamma*integral(|s|^2) without decay."""
         sp, atoms, cell, cv, grid, pulse = single_mode_setup(beta=200.0, d=0.8)
         opts = pde.SimOptions(power_broadening=False)
-        out, spin = one_window(
+        out, spin, e_in = one_window(
             cell, pde.ScheduleEntry("store", cv, 1), pulse, grid, sp, opts)
         total = out.energy() + spin.energy_norm(atoms)
-        assert abs(total - pulse.energy()) / pulse.energy() <= 1e-3
+        assert abs(total - e_in) / e_in <= 1e-3
 
     def test_energy_bookkeeping_with_losses(self):
         """With scattering on, the books can only lose energy."""
         sp, atoms, cell, cv, grid, pulse = single_mode_setup(beta=200.0, d=0.8,
                                                              gamma=mhz(1e-3))
-        out, spin = one_window(
+        out, spin, e_in = one_window(
             cell, pde.ScheduleEntry("store", cv, 1), pulse, grid, sp, OPTS)
         total = out.energy() + spin.energy_norm(atoms)
-        assert total <= pulse.energy() * (1 + 1e-3)
-        assert total < pulse.energy() * 0.999  # decay actually bit
+        assert total <= e_in * (1 + 1e-3)
+        assert total < e_in * 0.999  # decay actually bit
 
     def test_linearity(self):
         sp, atoms, cell, cv, grid, pulse = single_mode_setup(nz=128)
@@ -149,13 +141,13 @@ class TestSingleCell:
         p2 = pde.GaussianPulse(FWHM, CENTER - 5.0, np.array([0.5j]))
 
         def run(p):
-            out, spin = one_window(
+            out, spin, _ = one_window(
                 cell, pde.ScheduleEntry("store", cv, 1), p, grid, sp, OPTS)
             return out.envelopes, spin.sigma
 
         o1, s1 = run(p1)
         o2, s2 = run(p2)
-        out, spin = one_window(
+        out, spin, _ = one_window(
             cell, pde.ScheduleEntry("store", cv, 1), lambda t: p1(t) + p2(t),
             grid, sp, OPTS)
         npt.assert_allclose(out.envelopes, o1 + o2, atol=1e-10)
@@ -258,7 +250,7 @@ class TestBrightDark:
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps /= np.linalg.norm(amps)
         pulse = pde.GaussianPulse(FWHM, CENTER, amps)
-        outN, _ = one_window(
+        outN, _, _ = one_window(
             self.cell, pde.ScheduleEntry("store", self.coupling, 1), pulse,
             self.grid, self.sp, OPTS)
 
@@ -268,7 +260,7 @@ class TestBrightDark:
         sp1 = core.ModeSpectrum(mean_detuning=self.sp.mean_detuning,
                                 detunings=np.array([self.sp.mean_detuning]))
         cv1 = core.CouplingVector(np.array([self.ot * self.sp.mean_detuning]))
-        outB, _ = one_window(
+        outB, _, _ = one_window(
             self.cell, pde.ScheduleEntry("store", cv1, 1),
             pde.GaussianPulse(FWHM, CENTER, np.array([rot[0]])),
             self.grid, sp1, OPTS)
@@ -284,11 +276,11 @@ class TestBrightDark:
         basis = core.complete_bright_basis(w)
         dark = basis.conj().T @ np.array([0.0, 1.0, 0.0], dtype=complex)
         pulse = pde.GaussianPulse(FWHM, CENTER, dark)
-        out, spin = one_window(
+        out, spin, e_in = one_window(
             self.cell, pde.ScheduleEntry("store", self.coupling, 1), pulse,
             self.grid, self.sp, OPTS)
-        assert out.energy() / pulse.energy() >= 0.999
-        assert spin.energy_norm(self.atoms) <= 1e-6 * pulse.energy()
+        assert out.energy() / e_in >= 0.999
+        assert spin.energy_norm(self.atoms) <= 1e-6 * e_in
 
 
 def two_op_network(n, u_in, u_out, beta=1000.0, gamma=mhz(5e-5), nz=256, dt=0.02,
@@ -315,7 +307,7 @@ class TestNetwork:
             pde.ScheduleEntry("recall", cv, -1),
         ),))
         res = pde.simulate_network([cell], sched, {0: pulse}, grid, sp, OPTS)
-        out1, _ = one_window(cell, sched.entries[0][0], pulse, grid, sp, OPTS)
+        out1, _, _ = one_window(cell, sched.entries[0][0], pulse, grid, sp, OPTS)
         npt.assert_allclose(res.outputs[0].envelopes, out1.envelopes, atol=1e-12)
 
     def test_three_mode_overlap_against_ideal(self):
@@ -324,9 +316,8 @@ class TestNetwork:
         sp, cells, sched, grid, pulse = two_op_network(3, u_in, u_out, nz=192)
         psi = pde.echo_mode(pde._simulate_batch(
             [pde.reference_echo(cells, sched, sp, pulse, OPTS)], grid)[0])
-        e1 = pde.GaussianPulse(FWHM, CENTER, np.array([1.0])).energy()
         ideal_m = compiler.ideal_transfer(u_in, u_out)
-        ideal = pde.ideal_output(ideal_m, pulse.mode_amplitudes, psi, e1)
+        ideal = pde.ideal_output(ideal_m, pulse.mode_amplitudes, psi)
         res = pde.simulate_network(cells, sched, {0: pulse}, grid, sp, OPTS)
         assert pde.overlap(res, ideal) >= 0.98
         assert 0.85 <= res.efficiency <= 0.95
@@ -357,7 +348,7 @@ class TestNetwork:
         grid = pde.Grid(nz=64, dt=0.02, window=WINDOW)
         pulse = pde.GaussianPulse(FWHM, CENTER, np.array([1.0, 1.0]))
         opts = pde.SimOptions(compensate_dispersion=False)
-        out, _ = one_window(cell, pde.ScheduleEntry(event="hold"), pulse, grid, sp, opts)
+        out, _, _ = one_window(cell, pde.ScheduleEntry(event="hold"), pulse, grid, sp, opts)
         phases = np.exp(1j * core.dispersion_phase(atoms, sp, 1.0))
         expected = phases[:, None] * pulse.envelope(grid.times)[None, :]
         npt.assert_allclose(out.envelopes, expected, atol=1e-12)
@@ -428,6 +419,21 @@ class TestEfficiencyOverlap:
         with pytest.raises(core.NumericalError, match=r"ideal output has zero energy"):
             pde.overlap(self._result([zero]), [zero])
 
+    def test_ideal_output_needs_no_energy_scale(self):
+        """random_3mode at grid scale 0.5: the ideal envelopes carry |T u|^2 in
+        the unit-energy echo mode, and the overlap, which divides by the
+        ideal's energy, reads the same to 1e-14 under any scale of them."""
+        setup = cli.NetworkSetup(cli.load_config("random_3mode"), grid_scale=0.5)
+        result, psi, _ = cli.run_network(setup)
+        transfer, u = compiler.ideal_transfer(setup.u_in, setup.u_out), setup.pulse.mode_amplitudes
+        ideal = pde.ideal_output(transfer, u, psi)
+        assert ideal[0].energy() == pytest.approx(np.sum(np.abs(transfer @ u) ** 2), rel=1e-12)
+        assert pde.overlap(result, ideal) == result.overlap
+        for scale in (1e-3, 3.7, 1e3):
+            scaled = [pde.FieldState(envelopes=scale * i.envelopes, times=i.times)
+                      for i in ideal]
+            assert pde.overlap(result, scaled) == pytest.approx(result.overlap, rel=1e-14)
+
 
 class TestTransferExtraction:
     def test_identity_plan_diagonal(self):
@@ -478,7 +484,7 @@ class TestTransferExtraction:
         assert abs(m[1, 1]) <= 1e-6 and abs(m[0, 1]) <= 1e-6
         probe = pde.GaussianPulse(FWHM, CENTER, np.array([0.0, 1.0]))
         res = pde.simulate_network([cell], sched, {0: probe}, grid, sp, OPTS)
-        assert res.window_energies[0]["output"] / probe.energy() >= 0.999
+        assert res.window_energies[0]["output"] / res.input_energy >= 0.999
 
 
 class TestEq5:
@@ -545,7 +551,7 @@ class TestEq5:
         sched = pde.Schedule(entries=((entries[0], entries[1]),))
         res = pde.simulate_network([cell], sched, {0: pulse}, grid, sp1, OPTS)
         (outs,), _ = pde.simulate_eq5(cell, [entries], pulse, grid, [sp1], OPTS)
-        eff5 = outs[1].energy() / pulse.energy()
+        eff5 = outs[1].energy() / res.input_energy
         assert abs(eff5 - res.efficiency) / res.efficiency <= 1e-3
 
     def test_agreement_in_regime(self):
@@ -1314,3 +1320,26 @@ def test_block_maps_every_row_in_one_pass():
     s1 = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
     ref = op.H @ s1 + op.C[..., None] * e
     assert np.max(np.abs(op.outflow(e, s1) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_chain_reproduces_the_gradient_echo_law():
+    """identity_1mode without losses, a 20 us pulse centred in an 80 us window,
+    at optical depths that set beta = 0.25, 0.5, 1 and 1.5 (1 at the bundled
+    1,000): each efficiency is (1 - exp(-2 pi beta))^2 (Hetet et al., PRL 100,
+    023601 (2008)) to 1e-4 relative, about 7x the worst residual at grid
+    scale 1.  The law holds for a pulse whose spectrum lies well inside the
+    broadened line, which the bundled 10 us pulse in 40 us does not."""
+    cfg = cli.load_config("identity_1mode")
+    cfg["atoms"]["gamma_mhz"] = 0.0
+    cfg["options"] = {"power_broadening": False}
+    cfg["grid"]["window_us"] = 80.0
+    cfg["pulse"].update(fwhm_us=20.0, center_us=40.0)
+    betas = (0.25, 0.5, 1.0, 1.5)
+    setups = []
+    for beta in betas:
+        cfg["atoms"]["optical_depth"] = 1000.0 * beta
+        setups.append(cli.NetworkSetup(cfg))
+    results = pde._simulate_batch([setup.chains(False)[0] for setup in setups], setups[0].grid)
+    for beta, res in zip(betas, results, strict=True):
+        law = (1.0 - math.exp(-2.0 * math.pi * beta)) ** 2
+        assert res.efficiency == pytest.approx(law, rel=1e-4), f"beta = {beta}"
